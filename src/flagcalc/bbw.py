@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bundles import BundleLabel, FilteredBundle, fiber_label, is_line, m_label, rank
-from .geometry import Fibration
+from .geometry import Fibration, sigma_swap
 from .weights import bbw_reduce
 
 __all__ = [
@@ -85,10 +85,12 @@ class DirectImageTable:
         cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
         log: list[CancellationRecord] = []
         modes = {t.mode for t in tables}
-        assert len(modes) == 1, "cannot merge tables from different modes"
+        if len(modes) != 1:
+            raise ValueError(f"cannot merge tables from modes {sorted(modes)}")
         for t in tables:
             overlap = cells.keys() & t.cells.keys()
-            assert not overlap, f"duplicate cells {overlap}"
+            if overlap:
+                raise ValueError(f"duplicate cells {sorted(overlap)}")
             cells.update(t.cells)
             log.extend(t.log)
         return DirectImageTable(cells, modes.pop(), tuple(log))
@@ -201,10 +203,7 @@ def global_cohomology(b: BundleLabel) -> CohomologyResult:
         raise ValueError(f"global cohomology computed on Z or X labels, got {b!r}")
     if not is_line(b):
         raise ValueError(f"line bundles only, got {b}")
-    w = b.weight
-    if b.space == "X":
-        w = (w[1], w[0], *w[2:])
-    reduced = bbw_reduce(w)
+    reduced = bbw_reduce(sigma_swap(b.weight) if b.space == "X" else b.weight)
     if not reduced:
         return CohomologyResult({})
     q, dom = reduced

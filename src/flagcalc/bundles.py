@@ -39,6 +39,7 @@ __all__ = [
     "BundleLabel",
     "FilteredBundle",
     "m_label",
+    "x_blocks",
     "x_label",
     "z_label",
     "fiber_label",
@@ -97,9 +98,9 @@ def _block_spans(blocks: tuple[int, ...]):
         start += size
 
 
-def _x_blocks(n: int) -> tuple[int, ...]:
-    # Full-flag shape for n <= 3; for larger n the correspondence space
-    # keeps a block of size n-2 in the middle of its last three blocks.
+def x_blocks(n: int) -> tuple[int, ...]:
+    """Block shape of X-labels: the full flag for n <= 3; for larger n a
+    block of size n-2 sits in the middle of the last three blocks."""
     return (1,) * (n + 1) if n <= 3 else (1, 1, n - 2, 1)
 
 
@@ -110,7 +111,7 @@ def m_label(weight) -> BundleLabel:
 
 def x_label(weight) -> BundleLabel:
     w = tuple(weight)
-    return BundleLabel("X", _x_blocks(len(w) - 1), w)
+    return BundleLabel("X", x_blocks(len(w) - 1), w)
 
 
 def z_label(weight) -> BundleLabel:
@@ -124,8 +125,7 @@ def fiber_label(weight) -> BundleLabel:
 
 
 def trivial_label(space: str, n: int) -> BundleLabel:
-    zero = (0,) * (n + 1)
-    return {"M": m_label, "X": x_label, "Z": z_label}[space](zero)
+    return _CONSTRUCTORS[space]((0,) * (n + 1))
 
 
 _CONSTRUCTORS = {"M": m_label, "X": x_label, "Z": z_label, "fiber": fiber_label}
@@ -164,7 +164,8 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
     for i in range(m):
         for j in range(i + 1, m):
             dim *= Fraction(mu[j] - mu[i] + j - i, j - i)
-    assert dim.denominator == 1 and dim > 0, mu
+    if dim.denominator != 1 or dim <= 0:
+        raise ValueError(f"no GL({m}) irreducible has the weight {mu}")
     return int(dim)
 
 
@@ -295,7 +296,8 @@ class FilteredBundle:
     levels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        assert len(self.factors) == len(self.components) == len(self.levels)
+        if not len(self.factors) == len(self.components) == len(self.levels):
+            raise ValueError("factors, components and levels differ in length")
         for f in self.factors:
             if (f.space, f.blocks) != (self.space, self.blocks):
                 raise ValueError(f"factor {f!r} does not live on {self.space}{self.blocks}")

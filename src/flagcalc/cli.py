@@ -5,8 +5,9 @@ markdown``, the default) or deterministic JSON (``--format json``,
 sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
-usage errors — bad flags, unparsable labels, an empty fixture
-directory.
+usage errors — bad flags, unparsable labels, a wedge column out of
+range, an empty fixture directory.  Every refusal of the engine (a
+``ValueError``) ends as exit 1 with an ``error:`` line.
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
@@ -18,14 +19,13 @@ import argparse
 import json
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
-from .bbw import MODES, DirectImageTable, direct_images, global_cohomology
+from .bbw import MODES, DirectImageTable, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
-    exterior_power,
     label_from_string,
     pieri_tensor,
     rank,
@@ -38,18 +38,22 @@ from .geometry import (
     pullback_line,
     registry,
     relative_cotangent,
+    twist_frames,
 )
 from .notation import ParseError, format_weight, parse_label
 from .transform import (
+    ColumnRangeError,
     ComplexOnM,
     FormType,
-    UnsupportedTwistError,
+    TransformResult,
     assemble_transform,
     check_ellipticity,
     complex_from_form_types,
+    e1_page,
     emit_realization,
     formal_adjoint,
     involutive_cohomology,
+    twisted_forms,
 )
 from .weights import SINGULAR, bbw_reduce
 
@@ -57,6 +61,8 @@ __all__ = ["main", "RunConfig"]
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
+FORMATS = ("markdown", "json")
+FIBRATIONS = ("mu", "nu", "eta")
 
 
 class CliError(Exception):
@@ -78,12 +84,16 @@ class RunConfig:
     fibration: str = "mu"
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise CliError(f"n must be an integer, got {self.n!r}", USAGE_ERROR)
         if self.n < 2:
             raise CliError(f"n must be at least 2, got {self.n}", USAGE_ERROR)
-        if self.mode not in MODES:
-            raise CliError(f"mode must be one of {MODES}, got {self.mode!r}", USAGE_ERROR)
-        if self.format not in ("markdown", "json"):
-            raise CliError(f"format must be markdown or json, got {self.format!r}", USAGE_ERROR)
+        if not isinstance(self.twist, (str, type(None))):
+            raise CliError(f"twist must be a label string, got {self.twist!r}", USAGE_ERROR)
+        for key, allowed in (("mode", MODES), ("format", FORMATS), ("fibration", FIBRATIONS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise CliError(f"{key} must be one of {allowed}, got {value!r}", USAGE_ERROR)
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "RunConfig":
@@ -97,12 +107,12 @@ class RunConfig:
             if not isinstance(loaded, dict):
                 raise CliError("config file must hold a JSON object", USAGE_ERROR)
             base.update(loaded)
-        for key in ("n", "twist", "mode", "format", "fibration"):
+        keys = {f.name for f in fields(RunConfig)}
+        for key in keys:
             value = getattr(args, key, None)
             if value is not None:
                 base[key] = value
-        allowed = {"n", "twist", "mode", "format", "fibration"}
-        unknown = set(base) - allowed
+        unknown = set(base) - keys
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}", USAGE_ERROR)
         return RunConfig(**base)
@@ -126,7 +136,7 @@ def _label(text: str, space: str | None = None) -> BundleLabel:
             space = "Z" if len(parsed.blocks) == 3 else "fiber"
     try:
         return label_from_string(text, space)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"cannot read {text!r} as a bundle on {space}: {exc}", USAGE_ERROR)
 
 
@@ -280,22 +290,12 @@ def cmd_tensor(args) -> int:
 
 def cmd_relative_forms(args) -> int:
     cfg = RunConfig.from_args(args)
-    reg = registry(cfg.n)
-    if cfg.fibration not in reg:
-        raise CliError(f"unknown fibration {cfg.fibration!r}", USAGE_ERROR)
-    fib = reg[cfg.fibration]
-    try:
-        if args.conormal:
-            bundle = conormal(fib)
-        else:
-            bundle = relative_cotangent(fib)
-            if args.p != 1:
-                bundle = exterior_power(bundle, args.p)
-        twist = _twist_label(cfg)
-        if twist is not None:
-            bundle = bundle.twist_by(twist if twist.space == "X" else pullback_line(twist))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    fib = registry(cfg.n)[cfg.fibration]
+    twist_x = twist_frames(_twist_label(cfg), cfg.n)[1]
+    if args.conormal:
+        bundle = conormal(fib).twist_by(twist_x)
+    else:
+        [(_p, bundle)] = twisted_forms(fib, twist_x, args.p)
     if cfg.format == "json":
         print(_j(filtered_to_json(bundle)))
     else:
@@ -305,29 +305,9 @@ def cmd_relative_forms(args) -> int:
     return 0
 
 
-def _assemble_table(cfg: RunConfig, p_only: int | None = None) -> DirectImageTable:
-    reg = registry(cfg.n)
-    twist = _twist_label(cfg)
-    tx = None
-    if twist is not None:
-        tx = twist if twist.space == "X" else pullback_line(twist)
-    lam = relative_cotangent(reg["mu"])
-    ps = range(len(lam) + 1) if p_only is None else [p_only]
-    columns = []
-    for p in ps:
-        fb = exterior_power(lam, p)
-        if tx is not None:
-            fb = fb.twist_by(tx)
-        columns.append(direct_images(fb, reg["nu"], cfg.mode, p))
-    return DirectImageTable.merge(columns)
-
-
 def cmd_direct_images(args) -> int:
     cfg = RunConfig.from_args(args)
-    try:
-        table = _assemble_table(cfg, args.p)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    table = e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.n, cfg.mode, args.p)
     if cfg.format == "json":
         print(_j(table_to_json(table)))
     else:
@@ -335,16 +315,23 @@ def cmd_direct_images(args) -> int:
     return 0
 
 
-def cmd_transform(args) -> int:
+def _transform(args, refusal: str = "") -> tuple[RunConfig, TransformResult]:
+    """The settings and the assembled transform behind transform, adjoint and
+    check; with a refusal, a page that did not collapse is an error."""
     cfg = RunConfig.from_args(args)
-    try:
-        res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
+    if refusal and res.complex_ is None:
+        raise CliError(f"{refusal}: {res.reason}")
+    return cfg, res
+
+
+def cmd_transform(args) -> int:
+    cfg, res = _transform(args)
     if cfg.format == "json":
+        table = table_to_json(res.table)
         out = {
-            "E1": table_to_json(res.table)["cells"],
-            "cancellations": table_to_json(res.table)["cancellations"],
+            "E1": table["cells"],
+            "cancellations": table["cancellations"],
             "complex": None if res.complex_ is None else complex_to_json(res.complex_),
             "reason": res.reason,
             "mode": res.mode,
@@ -366,10 +353,7 @@ def cmd_involutive(args) -> int:
         twist = trivial_label("Z", cfg.n)
     if twist.space != "Z":
         raise CliError("involutive cohomology expects a twist on Z", USAGE_ERROR)
-    try:
-        coh = involutive_cohomology(twist, cfg.n)
-    except UnsupportedTwistError as exc:
-        raise CliError(str(exc))
+    coh = involutive_cohomology(twist, cfg.n)
     if cfg.format == "json":
         print(_j({"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}))
     else:
@@ -381,14 +365,8 @@ def cmd_involutive(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    cfg = RunConfig.from_args(args)
-    try:
-        res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
-        if res.complex_ is None:
-            raise CliError(f"no complex to dualize: {res.reason}")
-        adj = formal_adjoint(res.complex_, cfg.n)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg, res = _transform(args, "no complex to dualize")
+    adj = formal_adjoint(res.complex_, cfg.n)
     if cfg.format == "json":
         print(_j({"adjoint": complex_to_json(adj)}))
     else:
@@ -397,14 +375,8 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = RunConfig.from_args(args)
-    try:
-        res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
-        if res.complex_ is None:
-            raise CliError(f"nothing to check: {res.reason}")
-        report = check_ellipticity(res.complex_)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg, res = _transform(args, "nothing to check")
+    report = check_ellipticity(res.complex_)
     if cfg.format == "json":
         print(_j({
             "ranks": list(report.ranks),
@@ -439,15 +411,8 @@ def _run_case(case: dict) -> dict:
     op = case["op"]
     n = case.get("n", 3)
     reg = registry(n)
-
-    def twisted_wedge(p):
-        lam = relative_cotangent(reg["mu"])
-        fb = exterior_power(lam, p)
-        if case.get("twist"):
-            t = _label(case["twist"])
-            fb = fb.twist_by(t if t.space == "X" else pullback_line(t))
-        return fb
-
+    if op in ("exterior_power", "direct_images", "transform", "adjoint", "check"):
+        return _run_twist_case(case, op, n, reg)
     if op == "relative_cotangent":
         return filtered_to_json(relative_cotangent(reg[case.get("fibration", "mu")]))
     if op == "conormal":
@@ -456,26 +421,6 @@ def _run_case(case: dict) -> dict:
         return filtered_to_json(pullback_factors(_label(case["label"], "M")))
     if op == "pullback_line":
         return {"image": str(pullback_line(_label(case["label"], "Z")))}
-    if op == "exterior_power":
-        return filtered_to_json(twisted_wedge(case["p"]))
-    if op == "direct_images":
-        col = direct_images(twisted_wedge(case["p"]), reg["nu"],
-                            case.get("mode", "paper"), case["p"])
-        data = table_to_json(col)
-        return {
-            "cells": data["cells"],
-            "applied": sum(r.applied for r in col.log),
-            "candidates": len(col.log),
-        }
-    if op == "transform":
-        res = assemble_transform(
-            _label(case["twist"]) if case.get("twist") else None,
-            n, case.get("mode", "paper"))
-        return {
-            "cells": table_to_json(res.table)["cells"],
-            "applied": sum(r.applied for r in res.table.log),
-            "complex": None if res.complex_ is None else complex_to_json(res.complex_),
-        }
     if op == "pieri":
         terms = pieri_tensor(_label(case["label"], "M"))
         return {"terms": [str(t) for t in terms]}
@@ -486,13 +431,6 @@ def _run_case(case: dict) -> dict:
     if op == "involutive":
         coh = involutive_cohomology(_label(case["twist"], "Z"), n)
         return {"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}
-    if op == "adjoint":
-        res = assemble_transform(
-            _label(case["twist"]) if case.get("twist") else None,
-            n, case.get("mode", "paper"))
-        if res.complex_ is None:
-            return {"error": res.reason}
-        return {"adjoint": complex_to_json(formal_adjoint(res.complex_, n))}
     if op == "form_complex":
         types = [tuple(FormType(*ft) for ft in term) for term in case["types"]]
         cx = complex_from_form_types(types, n)
@@ -502,25 +440,6 @@ def _run_case(case: dict) -> dict:
             "ranks": list(cx.ranks()),
             "alternating_sum": report.alternating_sum,
             "passed": report.passed,
-        }
-    if op == "check":
-        res = assemble_transform(
-            _label(case["twist"]) if case.get("twist") else None,
-            n, case.get("mode", "paper"))
-        if res.complex_ is None:
-            return {"error": res.reason}
-        report = check_ellipticity(res.complex_)
-        unreachable = []
-        for a in report.arrows:
-            hit = {t for _s, t in a.admissible}
-            missing = sorted(str(t) for t in set(res.complex_.terms[a.index + 1]) - hit)
-            if missing:
-                unreachable.append({"arrow": a.index, "targets": missing})
-        return {
-            "ranks": list(report.ranks),
-            "alternating_sum": report.alternating_sum,
-            "passed": report.passed,
-            "unreachable": unreachable,
         }
     if op == "realization":
         rep = emit_realization(n=n)
@@ -535,19 +454,54 @@ def _run_case(case: dict) -> dict:
     raise CliError(f"unknown fixture op {op!r}", USAGE_ERROR)
 
 
+def _run_twist_case(case: dict, op: str, n: int, reg: dict) -> dict:
+    """The fixture ops that start from a twist, all through e1_page."""
+    twist = _label(case["twist"]) if case.get("twist") else None
+    mode = case.get("mode", "paper")
+    if op == "exterior_power":
+        [(_p, bundle)] = twisted_forms(reg["mu"], twist_frames(twist, n)[1], case["p"])
+        return filtered_to_json(bundle)
+    if op == "direct_images":
+        col = e1_page(twist_frames(twist, n)[1], n, mode, case["p"])
+        return {
+            "cells": table_to_json(col)["cells"],
+            "applied": sum(r.applied for r in col.log),
+            "candidates": len(col.log),
+        }
+    res = assemble_transform(twist, n, mode)
+    if op == "transform":
+        return {
+            "cells": table_to_json(res.table)["cells"],
+            "applied": sum(r.applied for r in res.table.log),
+            "complex": None if res.complex_ is None else complex_to_json(res.complex_),
+        }
+    if res.complex_ is None:
+        return {"error": res.reason}
+    if op == "adjoint":
+        return {"adjoint": complex_to_json(formal_adjoint(res.complex_, n))}
+    report = check_ellipticity(res.complex_)
+    unreachable = []
+    for a in report.arrows:
+        hit = {t for _s, t in a.admissible}
+        missing = sorted(str(t) for t in set(res.complex_.terms[a.index + 1]) - hit)
+        if missing:
+            unreachable.append({"arrow": a.index, "targets": missing})
+    return {
+        "ranks": list(report.ranks),
+        "alternating_sum": report.alternating_sum,
+        "passed": report.passed,
+        "unreachable": unreachable,
+    }
+
+
 def _fixture_files(directory: str | None):
+    root = resources.files("flagcalc") / "fixtures"
     if directory is not None:
         root = pathlib.Path(directory)
         if not root.is_dir():
             raise CliError(f"fixture directory {directory!r} does not exist", USAGE_ERROR)
-        files = sorted(root.glob("*.json"))
-        return [(f.stem, f.read_text(encoding="utf-8")) for f in files]
-    pkg = resources.files("flagcalc") / "fixtures"
-    out = []
-    for entry in sorted(pkg.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out.append((entry.name[:-5], entry.read_text(encoding="utf-8")))
-    return out
+    entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
+    return [(e.name[:-5], e.read_text(encoding="utf-8")) for e in entries]
 
 
 def cmd_corpus(args) -> int:
@@ -587,7 +541,7 @@ def cmd_corpus(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, *, n=True, twist=False, mode=False,
                 fibration=False):
-    p.add_argument("--format", choices=("markdown", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--config", default=None, metavar="FILE")
     if n:
         p.add_argument("-n", "--n", type=int, default=None)
@@ -597,8 +551,7 @@ def _add_common(p: argparse.ArgumentParser, *, n=True, twist=False, mode=False,
     if mode:
         p.add_argument("--mode", choices=MODES, default=None)
     if fibration:
-        p.add_argument("--fibration", default=None,
-                       choices=("mu", "nu", "eta", "tau"))
+        p.add_argument("--fibration", default=None, choices=FIBRATIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, twist=True, fibration=True)
     p.set_defaults(func=cmd_relative_forms)
 
-    p = sub.add_parser("direct-images", help="direct-image table of one wedge column")
+    p = sub.add_parser("direct-images", help="first-page table of direct images")
     p.add_argument("-p", type=int, default=None,
                    help="column to push down (default: all)")
     _add_common(p, twist=True, mode=True)
@@ -672,6 +625,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR if isinstance(exc, ColumnRangeError) else MATH_ERROR
     except BrokenPipeError:
         return 0
 

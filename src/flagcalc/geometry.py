@@ -34,7 +34,10 @@ from .bundles import (
     is_line,
     m_label,
     rank,
+    trivial_label,
+    x_blocks,
     x_label,
+    z_label,
 )
 
 __all__ = [
@@ -43,7 +46,9 @@ __all__ = [
     "registry",
     "relative_cotangent",
     "conormal",
+    "sigma_swap",
     "pullback_line",
+    "twist_frames",
     "pullback_factors",
     "fiber_betti",
     "dimension_summary",
@@ -98,7 +103,8 @@ class Fibration:
     @property
     def fiber_dim(self) -> int:
         d = self.total.dim - self.base.dim
-        assert d >= 0
+        if d < 0:
+            raise ValueError(f"{self.name}: total space is smaller than its base")
         return d
 
 
@@ -119,16 +125,12 @@ def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> froze
     )
 
 
-def _nonzero(blocks: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(b for b in blocks if b > 0)
-
-
 def registry(n: int) -> dict:
     """Named spaces and fibrations for ambient rank n+1 (n >= 2)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     coords = tuple(range(n + 1))
-    sigma = (1, 0) + coords[2:]
+    sigma = sigma_swap(coords)
 
     m_space = FlagSpace("M", n, (1, n), _chain_roots((1, n), coords), coords)
 
@@ -136,9 +138,9 @@ def registry(n: int) -> dict:
     z_real = frozenset((sigma[i], sigma[j]) for i, j in z_std)
     z_space = FlagSpace("Z", n, (1, n - 1, 1), z_real, sigma)
 
-    x_blocks = (1,) * (n + 1) if n <= 3 else (1, 1, n - 2, 1)
-    x_iso = _chain_roots(_nonzero((1, n - 2, 1)), coords[1:])
-    x_space = FlagSpace("X", n, x_blocks, x_iso, coords)
+    # X's isotropy: the chain parabolic of its own blocks past the spectator
+    x_iso = _chain_roots(x_blocks(n)[1:], coords[1:])
+    x_space = FlagSpace("X", n, x_blocks(n), x_iso, coords)
 
     flag_fiber = ("flag", n) if n <= 3 else ("partial-flag", (1, n - 1), n)
     return {
@@ -148,10 +150,9 @@ def registry(n: int) -> dict:
         # holomorphic legs of the correspondence
         "mu": Fibration("mu", x_space, z_space, ("contractible",), True),
         "nu": Fibration("nu", x_space, m_space, flag_fiber, False),
-        # the underlying smooth legs of the incidence variety; same root
-        # data, but the fiber topology the collapse arguments use
+        # the underlying smooth Z-leg of the incidence variety; same root
+        # data as mu, but the fiber topology the collapse arguments use
         "eta": Fibration("eta", x_space, z_space, ("cp", n - 2), n == 2),
-        "tau": Fibration("tau", x_space, m_space, flag_fiber, False),
     }
 
 
@@ -350,6 +351,11 @@ def conormal(f: Fibration) -> FilteredBundle:
 
 # ---------------------------------------------------------- pullbacks
 
+def sigma_swap(entries: tuple) -> tuple:
+    """sigma = (0 1), an involution: Z's realization and the Z <-> X frame change."""
+    return (entries[1], entries[0], *entries[2:])
+
+
 def pullback_line(b: BundleLabel) -> BundleLabel:
     """Pull a line bundle on Z back to the correspondence space.
 
@@ -360,8 +366,24 @@ def pullback_line(b: BundleLabel) -> BundleLabel:
         raise ValueError(f"pullback_line starts on Z, got {b!r}")
     if not is_line(b):
         raise ValueError(f"only line bundles pull back to a single label: {b}")
-    sigma = b.weight[1], b.weight[0], *b.weight[2:]
-    return x_label(sigma)
+    return x_label(sigma_swap(b.weight))
+
+
+def twist_frames(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:
+    """(Z-label or None, X-label) of None (trivial), a Z-line or an X-line.
+
+    An X-twist whose swapped weight is not a Z-label has no Z form.
+    """
+    if twist is None:
+        twist = trivial_label("Z", n)
+    if twist.space == "Z":
+        return twist, pullback_line(twist)
+    if twist.space == "X":
+        try:
+            return z_label(sigma_swap(twist.weight)), twist
+        except ValueError:
+            return None, twist
+    raise ValueError(f"twists live on Z (or already on X), got {twist!r}")
 
 
 def pullback_factors(b: BundleLabel) -> FilteredBundle:

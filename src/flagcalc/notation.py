@@ -29,6 +29,10 @@ _UNICODE_SUBS = {
 }
 
 
+# str.isdigit would also take superscripts and non-ASCII decimal digits.
+_DIGITS = frozenset("0123456789")
+
+
 class ParseError(ValueError):
     """Raised on malformed label strings; carries a character position."""
 
@@ -75,9 +79,9 @@ def parse_label(text: str) -> ParsedLabel:
         j = i
         if j < m and s[j] in "+-":
             j += 1
-        while j < m and s[j].isdigit():
+        while j < m and s[j] in _DIGITS:
             j += 1
-        if j == i or (j == i + 1 and not s[i].isdigit()):
+        if j == i or (j == i + 1 and s[i] not in _DIGITS):
             raise ParseError(text, i, "expected an integer")
         entries.append(int(s[i:j]))
         if j == m:
@@ -114,7 +118,8 @@ def parse_label(text: str) -> ParsedLabel:
 
 def format_entries(weight: tuple[int, ...], blocks: tuple[int, ...], double_bar: bool) -> str:
     """Inverse of parse_label, always ASCII."""
-    assert sum(blocks) == len(weight), (weight, blocks)
+    if sum(blocks) != len(weight):
+        raise ValueError(f"blocks {blocks} do not fit weight {weight}")
     parts: list[str] = []
     start = 0
     for size in blocks:

@@ -2,13 +2,13 @@
 
 Feeding a line-bundle twist through the machinery means:
 
-1. pull the twist back from the twistor space (pullback_line),
+1. pull the twist back from the twistor space (twist_frames),
 2. tensor it onto each wedge power of the relative cotangent bundle of
-   the Z-leg (exterior_power + twist_by),
-3. push every column down the M-leg (direct_images), and
+   the Z-leg (twisted_forms),
+3. push every column down the M-leg (e1_page), and
 4. when the resulting first-page table is concentrated in a single
    fiber degree q with contiguous nonempty columns, read off the
-   complex of irreducible bundles on the base.
+   complex of irreducible bundles on the base (assemble_transform).
 
 The engine never guesses: a table that fails the concentration test is
 returned as a table, with the offending columns named.
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .bbw import CohomologyResult, DirectImageTable, direct_images, global_cohomology
 from .bundles import (
     BundleLabel,
+    FilteredBundle,
     exterior_power,
     m_label,
     pieri_tensor,
@@ -35,7 +36,7 @@ from .bundles import (
     trivial_label,
     z_label,
 )
-from .geometry import fiber_betti, pullback_line, registry, relative_cotangent
+from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
 from .notation import parse_label
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
     "EllipticityReport",
     "RealizationReport",
     "UnsupportedTwistError",
+    "ColumnRangeError",
+    "twisted_forms",
+    "e1_page",
     "assemble_transform",
     "involutive_cohomology",
     "check_ellipticity",
@@ -60,6 +64,10 @@ __all__ = [
 
 class UnsupportedTwistError(ValueError):
     """Raised when no pinned rule covers the requested twist."""
+
+
+class ColumnRangeError(ValueError):
+    """Raised for a wedge column p outside 0..rank of the relative forms."""
 
 
 # ----------------------------------------------------------- complexes
@@ -122,52 +130,53 @@ class TransformResult:
     mode: str
 
 
-def _normalise_twist(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:
-    """Accept None/trivial, a Z-label, or an X-label; return (Z, X) forms."""
-    if twist is None:
-        twist = trivial_label("Z", n)
-    if twist.space == "Z":
-        return twist, pullback_line(twist)
-    if twist.space == "X":
-        w = twist.weight
-        swapped = (w[1], w[0], *w[2:])
-        try:
-            tz = z_label(swapped)
-        except ValueError:
-            tz = None
-        return tz, twist
-    raise ValueError(f"twists live on Z (or already on X), got {twist!r}")
+def twisted_forms(
+    fib: Fibration, twist_x: BundleLabel, p: int | None = None
+) -> list[tuple[int, FilteredBundle]]:
+    """(p, Lambda^p of the relative forms of fib, tensored with twist_x) for
+    column p, or for every column 0..rank when p is None.  Lambda^1 is the
+    relative cotangent bundle itself, shown even where the wedge refuses."""
+    lam = relative_cotangent(fib)
+    if p is None:
+        ps = range(len(lam) + 1)  # every factor is a line, or the wedge refuses
+    elif 0 <= p <= rank(lam):
+        ps = (p,)
+    else:
+        raise ColumnRangeError(f"column p={p} is outside 0..{rank(lam)}")
+    return [
+        (k, (lam if k == 1 else exterior_power(lam, k)).twist_by(twist_x)) for k in ps
+    ]
+
+
+def e1_page(
+    twist_x: BundleLabel, n: int = 3, mode: str = "paper", p: int | None = None
+) -> DirectImageTable:
+    """The first page: twisted_forms of the Z-leg pushed down the M-leg;
+    twist_x is the twist in the X frame (geometry.twist_frames)."""
+    reg = registry(n)
+    return DirectImageTable.merge([
+        direct_images(bundle, reg["nu"], mode, k)
+        for k, bundle in twisted_forms(reg["mu"], twist_x, p)
+    ])
 
 
 def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> TransformResult:
     """Run the whole pipeline for one twist; collapse when honest."""
-    reg = registry(n)
-    twist_z, twist_x = _normalise_twist(twist, n)
-    lam = relative_cotangent(reg["mu"])
-    columns = [
-        direct_images(exterior_power(lam, p).twist_by(twist_x), reg["nu"], mode, p)
-        for p in range(len(lam) + 1)
-    ]
-    table = DirectImageTable.merge(columns)
+    twist_z, twist_x = twist_frames(twist, n)
+    table = e1_page(twist_x, n, mode)
 
     ps = sorted({p for p, _q in table.cells})
     qs = sorted({q for _p, q in table.cells})
+    reason = ""
     if not table.cells:
-        return TransformResult(table, None, "every direct image vanishes",
-                               twist_z, twist_x, n, mode)
-    if len(qs) != 1:
+        reason = "every direct image vanishes"
+    elif len(qs) != 1:
         bad = [p for p in ps if len(table.qs_for_column(p)) > 1]
-        return TransformResult(
-            table, None,
-            f"no collapse: columns p={bad or ps} spread over degrees q={qs}",
-            twist_z, twist_x, n, mode,
-        )
-    if ps != list(range(ps[0], ps[-1] + 1)):
-        return TransformResult(
-            table, None,
-            f"no collapse: nonempty columns {ps} are not contiguous",
-            twist_z, twist_x, n, mode,
-        )
+        reason = f"no collapse: columns p={bad or ps} spread over degrees q={qs}"
+    elif ps != list(range(ps[0], ps[-1] + 1)):
+        reason = f"no collapse: nonempty columns {ps} are not contiguous"
+    if reason:
+        return TransformResult(table, None, reason, twist_z, twist_x, n, mode)
 
     q0 = qs[0]
     terms = tuple(table.labels_at(p, q0) for p in range(ps[0], ps[-1] + 1))
@@ -420,7 +429,7 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
             for t in c.terms[i + 1]:
                 (adm if t in targets else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
-    total = sum((-1) ** i * r for i, r in enumerate(c.ranks()))
+    total = c.alternating_rank_sum()
     passed = total == 0 and all(a.ok for a in arrows)
     return EllipticityReport(c.ranks(), total, tuple(arrows), passed)
 
@@ -477,7 +486,8 @@ def emit_realization(twist=None, n: int = 3) -> RealizationReport:
         raise ValueError(f"realization is pinned to the canonical twist for n=3, got {twist}")
     res = assemble_transform(twist, n, "paper")
     cx = res.complex_
-    assert cx is not None and len(cx.terms[0]) == 1, "canonical pipeline did not collapse"
+    if cx is None or len(cx.terms[0]) != 1:
+        raise ValueError(f"canonical pipeline did not collapse to one source: {res.reason}")
     source = cx.terms[0][0]
     a = source.weight[0]
     nxt = cx.terms[1]
@@ -486,7 +496,8 @@ def emit_realization(twist=None, n: int = 3) -> RealizationReport:
     pieri = pieri_tensor(source)
     dbar_full = tuple(t for t in pieri if t.weight[0] == a - 1)
     d_full = tuple(t for t in pieri if t.weight[0] == a + 1)
-    assert set(dbar_targets) <= set(dbar_full) and set(d_targets) <= set(d_full)
+    if not (set(dbar_targets) <= set(dbar_full) and set(d_targets) <= set(d_full)):
+        raise ValueError("realization targets are not Pieri constituents of the source")
     return RealizationReport(
         cx.q_row, source, dbar_targets, d_targets, dbar_full, d_full
     )

@@ -145,10 +145,10 @@ def test_merge_keeps_columns_apart(setup):
     merged = DirectImageTable.merge(cols)
     assert set(merged.cells) == {(p, 0) for p in range(5)}
     assert merged.mode == "paper"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="duplicate cells"):
         DirectImageTable.merge([cols[1], cols[1]])  # duplicate cells
     loud = direct_images(exterior_power(lam, 2), reg["nu"], mode="conservative", p=2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="modes"):
         DirectImageTable.merge([cols[1], loud])  # mixed modes
 
 

@@ -163,6 +163,8 @@ def test_filtered_bundle_validates_component_shape():
     a, b = x_label((0, 1, 0, 0)), x_label((0, 0, 1, 0))
     with pytest.raises(ValueError):
         FilteredBundle.of_lines((a, b), (1, 0), (0, 0))  # not nondecreasing
+    with pytest.raises(ValueError, match="differ in length"):
+        FilteredBundle.of_lines((a, b), (0,), (0, 0))
     # sparse numbering is tolerated: only adjacency of equal ids matters
     sparse = FilteredBundle.of_lines((a, b), (0, 2), (0, 0))
     assert sparse.edges() == ("(+)",)

@@ -1,10 +1,16 @@
 """Exit codes, output formats, config merging, corpus replay."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from flagcalc.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -116,6 +122,16 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("config", [{"n": "3"}, {"twist": 5}, {"fibration": "M"}])
+def test_config_values_of_the_wrong_type_are_usage_errors(capsys, tmp_path, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, "relative-forms", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_config_file_must_be_json(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("not json at all {")
@@ -211,3 +227,58 @@ def test_tensor_command(capsys):
         "--format", "json")
     assert code == 0
     assert json.loads(out)["terms"] == ["(1||-1,0,1)"]
+
+
+@pytest.mark.parametrize("command", ["direct-images", "relative-forms"])
+@pytest.mark.parametrize("p", ["-1", "9"])
+def test_column_out_of_range_is_a_usage_error(capsys, command, p):
+    code, out, err = run(capsys, command, "-n", "3", "-p", p)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "0..4" in err
+
+
+@pytest.mark.parametrize("mode", ["paper", "conservative"])
+@pytest.mark.parametrize(
+    "n, twist", [(2, "(0|0|0)"), (2, "(2|1|-1)"), (3, "(1|0,0|0)"), (3, "(3|0,0|-3)"),
+                 (3, "(-1|1,1|2)")],
+)
+def test_direct_images_agree_with_the_transform(capsys, mode, n, twist):
+    common = ["-n", str(n), "--twist", twist, "--mode", mode, "--format", "json"]
+    _, out, _ = run(capsys, "transform", *common)
+    page = json.loads(out)
+    code, out, _ = run(capsys, "direct-images", *common)
+    assert code == 0
+    table = json.loads(out)
+    assert table["cells"] == page["E1"]
+    assert table["cancellations"] == page["cancellations"]
+    for p in range(2 * n - 1):
+        code, out, _ = run(capsys, "direct-images", "-p", str(p), *common)
+        assert code == 0
+        column = json.loads(out)
+        assert column["cells"] == {
+            k: v for k, v in table["cells"].items() if k.split(",")[0] == str(p)}
+        assert column["cancellations"] == [
+            c for c in table["cancellations"] if c["p"] == p]
+
+
+def test_checks_survive_python_optimize():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    corpus = subprocess.run(
+        [sys.executable, "-O", "-m", "flagcalc.cli", "corpus", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert corpus.returncode == 0, corpus.stderr
+    doc = json.loads(corpus.stdout)
+    assert (doc["passed"], doc["failed"]) == (41, 0)
+
+    malformed = (
+        "import sys\n"
+        "from flagcalc.bundles import FilteredBundle, x_label\n"
+        "print(sys.flags.optimize)\n"
+        "FilteredBundle('X', (1, 1, 1, 1), (x_label((0, 0, 0, 0)),), (), ())\n"
+    )
+    bad = subprocess.run([sys.executable, "-O", "-c", malformed],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.stdout.strip() == "1"
+    assert bad.returncode == 1
+    assert "ValueError: factors, components and levels differ in length" in bad.stderr

@@ -11,6 +11,7 @@ from flagcalc.geometry import (
     pullback_line,
     registry,
     relative_cotangent,
+    twist_frames,
 )
 
 
@@ -87,6 +88,17 @@ def test_pullback_line_swaps_the_frame():
     assert str(pullback_line(z_label((0, 0, 0)))) == "(0||0|0)"
     with pytest.raises(ValueError):
         pullback_line(z_label((0, -1, 1, 0)))  # not a line
+
+
+def test_twist_frames_gives_both_frames():
+    tz = z_label((1, 0, 0, 0))
+    assert twist_frames(tz, 3) == (tz, pullback_line(tz))
+    assert twist_frames(pullback_line(tz), 3) == (tz, pullback_line(tz))
+    assert twist_frames(None, 2) == (z_label((0, 0, 0)), x_label((0, 0, 0)))
+    # (1||0|0|0) swaps to (0|1,0|0), whose middle block is not dominant
+    assert twist_frames(x_label((1, 0, 0, 0)), 3) == (None, x_label((1, 0, 0, 0)))
+    with pytest.raises(ValueError):
+        twist_frames(label_from_string("(0||0,0,0)", "M"), 3)
 
 
 def test_pullback_factors_gives_the_full_chain():

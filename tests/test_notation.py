@@ -48,6 +48,8 @@ def test_whitespace_and_parens_are_optional():
         "(a,b)",
         "(1||)",
         "((1,2)",
+        "(1,²)",          # superscript: isdigit, but not an ASCII digit
+        "(٣)",            # Arabic-Indic three: int() reads it, the grammar does not
     ],
 )
 def test_malformed_labels_raise(bad):

@@ -11,6 +11,7 @@ from flagcalc.transform import (
     assemble_transform,
     check_ellipticity,
     complex_from_form_types,
+    e1_page,
     emit_realization,
     form_dictionary,
     form_type,
@@ -96,6 +97,19 @@ def test_twist_may_be_given_in_either_frame():
     assert on_z.table.cells == on_x.table.cells
     assert on_z.complex_.terms == on_x.complex_.terms
     assert str(on_x.twist_z) == "(1|0,0|0)"
+
+
+def test_e1_page_columns_and_their_range():
+    twist_x = x_label((0, 1, 0, 0))
+    full = assemble_transform(z_label((1, 0, 0, 0)), 3, "conservative").table
+    assert e1_page(twist_x, 3, "conservative") == full
+    for p in range(5):
+        column = e1_page(twist_x, 3, "conservative", p)
+        assert column.cells == {pq: labs for pq, labs in full.cells.items() if pq[0] == p}
+        assert column.log == tuple(r for r in full.log if r.p == p)
+    for p in (-1, 5):
+        with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+            e1_page(twist_x, 3, "conservative", p)
 
 
 def test_hyperplane_assembly_collapses_only_in_paper_mode():
