@@ -237,6 +237,11 @@ def pieri_tensor(b: BundleLabel) -> list[BundleLabel]:
 
 # -------------------------------------------- Gelfand-Tsetlin branching
 
+# Largest rank branch_to_torus enumerates: it visits one pattern per torus
+# weight, so a wider weight is refused before any work is done.
+MAX_BRANCH_RANK = 1000
+
+
 def branch_to_torus(mu: tuple[int, ...]) -> Counter:
     """Torus weight multiset of the GL(m) irreducible with weight mu.
 
@@ -248,6 +253,11 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
     mu = tuple(mu)
     if not is_dominant(mu):
         raise ValueError(f"weight must be dominant (nondecreasing): {mu}")
+    if (r := _weyl_rank(mu)) > MAX_BRANCH_RANK:
+        raise ValueError(
+            f"{mu} has rank {r}, over the {MAX_BRANCH_RANK} torus weights "
+            "branch_to_torus enumerates"
+        )
     top = tuple(reversed(mu))
     out: Counter = Counter()
 

@@ -6,8 +6,10 @@ sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
 usage errors — bad flags, unparsable labels, a wedge column out of
-range, an empty fixture directory.  Every refusal of the engine (a
-``ValueError``) ends as exit 1 with an ``error:`` line.
+range, n outside 2..MAX_N, an empty fixture directory, a malformed
+fixture file or case (named as ``file[index]``).  Every refusal of the
+engine (a ``ValueError``) ends as exit 1, and every nonzero exit writes
+an ``error:`` line.
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
@@ -33,6 +35,7 @@ from .bundles import (
     trivial_label,
 )
 from .geometry import (
+    MAX_N,
     conormal,
     pullback_factors,
     pullback_line,
@@ -73,6 +76,15 @@ class CliError(Exception):
         self.code = code
 
 
+def _checked_n(n) -> int:
+    """n from a flag, a config file or a fixture case: an integer in 2..MAX_N."""
+    if type(n) is not int:
+        raise CliError(f"n must be an integer, got {n!r}", USAGE_ERROR)
+    if not 2 <= n <= MAX_N:
+        raise CliError(f"n must be in 2..{MAX_N}, got {n}", USAGE_ERROR)
+    return n
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Merged settings: config-file defaults overridden by flags."""
@@ -84,10 +96,7 @@ class RunConfig:
     fibration: str = "mu"
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise CliError(f"n must be an integer, got {self.n!r}", USAGE_ERROR)
-        if self.n < 2:
-            raise CliError(f"n must be at least 2, got {self.n}", USAGE_ERROR)
+        _checked_n(self.n)
         if not isinstance(self.twist, (str, type(None))):
             raise CliError(f"twist must be a label string, got {self.twist!r}", USAGE_ERROR)
         for key, allowed in (("mode", MODES), ("format", FORMATS), ("fibration", FIBRATIONS)):
@@ -99,10 +108,10 @@ class RunConfig:
     def from_args(args: argparse.Namespace) -> "RunConfig":
         base: dict = {}
         if getattr(args, "config", None):
-            try:
+            try:  # ValueError covers bad UTF-8 and bad JSON
                 with open(args.config, encoding="utf-8") as fh:
                     loaded = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise CliError(f"cannot read config {args.config}: {exc}", USAGE_ERROR)
             if not isinstance(loaded, dict):
                 raise CliError("config file must hold a JSON object", USAGE_ERROR)
@@ -237,6 +246,12 @@ def _complex_markdown(c: ComplexOnM) -> str:
 
 # ----------------------------------------------------------- commands
 
+def _fail(message: str) -> int:
+    """A mathematical failure whose report is already printed: say so."""
+    print(f"error: {message}", file=sys.stderr)
+    return MATH_ERROR
+
+
 def cmd_bbw(args) -> int:
     cfg = RunConfig.from_args(args)
     weight = _parse_or_usage(args.weight).weight
@@ -343,7 +358,7 @@ def cmd_transform(args) -> int:
             print(_complex_markdown(res.complex_))
         else:
             print(res.reason)
-    return 0 if res.complex_ is not None else MATH_ERROR
+    return 0 if res.complex_ is not None else _fail(f"no complex: {res.reason}")
 
 
 def cmd_involutive(args) -> int:
@@ -401,7 +416,7 @@ def cmd_check(args) -> int:
             for s, t in a.inadmissible:
                 print(f"  forbidden: {s} -> {t}")
         print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else MATH_ERROR
+    return 0 if report.passed else _fail("the symbol check failed")
 
 
 # ------------------------------------------------------- corpus runner
@@ -409,7 +424,7 @@ def cmd_check(args) -> int:
 def _run_case(case: dict) -> dict:
     """Execute one fixture case and return the actual outcome."""
     op = case["op"]
-    n = case.get("n", 3)
+    n = _checked_n(case.get("n", 3))
     reg = registry(n)
     if op in ("exterior_power", "direct_images", "transform", "adjoint", "check"):
         return _run_twist_case(case, op, n, reg)
@@ -494,6 +509,17 @@ def _run_twist_case(case: dict, op: str, n: int, reg: dict) -> dict:
     }
 
 
+def _replay(case, where: str) -> tuple:
+    """(expected, actual) of one fixture case.  Errors name the case: a
+    missing or ill-typed field is a usage error, a refusal keeps its code."""
+    try:
+        return case["expect"], _run_case(case)
+    except (CliError, ValueError) as exc:
+        raise CliError(f"{where}: {exc}", _exit_code(exc))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"{where}: malformed case: {exc!r}", USAGE_ERROR)
+
+
 def _fixture_files(directory: str | None):
     root = resources.files("flagcalc") / "fixtures"
     if directory is not None:
@@ -501,23 +527,28 @@ def _fixture_files(directory: str | None):
         if not root.is_dir():
             raise CliError(f"fixture directory {directory!r} does not exist", USAGE_ERROR)
     entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
-    return [(e.name[:-5], e.read_text(encoding="utf-8")) for e in entries]
+    return [(e.name[:-5], e.read_bytes()) for e in entries]
 
 
 def cmd_corpus(args) -> int:
     cfg = RunConfig.from_args(args)
     files = _fixture_files(args.fixtures)
     if args.only:
-        files = [(k, t) for k, t in files if k == args.only]
+        files = [(k, raw) for k, raw in files if k == args.only]
     if not files:
         raise CliError("no fixtures found: nothing was verified", USAGE_ERROR)
     results = []
-    for key, text in files:
-        doc = json.loads(text)
-        for idx, case in enumerate(doc["cases"]):
-            actual = _run_case(case)
-            ok = actual == case["expect"]
-            results.append((key, idx, ok, case["expect"], actual))
+    for key, raw in files:
+        try:  # ValueError covers bad UTF-8 and bad JSON
+            cases = json.loads(raw)["cases"]
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise CliError(f"{key}: not a fixture file with a 'cases' list: {exc!r}",
+                           USAGE_ERROR)
+        if not isinstance(cases, list):
+            raise CliError(f"{key}: 'cases' must be a list", USAGE_ERROR)
+        for idx, case in enumerate(cases):
+            expect, actual = _replay(case, f"{key}[{idx}]")
+            results.append((key, idx, actual == expect, expect, actual))
     failed = [r for r in results if not r[2]]
     if cfg.format == "json":
         print(_j({
@@ -534,7 +565,7 @@ def cmd_corpus(args) -> int:
                 print(f"  expected: {json.dumps(expect, sort_keys=True)}")
                 print(f"  actual:   {json.dumps(actual, sort_keys=True)}")
         print(f"{len(results) - len(failed)} passed, {len(failed)} failed")
-    return MATH_ERROR if failed else 0
+    return _fail(f"{len(failed)} corpus case(s) failed") if failed else 0
 
 
 # --------------------------------------------------------------- main
@@ -618,16 +649,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(exc: CliError | ValueError) -> int:
+    """A CliError carries its code; of the engine's refusals (ValueError) a
+    column out of range is a usage error and any other one is math."""
+    if isinstance(exc, CliError):
+        return exc.code
+    return USAGE_ERROR if isinstance(exc, ColumnRangeError) else MATH_ERROR
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, ColumnRangeError) else MATH_ERROR
+        return _exit_code(exc)
     except BrokenPipeError:
         return 0
 

@@ -56,6 +56,10 @@ __all__ = [
 
 Root = tuple[int, int]
 
+# Largest n the registry builds: grouping the relative forms into their
+# filtration grows steeply with n, and the wedge refuses for n >= 4 anyway.
+MAX_N = 16
+
 
 @dataclass(frozen=True)
 class FlagSpace:
@@ -126,9 +130,9 @@ def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> froze
 
 
 def registry(n: int) -> dict:
-    """Named spaces and fibrations for ambient rank n+1 (n >= 2)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """Named spaces and fibrations for ambient rank n+1 (2 <= n <= MAX_N)."""
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"need 2 <= n <= {MAX_N}, got {n}")
     coords = tuple(range(n + 1))
     sigma = sigma_swap(coords)
 

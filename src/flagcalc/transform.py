@@ -13,11 +13,13 @@ Feeding a line-bundle twist through the machinery means:
 The engine never guesses: a table that fails the concentration test is
 returned as a table, with the offending columns named.
 
-The form dictionary at the bottom identifies the irreducible summands
-of the (p,q)-form bundles on the base for n = 2, 3; it powers the
-form-type annotations, the formal adjoint, and the comparison
-complexes.  "perp" marks the primitive part (the complement of the
-previous diagonal wedged up by the Kaehler class).
+The form dictionary at the bottom splits the (p,q)-form bundles on the
+base into irreducibles for every n by the Pieri rule: L(p,q) has one
+constituent (p-q || -1^(p-k), 0^(n-p-q+2k), 1^(q-k)) for each
+k = max(0, p+q-n) .. min(p, q).  It powers the form-type annotations,
+the formal adjoint, and the comparison complexes.  "perp" marks the
+primitive part, the smallest-k constituent (the complement of the
+neighbouring diagonal wedged with the Kaehler class).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .bundles import (
     z_label,
 )
 from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
-from .notation import parse_label
 
 __all__ = [
     "FormType",
@@ -72,6 +73,9 @@ class ColumnRangeError(ValueError):
 
 # ----------------------------------------------------------- complexes
 
+_ROLE_SUFFIX = {"full": "", "perp": "_perp", "kappa": "_kappa"}
+
+
 @dataclass(frozen=True, order=True)
 class FormType:
     """Name of a summand of the (p,q)-forms: full bundle, primitive
@@ -81,9 +85,13 @@ class FormType:
     q: int
     role: str = "full"
 
+    def __post_init__(self):
+        if self.role not in _ROLE_SUFFIX:
+            raise ValueError(f"form-type role must be one of {tuple(_ROLE_SUFFIX)}, "
+                             f"got {self.role!r}")
+
     def __str__(self) -> str:
-        suffix = {"full": "", "perp": "_perp", "kappa": "_kappa"}[self.role]
-        return f"L({self.p},{self.q}){suffix}"
+        return f"L({self.p},{self.q}){_ROLE_SUFFIX[self.role]}"
 
     @property
     def degree(self) -> int:
@@ -238,46 +246,25 @@ def involutive_cohomology(twist: BundleLabel, n: int) -> CohomologyResult:
 # ------------------------------------------------------- form dictionary
 
 def form_dictionary(n: int) -> tuple[dict, dict]:
-    """(full, perp): constituents of the (p,q)-form bundles on the base.
+    """(full, perp): the irreducible constituents of the (p,q)-form bundles.
 
-    The diagonal bundles contain the Kaehler line (the trivial factor);
-    their perp part is the complement.  Stored as data for n = 2, 3 and
-    rank-checked in the test suite against C(n,p)*C(n,q).
+    By Pieri, L(p,q) = (p-q || Lambda^p V* (x) Lambda^q V) over the GL(n)
+    block V has one constituent (p-q || -1^(p-k), 0^(n-p-q+2k), 1^(q-k))
+    per k = max(0, p+q-n) .. min(p, q).  The primitive part, perp, listed
+    where L(p,q) is reducible, is the smallest k: by Lefschetz that is
+    full(p,q) - full(p-1,q-1) for p+q <= n, else full(p,q) - full(p+1,q+1).
     """
-    if n == 2:
-        full = {
-            (0, 0): ["(0||0,0)"],
-            (1, 0): ["(1||-1,0)"], (0, 1): ["(-1||0,1)"],
-            (2, 0): ["(2||-1,-1)"], (1, 1): ["(0||-1,1)", "(0||0,0)"], (0, 2): ["(-2||1,1)"],
-            (2, 1): ["(1||-1,0)"], (1, 2): ["(-1||0,1)"],
-            (2, 2): ["(0||0,0)"],
-        }
-        perp = {(1, 1): ["(0||-1,1)"]}
-    elif n == 3:
-        full = {
-            (0, 0): ["(0||0,0,0)"],
-            (1, 0): ["(1||-1,0,0)"], (0, 1): ["(-1||0,0,1)"],
-            (2, 0): ["(2||-1,-1,0)"], (1, 1): ["(0||-1,0,1)", "(0||0,0,0)"],
-            (0, 2): ["(-2||0,1,1)"],
-            (3, 0): ["(3||-1,-1,-1)"], (2, 1): ["(1||-1,-1,1)", "(1||-1,0,0)"],
-            (1, 2): ["(-1||-1,1,1)", "(-1||0,0,1)"], (0, 3): ["(-3||1,1,1)"],
-            (3, 1): ["(2||-1,-1,0)"], (2, 2): ["(0||-1,0,1)", "(0||0,0,0)"],
-            (1, 3): ["(-2||0,1,1)"],
-            (3, 2): ["(1||-1,0,0)"], (2, 3): ["(-1||0,0,1)"],
-            (3, 3): ["(0||0,0,0)"],
-        }
-        perp = {
-            (1, 1): ["(0||-1,0,1)"], (2, 2): ["(0||-1,0,1)"],
-            (1, 2): ["(-1||-1,1,1)"], (2, 1): ["(1||-1,-1,1)"],
-        }
-    else:
-        raise ValueError(f"form dictionary is pinned for n in (2, 3) only, not n={n}")
-
-    def parse(strings):
-        return tuple(m_label(parse_label(s).weight) for s in strings)
-
-    return ({k: parse(v) for k, v in full.items()},
-            {k: parse(v) for k, v in perp.items()})
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    full = {
+        (p, q): tuple(
+            m_label((p - q, *(-1,) * (p - k), *(0,) * (n - p - q + 2 * k), *(1,) * (q - k)))
+            for k in range(max(0, p + q - n), min(p, q) + 1)
+        )
+        for p in range(n + 1)
+        for q in range(n + 1)
+    }
+    return full, {pq: labs[:1] for pq, labs in full.items() if len(labs) > 1}
 
 
 def _catalog(n: int) -> list[tuple[FormType, tuple[BundleLabel, ...]]]:
@@ -288,12 +275,16 @@ def _catalog(n: int) -> list[tuple[FormType, tuple[BundleLabel, ...]]]:
 
 
 def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
+    if ft.role == "kappa" and 0 < ft.p == ft.q < n:
+        return (trivial_label("M", n),)  # the Kaehler line
     full, perp = form_dictionary(n)
-    if ft.role == "full":
-        return full[(ft.p, ft.q)]
-    if ft.role == "perp":
-        return perp[(ft.p, ft.q)]
-    return (trivial_label("M", n),)  # the Kaehler line
+    labs = {"full": full, "perp": perp}.get(ft.role, {}).get((ft.p, ft.q))
+    if labs is None:
+        raise ValueError(
+            f"no form type {ft} for n={n}: p and q run over 0..{n}, a perp part needs"
+            f" a reducible L(p,q), and kappa lies in L(p,p) with 0 < p < {n}"
+        )
+    return labs
 
 
 def form_type(b: BundleLabel, n: int = 3) -> tuple[FormType, ...]:
@@ -315,9 +306,6 @@ def form_type(b: BundleLabel, n: int = 3) -> tuple[FormType, ...]:
             out.append(FormType(p, q, "kappa"))
         else:
             out.append(FormType(p, q, "full"))
-    for (p, q), labs in perp.items():
-        if b in labs and (p, q) not in full:
-            out.append(FormType(p, q, "perp"))
     return tuple(sorted(out))
 
 
@@ -357,7 +345,7 @@ def annotate_form_types(
     order); subject to that chain constraint the partition of every
     term must be unique.
     """
-    if n not in (2, 3) or not terms:
+    if not terms:
         return None
     options = [_partitions_of(t, n) for t in terms]
     starts = [

@@ -1,15 +1,18 @@
 """Independent reference implementations used to cross-check the engine.
 
 These are deliberately naive: the weight reduction is redone by brute
-force over all k! orderings, and ranks are recounted by enumerating
-interleaved integer patterns one row at a time.  Nothing here shares
-code with the package.
+force over all k! orderings, ranks and torus characters are recounted by
+enumerating interleaved integer patterns one row at a time, and the
+characters of wedge products come from listing subsets.  The (p,q)-form
+tables for n = 2, 3 are kept as the hand-written data they once were.
+Nothing here shares code with the package.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 
 def brute_reduce(weight: tuple[int, ...]):
@@ -60,3 +63,65 @@ def pattern_count(top: tuple[int, ...]) -> int:
 def count_rank(mu: tuple[int, ...]) -> int:
     """Rank of the irreducible with nondecreasing highest weight mu."""
     return pattern_count(tuple(reversed(mu)))
+
+
+def torus_character(mu: tuple[int, ...]) -> Counter:
+    """Torus weights, with multiplicity, of the GL(k) irreducible with
+    nondecreasing highest weight mu: one weight per interlacing pattern,
+    entry j being (sum of row j) - (sum of row j-1)."""
+    out: Counter = Counter()
+
+    def descend(row: tuple[int, ...], tail: tuple[int, ...]):
+        if not row:
+            out[tail] += 1
+            return
+        for below in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
+            descend(below, (sum(row) - sum(below),) + tail)
+
+    descend(tuple(sorted(mu, reverse=True)), ())
+    return out
+
+
+def wedge_pair_character(n: int, p: int, q: int) -> Counter:
+    """Torus weights of Lambda^p(V*) (x) Lambda^q(V), V = C^n: one weight
+    e_T - e_S per p-subset S and q-subset T of the coordinates."""
+    out: Counter = Counter()
+    for s in combinations(range(n), p):
+        for t in combinations(range(n), q):
+            out[tuple((i in t) - (i in s) for i in range(n))] += 1
+    return out
+
+
+# The (p,q)-form dictionary as it was once stored by hand, n -> (full,
+# perp): full[(p, q)] lists the irreducible constituents of L(p,q) on the
+# base, perp[(p, q)] its primitive part.
+FORM_TABLES = {
+    2: (
+        {
+            (0, 0): ["(0||0,0)"],
+            (1, 0): ["(1||-1,0)"], (0, 1): ["(-1||0,1)"],
+            (2, 0): ["(2||-1,-1)"], (1, 1): ["(0||-1,1)", "(0||0,0)"], (0, 2): ["(-2||1,1)"],
+            (2, 1): ["(1||-1,0)"], (1, 2): ["(-1||0,1)"],
+            (2, 2): ["(0||0,0)"],
+        },
+        {(1, 1): ["(0||-1,1)"]},
+    ),
+    3: (
+        {
+            (0, 0): ["(0||0,0,0)"],
+            (1, 0): ["(1||-1,0,0)"], (0, 1): ["(-1||0,0,1)"],
+            (2, 0): ["(2||-1,-1,0)"], (1, 1): ["(0||-1,0,1)", "(0||0,0,0)"],
+            (0, 2): ["(-2||0,1,1)"],
+            (3, 0): ["(3||-1,-1,-1)"], (2, 1): ["(1||-1,-1,1)", "(1||-1,0,0)"],
+            (1, 2): ["(-1||-1,1,1)", "(-1||0,0,1)"], (0, 3): ["(-3||1,1,1)"],
+            (3, 1): ["(2||-1,-1,0)"], (2, 2): ["(0||-1,0,1)", "(0||0,0,0)"],
+            (1, 3): ["(-2||0,1,1)"],
+            (3, 2): ["(1||-1,0,0)"], (2, 3): ["(-1||0,0,1)"],
+            (3, 3): ["(0||0,0,0)"],
+        },
+        {
+            (1, 1): ["(0||-1,0,1)"], (2, 2): ["(0||-1,0,1)"],
+            (1, 2): ["(-1||-1,1,1)"], (2, 1): ["(1||-1,-1,1)"],
+        },
+    ),
+}

@@ -1,10 +1,13 @@
 """Bundle labels, ranks, tensor operations, filtered bundles."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flagcalc.bundles import (
+    MAX_BRANCH_RANK,
     BundleLabel,
     FilteredBundle,
     branch_to_torus,
@@ -71,19 +74,20 @@ def test_rank_worked_values(text, space, expected):
 
 
 def test_form_bundle_ranks_sum_to_binomial_products():
-    # All (p,q)-form constituents together must have rank C(3,p)*C(3,q).
+    # All (p,q)-form constituents together must have rank C(n,p)*C(n,q).
     from math import comb
 
     from flagcalc.transform import form_dictionary
 
-    for n in (2, 3):
+    for n in range(2, 7):
         full, perp = form_dictionary(n)
         for (p, q), labs in full.items():
             assert sum(rank(b) for b in labs) == comb(n, p) * comb(n, q)
         for (p, q), labs in perp.items():
-            # on the diagonal, perp omits only the kappa-power line;
-            # off it, a full wedge-with-kappa copy of the (p-1,q-1) forms
-            cut = 1 if p == q else comb(n, p - 1) * comb(n, q - 1)
+            # Lefschetz: perp omits a copy of the (p-1,q-1) forms wedged with
+            # kappa up to the middle degree, of the (p+1,q+1) forms past it
+            s = -1 if p + q <= n else 1
+            cut = comb(n, p + s) * comb(n, q + s)
             assert sum(rank(b) for b in labs) + cut == comb(n, p) * comb(n, q)
 
 
@@ -148,6 +152,16 @@ def test_branching_to_torus_weights():
     # the weight multiset is symmetric under entry permutation
     big = branch_to_torus((-1, 0, 1))
     assert all(big[tuple(reversed(w))] == m for w, m in big.items())
+
+
+def test_branching_refuses_weights_over_the_rank_cap():
+    # the cap sits above every GL(4) weight with entries in [-3, 3], which
+    # the property tests branch, and far above the corpus's rank 3
+    assert max(rank(fiber_label(mu))
+               for mu in combinations_with_replacement(range(-3, 4), 4)) < MAX_BRANCH_RANK
+    # 401^3 Gelfand-Tsetlin patterns: refused before any is enumerated
+    with pytest.raises(ValueError, match=r"rank 64481201, over the \d+ torus weights"):
+        branch_to_torus((-400, 0, 400))
 
 
 def test_filtered_bundle_edges_and_display():

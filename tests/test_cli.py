@@ -1,14 +1,22 @@
 """Exit codes, output formats, config merging, corpus replay."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flagcalc.cli import main
+from flagcalc.bbw import MODES
+from flagcalc.cli import FIBRATIONS, FORMATS, main
+from flagcalc.geometry import MAX_N
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -282,3 +290,208 @@ def test_checks_survive_python_optimize():
     assert bad.stdout.strip() == "1"
     assert bad.returncode == 1
     assert "ValueError: factors, components and levels differ in length" in bad.stderr
+
+
+def write_fixture(directory, doc):
+    (directory / "bad.json").write_text(json.dumps(doc))
+    return str(directory)
+
+
+PIERI_CASE = {"op": "pieri", "n": 3, "label": "(0||0,0,0)",
+              "expect": {"terms": ["(-1||0,0,1)", "(1||-1,0,0)"]}}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"cases": [{"n": 3}]}, "bad[0]"),
+        ({"cases": [{k: v for k, v in PIERI_CASE.items() if k != "expect"}]}, "bad[0]"),
+        ({"cases": [PIERI_CASE, {**PIERI_CASE, "label": 7}]}, "bad[1]"),
+        ({"cases": [{"op": "form_complex", "n": 3, "types": [[[1, 0, "full", 2]]],
+                     "expect": {}}]}, "bad[0]"),
+        ({"cases": [{"op": "form_complex", "n": 3, "types": [[[1]]], "expect": {}}]},
+         "bad[0]"),
+        ({"cases": [{**PIERI_CASE, "n": MAX_N + 1}]}, "bad[0]"),
+        ({"cases": ["pieri"]}, "bad[0]"),
+        ({"key": "bad"}, "bad:"),
+        ({"cases": {"op": "pieri"}}, "bad:"),
+        ([1, 2], "bad:"),
+    ],
+    ids=["no op", "no expect", "label not a string", "type of four", "type of one",
+         "n over the bound", "case not an object", "no cases", "cases not a list",
+         "file not an object"],
+)
+def test_malformed_fixture_case_is_a_usage_error(capsys, tmp_path, doc, where):
+    code, _, err = run(capsys, "corpus", "--fixtures", write_fixture(tmp_path, doc))
+    assert code == 2
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000, b"{\"cases\": [}"],
+                         ids=["not UTF-8", "nested too deep", "not JSON"])
+def test_unreadable_fixture_or_config_bytes_are_a_usage_error(capsys, tmp_path, raw):
+    (tmp_path / "bad.json").write_bytes(raw)
+    code, _, err = run(capsys, "corpus", "--fixtures", str(tmp_path))
+    assert code == 2 and err.startswith("error: bad: not a fixture file")
+    code, _, err = run(capsys, "rank", "(0||0,0)", "--config", str(tmp_path / "bad.json"))
+    assert code == 2 and err.startswith("error: cannot read config")
+
+
+def test_a_good_case_in_a_clean_fixture_passes(capsys, tmp_path):
+    code, out, _ = run(capsys, "corpus", "--fixtures",
+                       write_fixture(tmp_path, {"cases": [PIERI_CASE]}))
+    assert (code, out.splitlines()[-1]) == (0, "1 passed, 0 failed")
+
+
+def test_an_unnamed_form_type_in_a_fixture_is_refused(capsys, tmp_path):
+    doc = {"cases": [{"op": "form_complex", "n": 3, "types": [[[9, 9, "full"]]],
+                      "expect": {}}]}
+    code, _, err = run(capsys, "corpus", "--fixtures", write_fixture(tmp_path, doc))
+    assert code == 1
+    assert err.startswith("error: bad[0]: no form type L(9,9) for n=3")
+
+
+def test_every_failure_exit_writes_an_error_line(capsys, tmp_path):
+    code, _, err = run(capsys, "transform", "--twist", "(1|0,0|0)", "--mode", "conservative")
+    assert code == 1 and err.startswith("error: no complex: ")
+    mismatch = {"cases": [{**PIERI_CASE, "expect": {"terms": []}}]}
+    code, _, err = run(capsys, "corpus", "--fixtures", write_fixture(tmp_path, mismatch))
+    assert code == 1 and err == "error: 1 corpus case(s) failed\n"
+
+
+def test_wide_torus_branching_is_refused_at_once(capsys, tmp_path):
+    doc = {"cases": [{"op": "pullback_factors", "n": 3, "label": "(0||-400,0,400)",
+                      "expect": {}}]}
+    start = time.perf_counter()
+    code, _, err = run(capsys, "corpus", "--fixtures", write_fixture(tmp_path, doc))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err.startswith("error: bad[0]: (-400, 0, 400) has rank 64481201")
+
+
+@pytest.mark.parametrize("argv", [["transform", "-n", "100"], ["relative-forms", "-n", "17"],
+                                  ["direct-images", "-n", "1000000"]])
+def test_n_above_the_bound_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: n must be in 2..{MAX_N}, got {argv[-1]}\n"
+
+
+def test_n_from_a_config_file_is_bounded_too(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": MAX_N + 1}))
+    code, _, err = run(capsys, "transform", "--config", str(cfg))
+    assert code == 2 and "must be in 2.." in err
+    code, out, _ = run(capsys, "relative-forms", "-n", str(MAX_N))
+    assert code == 0 and out
+
+
+# ------------------------------------------------ fuzz gate on the contract
+
+WIDE_INT = st.one_of(st.integers(-3, MAX_N + 3), st.integers(-10**12, 10**12))
+N_VALUE = st.integers(2, 4) | WIDE_INT
+# label-shaped strings: entries joined by the three separators, in parentheses
+LABEL_SHAPED = st.lists(
+    st.tuples(st.sampled_from(("||", "|", ",")), st.integers(-4, 4) | WIDE_INT),
+    min_size=1, max_size=6,
+).map(lambda parts: "(" + "".join(f"{sep}{x}" for sep, x in parts)[len(parts[0][0]):] + ")")
+LABEL_TEXT = st.one_of(LABEL_SHAPED,
+                       st.text("()|,-+0123456789 \u2016\u2225\u2212", max_size=24),
+                       st.text(max_size=12))
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | WIDE_INT | st.floats(allow_nan=False) | LABEL_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+FIXTURE_OPS = ("exterior_power", "direct_images", "transform", "adjoint", "check",
+               "relative_cotangent", "conormal", "pullback_factors", "pullback_line", "pieri",
+               "global_cohomology", "involutive", "form_complex", "realization")
+FORM_TYPE = st.tuples(st.integers(-1, 5), st.integers(-1, 5),
+                      st.sampled_from(("full", "perp", "kappa", "x"))).map(list)
+CASE_FIELDS = {
+    "label": LABEL_TEXT | JSON_VALUE,
+    "twist": LABEL_TEXT | JSON_VALUE,
+    "p": st.integers(-1, 6) | WIDE_INT | JSON_VALUE,
+    "mode": st.sampled_from(MODES) | JSON_VALUE,
+    "fibration": st.sampled_from(FIBRATIONS) | JSON_VALUE,
+    "space": st.sampled_from(("M", "Z", "X", "fiber")) | JSON_VALUE,
+    "types": st.lists(st.lists(FORM_TYPE | JSON_VALUE, max_size=3), max_size=3) | JSON_VALUE,
+}
+CASE = st.one_of(
+    st.fixed_dictionaries(
+        {"op": st.sampled_from(FIXTURE_OPS), "n": st.integers(2, 4), "expect": JSON_VALUE},
+        optional=CASE_FIELDS),
+    st.fixed_dictionaries({}, optional={
+        "op": st.sampled_from(FIXTURE_OPS) | JSON_VALUE, "n": N_VALUE | JSON_VALUE,
+        "expect": JSON_VALUE, **CASE_FIELDS}),
+)
+CONFIG_KEYS = {"n": st.integers(2, 4), "twist": LABEL_TEXT, "mode": st.sampled_from(MODES),
+               "format": st.sampled_from(FORMATS), "fibration": st.sampled_from(FIBRATIONS)}
+CONFIG = st.one_of(
+    st.fixed_dictionaries({}, optional=CONFIG_KEYS),
+    st.fixed_dictionaries({}, optional={k: v | N_VALUE | JSON_VALUE
+                                        for k, v in CONFIG_KEYS.items()}),
+    JSON_VALUE,
+)
+TWIST_COMMANDS = ("relative-forms", "direct-images", "transform", "involutive", "adjoint",
+                  "check")
+
+
+def fuzz_argv(draw, workdir: pathlib.Path) -> list[str]:
+    """One command line: a subcommand with flags drawn over its own options."""
+    command = draw(st.sampled_from(("bbw", "rank", "tensor", "corpus") + TWIST_COMMANDS))
+    argv = [command]
+    if command in ("bbw", "rank", "tensor"):
+        argv.append(draw(LABEL_TEXT))
+    options = {"--format": st.sampled_from(FORMATS)}
+    if command == "bbw":
+        options["--k"] = WIDE_INT.map(str)
+    if command == "rank":
+        options["--space"] = st.sampled_from(("M", "Z", "X", "fiber"))
+    if command == "tensor":
+        options["--line"] = LABEL_TEXT
+    if command in TWIST_COMMANDS:
+        options["-n"] = N_VALUE.map(str)
+        options["--twist"] = LABEL_TEXT | st.just("trivial")
+    if command in ("relative-forms", "direct-images"):
+        options["-p"] = (st.integers(-1, 6) | WIDE_INT).map(str)
+    if command in ("direct-images", "transform", "adjoint", "check"):
+        options["--mode"] = st.sampled_from(MODES)
+    if command == "relative-forms":
+        options["--fibration"] = st.sampled_from(FIBRATIONS)
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv.append(f"{flag}={draw(options[flag])}")
+    if command == "relative-forms" and draw(st.booleans()):
+        argv.append("--conormal")
+    if draw(st.booleans()):
+        config = workdir / "config.json"
+        config.write_text(json.dumps(draw(CONFIG)))
+        argv.append(f"--config={config}")
+    if command == "corpus":
+        fixtures = workdir / "fixtures"
+        fixtures.mkdir()
+        doc = draw(CASE.map(lambda case: {"cases": [case]}) | JSON_VALUE)
+        (fixtures / "case.json").write_text(json.dumps(doc))
+        argv.append(f"--fixtures={fixtures}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_any_command_line_ends_in_a_contract_exit(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = fuzz_argv(data.draw, pathlib.Path(workdir))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the command line
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error:" in err.getvalue(), argv

@@ -4,6 +4,7 @@ import pytest
 
 from flagcalc.bundles import label_from_string, rank, x_label, z_label
 from flagcalc.geometry import (
+    MAX_N,
     conormal,
     dimension_summary,
     fiber_betti,
@@ -24,6 +25,13 @@ def test_dimension_summary():
 def test_registry_validates_n():
     with pytest.raises(ValueError):
         registry(1)
+
+
+def test_registry_is_bounded_in_n():
+    assert registry(MAX_N)["M"].n == MAX_N
+    for n in (MAX_N + 1, 100, 10**9):
+        with pytest.raises(ValueError, match=f"need 2 <= n <= {MAX_N}"):
+            registry(n)
 
 
 def test_sigma_frame_is_an_involution():

@@ -1,8 +1,10 @@
 """Assembly on projective space: collapse, form naming, adjoints, symbols."""
 
+from collections import Counter
+
 import pytest
 
-from flagcalc.bundles import label_from_string, m_label, rank, x_label, z_label
+from flagcalc.bundles import label_from_string, m_label, rank, trivial_label, x_label, z_label
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
@@ -19,6 +21,8 @@ from flagcalc.transform import (
     involutive_cohomology,
 )
 
+from oracles import FORM_TABLES, torus_character, wedge_pair_character
+
 
 def test_form_type_naming_and_degree():
     plain = FormType(1, 2, "full")
@@ -28,12 +32,74 @@ def test_form_type_naming_and_degree():
     assert str(FormType(2, 2, "kappa")) == "L(2,2)_kappa"
 
 
-def test_form_dictionary_is_pinned_to_small_n():
-    for n in (2, 3):
-        full, perp = form_dictionary(n)
-        assert set(perp) < set(full)
+@pytest.mark.parametrize("n", [2, 3])
+def test_form_dictionary_reproduces_the_stored_tables(n):
+    full, perp = form_dictionary(n)
+    for derived, stored in zip((full, perp), FORM_TABLES[n]):
+        assert {k: sorted(map(str, v)) for k, v in derived.items()} == {
+            k: sorted(v) for k, v in stored.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_form_dictionary_matches_the_character_oracle(n):
+    full, perp = form_dictionary(n)
+    assert set(full) == {(p, q) for p in range(n + 1) for q in range(n + 1)}
+    for (p, q), labs in full.items():
+        assert {b.weight[0] for b in labs} == {p - q}
+        character = Counter()
+        for b in labs:
+            character += torus_character(b.weight[1:])
+        assert character == wedge_pair_character(n, p, q), (p, q)
+    assert set(perp) < set(full)
+
+
+def test_form_dictionary_needs_n_at_least_2():
     with pytest.raises(ValueError):
-        form_dictionary(4)
+        form_dictionary(1)
+
+
+def test_form_naming_and_adjoint_work_at_n4():
+    assert [str(t) for t in form_type(trivial_label("M", 4), 4)] == [
+        "L(0,0)", "L(1,1)_kappa", "L(2,2)_kappa", "L(3,3)_kappa", "L(4,4)"]
+    types = (
+        (FormType(0, 0),),
+        (FormType(0, 1), FormType(1, 0)),
+        (FormType(0, 2), FormType(1, 1, "perp"), FormType(1, 1, "kappa"), FormType(2, 0)),
+        (FormType(1, 2, "perp"), FormType(2, 1)),
+    )
+    c = complex_from_form_types(types, 4)
+    assert c.ranks() == (1, 8, 28, 44)
+    adj = formal_adjoint(c, 4)
+    assert [[str(t) for t in term] for term in adj.form_types] == [
+        ["L(2,3)", "L(3,2)_perp"],
+        ["L(2,4)", "L(3,3)_kappa", "L(3,3)_perp", "L(4,2)"],
+        ["L(3,4)", "L(4,3)"],
+        ["L(4,4)"],
+    ]
+    again = formal_adjoint(adj, 4)
+    assert again.terms == c.terms
+    assert again.form_types == c.form_types
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FormType(1, 0, "bogus"),
+        lambda: complex_from_form_types([[FormType(9, 9)]], 3),
+        lambda: complex_from_form_types([[FormType(-1, 0)]], 3),
+        lambda: complex_from_form_types([[FormType(0, 4)]], 3),
+        lambda: complex_from_form_types([[FormType(1, 0, "perp")]], 3),
+        lambda: complex_from_form_types([[FormType(3, 3, "perp")]], 3),
+        lambda: complex_from_form_types([[FormType(0, 0, "kappa")]], 3),
+        lambda: complex_from_form_types([[FormType(3, 3, "kappa")]], 3),
+        lambda: complex_from_form_types([[FormType(1, 2, "kappa")]], 3),
+    ],
+    ids=["bogus role", "(9,9)", "negative p", "q > n", "irreducible perp",
+         "corner perp", "kappa at (0,0)", "kappa at (n,n)", "kappa off the diagonal"],
+)
+def test_unnamed_form_types_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 @pytest.mark.parametrize(
