@@ -28,8 +28,8 @@ everything else is a genuine ``(+)`` direct sum.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .notation import format_entries, parse_label
@@ -155,18 +155,21 @@ def label_from_string(text: str, space: str) -> BundleLabel:
 def _weyl_rank(mu: tuple[int, ...]) -> int:
     """Dimension of the GL(m) irreducible with nondecreasing weight mu.
 
-    Weyl dimension formula over the positive roots of GL(m); exact by
-    Fraction arithmetic (the product is an integer, but intermediate
-    partial products need not be).
+    Weyl dimension formula over the positive roots of GL(m), exact in
+    integers: the product of the shifted root pairings over the product
+    of the plain ones, divided once at the end (the denominator is
+    positive, so a weight with no irreducible shows as a non-positive or
+    non-integral quotient).
     """
     m = len(mu)
-    dim = Fraction(1)
+    num = den = 1
     for i in range(m):
         for j in range(i + 1, m):
-            dim *= Fraction(mu[j] - mu[i] + j - i, j - i)
-    if dim.denominator != 1 or dim <= 0:
+            num *= mu[j] - mu[i] + j - i
+            den *= j - i
+    if num <= 0 or num % den:
         raise ValueError(f"no GL({m}) irreducible has the weight {mu}")
-    return int(dim)
+    return num // den
 
 
 def rank(b) -> int:
@@ -358,6 +361,7 @@ class FilteredBundle:
         )
 
 
+@lru_cache
 def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
     """Associated graded of the p-th wedge of a filtered sum of lines.
 
@@ -369,6 +373,9 @@ def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
     is the canonical weight-by-weight expansion of
     wedge(A (+) B) = (+)_{i+j=p} wedge^i A (x) wedge^j B
     together with the filtration each wedge inherits.
+
+    Memoized on (f, p): both are frozen, the engine only wedges the few
+    relative cotangent bundles, and the result is frozen too.
     """
     if p < 0:
         raise ValueError("negative exterior power")

@@ -26,6 +26,8 @@ come out right for n = 2, 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .bundles import (
     BundleLabel,
@@ -129,8 +131,12 @@ def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> froze
     )
 
 
-def registry(n: int) -> dict:
-    """Named spaces and fibrations for ambient rank n+1 (2 <= n <= MAX_N)."""
+@cache
+def registry(n: int) -> MappingProxyType:
+    """Named spaces and fibrations for ambient rank n+1 (2 <= n <= MAX_N).
+
+    Built once per n and returned read-only: every caller shares it.
+    """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"need 2 <= n <= {MAX_N}, got {n}")
     coords = tuple(range(n + 1))
@@ -147,7 +153,7 @@ def registry(n: int) -> dict:
     x_space = FlagSpace("X", n, x_blocks(n), x_iso, coords)
 
     flag_fiber = ("flag", n) if n <= 3 else ("partial-flag", (1, n - 1), n)
-    return {
+    return MappingProxyType({
         "M": m_space,
         "Z": z_space,
         "X": x_space,
@@ -157,7 +163,7 @@ def registry(n: int) -> dict:
         # the underlying smooth Z-leg of the incidence variety; same root
         # data as mu, but the fiber topology the collapse arguments use
         "eta": Fibration("eta", x_space, z_space, ("cp", n - 2), n == 2),
-    }
+    })
 
 
 def dimension_summary(n: int) -> tuple[int, int, int]:
@@ -227,27 +233,9 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
         raise ValueError("filtration grouping needs a multiplicity-free weight set")
     n = space.n
     levi = [_root_weight(a, n) for a in space.levi_roots()]
+    levi += [_neg(r) for r in levi]
     nil = [_root_weight(a, n) for a in space.nilradical_roots()]
     pool = set(weights)
-
-    # constituents: orbits under adding/subtracting Levi roots
-    orbit_of: dict[tuple[int, ...], int] = {}
-    orbits: list[set] = []
-    for w in weights:
-        if w in orbit_of:
-            continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            v = frontier.pop()
-            for r in levi:
-                for u in (_add(v, r), _add(v, _neg(r))):
-                    if u in pool and u not in orbit:
-                        orbit.add(u)
-                        frontier.append(u)
-        for v in orbit:
-            orbit_of[v] = len(orbits)
-        orbits.append(orbit)
 
     def constituent_label(orbit: set) -> BundleLabel:
         doms = []
@@ -263,7 +251,27 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
             )
         return doms[0]
 
-    labels = [constituent_label(o) for o in orbits]
+    # constituents: orbits under adding +-Levi roots, each resolved to its
+    # label as soon as it is found, so an unsupported flag type fails fast
+    orbit_of: dict[tuple[int, ...], int] = {}
+    orbits: list[set] = []
+    labels: list[BundleLabel] = []
+    for w in weights:
+        if w in orbit_of:
+            continue
+        orbit = {w}
+        frontier = [w]
+        while frontier:
+            v = frontier.pop()
+            for r in levi:
+                u = _add(v, r)
+                if u in pool and u not in orbit:
+                    orbit.add(u)
+                    frontier.append(u)
+        labels.append(constituent_label(orbit))
+        for v in orbit:
+            orbit_of[v] = len(orbits)
+        orbits.append(orbit)
 
     # nilradical edges between constituents: a -> b means b is deeper
     k = len(orbits)

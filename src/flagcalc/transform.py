@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .bbw import CohomologyResult, DirectImageTable, direct_images, global_cohomology
 from .bundles import (
@@ -38,7 +40,7 @@ from .bundles import (
     trivial_label,
     z_label,
 )
-from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
+from .geometry import MAX_N, Fibration, fiber_betti, registry, relative_cotangent, twist_frames
 
 __all__ = [
     "FormType",
@@ -98,6 +100,10 @@ class FormType:
         return self.p + self.q
 
 
+def _alternating_sum(ranks) -> int:
+    return sum((-1) ** i * r for i, r in enumerate(ranks))
+
+
 @dataclass(frozen=True)
 class ComplexOnM:
     """A complex of direct sums of irreducible bundles on the base.
@@ -118,7 +124,7 @@ class ComplexOnM:
         return tuple(sum(rank(b) for b in term) for term in self.terms)
 
     def alternating_rank_sum(self) -> int:
-        return sum((-1) ** i * r for i, r in enumerate(self.ranks()))
+        return _alternating_sum(self.ranks())
 
     def __str__(self) -> str:
         def side(term):
@@ -245,7 +251,8 @@ def involutive_cohomology(twist: BundleLabel, n: int) -> CohomologyResult:
 
 # ------------------------------------------------------- form dictionary
 
-def form_dictionary(n: int) -> tuple[dict, dict]:
+@cache
+def form_dictionary(n: int) -> tuple[MappingProxyType, MappingProxyType]:
     """(full, perp): the irreducible constituents of the (p,q)-form bundles.
 
     By Pieri, L(p,q) = (p-q || Lambda^p V* (x) Lambda^q V) over the GL(n)
@@ -253,9 +260,10 @@ def form_dictionary(n: int) -> tuple[dict, dict]:
     per k = max(0, p+q-n) .. min(p, q).  The primitive part, perp, listed
     where L(p,q) is reducible, is the smallest k: by Lefschetz that is
     full(p,q) - full(p-1,q-1) for p+q <= n, else full(p,q) - full(p+1,q+1).
+    Built once per n (2 <= n <= MAX_N) and returned read-only.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"need 2 <= n <= {MAX_N}, got {n}")
     full = {
         (p, q): tuple(
             m_label((p - q, *(-1,) * (p - k), *(0,) * (n - p - q + 2 * k), *(1,) * (q - k)))
@@ -264,14 +272,22 @@ def form_dictionary(n: int) -> tuple[dict, dict]:
         for p in range(n + 1)
         for q in range(n + 1)
     }
-    return full, {pq: labs[:1] for pq, labs in full.items() if len(labs) > 1}
+    perp = {pq: labs[:1] for pq, labs in full.items() if len(labs) > 1}
+    return MappingProxyType(full), MappingProxyType(perp)
 
 
-def _catalog(n: int) -> list[tuple[FormType, tuple[BundleLabel, ...]]]:
+_Catalog = dict[int, list[tuple[FormType, Counter]]]
+
+
+def _catalog(n: int) -> _Catalog:
+    """Every named form bundle with its label counts, grouped by degree."""
     full, perp = form_dictionary(n)
     cat = [(FormType(p, q, "full"), labs) for (p, q), labs in full.items()]
     cat += [(FormType(p, q, "perp"), labs) for (p, q), labs in perp.items()]
-    return sorted(cat, key=lambda e: (e[0].p, e[0].q, e[0].role))
+    by_degree: _Catalog = {}
+    for ft, labs in sorted(cat, key=lambda e: e[0]):
+        by_degree.setdefault(ft.degree, []).append((ft, Counter(labs)))
+    return dict(sorted(by_degree.items()))
 
 
 def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
@@ -309,15 +325,17 @@ def form_type(b: BundleLabel, n: int = 3) -> tuple[FormType, ...]:
     return tuple(sorted(out))
 
 
-def _partitions_of(term: tuple[BundleLabel, ...], n: int) -> dict[int, list[tuple[FormType, ...]]]:
+def _partitions_of(
+    term: tuple[BundleLabel, ...], catalog: _Catalog
+) -> dict[int, list[tuple[FormType, ...]]]:
     """All ways to write a term as a disjoint union of named bundles of
-    one common total degree, grouped by that degree."""
+    one common total degree, grouped by that degree.  A catalog entry
+    with a label outside the term can never be used, so it is dropped
+    before the search."""
     want = Counter(term)
     by_degree: dict[int, list] = {}
-    cat = _catalog(n)
-    degrees = {ft.degree for ft, _ in cat}
-    for d in sorted(degrees):
-        entries = [(ft, Counter(labs)) for ft, labs in cat if ft.degree == d]
+    for d, all_entries in catalog.items():
+        entries = [(ft, labs) for ft, labs in all_entries if labs.keys() <= want.keys()]
 
         found: list[tuple[FormType, ...]] = []
 
@@ -347,7 +365,8 @@ def annotate_form_types(
     """
     if not terms:
         return None
-    options = [_partitions_of(t, n) for t in terms]
+    catalog = _catalog(n)
+    options = [_partitions_of(t, catalog) for t in terms]
     starts = [
         d0 for d0 in options[0]
         if all(d0 + i in opt for i, opt in enumerate(options))
@@ -417,9 +436,10 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
             for t in c.terms[i + 1]:
                 (adm if t in targets else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
-    total = c.alternating_rank_sum()
+    ranks = c.ranks()
+    total = _alternating_sum(ranks)
     passed = total == 0 and all(a.ok for a in arrows)
-    return EllipticityReport(c.ranks(), total, tuple(arrows), passed)
+    return EllipticityReport(ranks, total, tuple(arrows), passed)
 
 
 # ------------------------------------------------------- formal adjoint

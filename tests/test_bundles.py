@@ -1,6 +1,7 @@
 """Bundle labels, ranks, tensor operations, filtered bundles."""
 
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from flagcalc.bundles import (
     x_label,
     z_label,
 )
+from flagcalc.bundles import _weyl_rank
 
 
 def test_constructors_enforce_block_monotonicity():
@@ -164,6 +166,26 @@ def test_branching_refuses_weights_over_the_rank_cap():
         branch_to_torus((-400, 0, 400))
 
 
+def _fraction_weyl(mu):
+    dim = Fraction(1)
+    for i in range(len(mu)):
+        for j in range(i + 1, len(mu)):
+            dim *= Fraction(mu[j] - mu[i] + j - i, j - i)
+    return dim
+
+
+def test_integer_weyl_rank_matches_the_rational_product():
+    # every weight, dominant or not: the same value or the same refusal
+    for m in (1, 2, 3, 4):
+        for mu in product(range(-2, 3), repeat=m):
+            dim = _fraction_weyl(mu)
+            if dim > 0 and dim.denominator == 1:
+                assert _weyl_rank(mu) == dim, mu
+            else:
+                with pytest.raises(ValueError, match=f"no GL\\({m}\\) irreducible"):
+                    _weyl_rank(mu)
+
+
 def test_filtered_bundle_edges_and_display():
     a, b, c = (x_label(w) for w in [(-1, 0, 0, 1), (-1, 0, 1, 0), (1, -1, 0, 0)])
     fb = FilteredBundle.of_lines((a, b, c), (0, 0, 1), (0, 1, 0))
@@ -212,3 +234,15 @@ def test_exterior_power_extremes():
     assert rank(exterior_power(lam, 0)) == 1     # bottom degree: the trivial line
     with pytest.raises(ValueError):
         exterior_power(lam, -1)
+
+
+def test_exterior_power_of_an_equal_bundle_is_equal():
+    from flagcalc.geometry import registry, relative_cotangent
+
+    lam = relative_cotangent(registry(3)["mu"])
+    copy = FilteredBundle(lam.space, lam.blocks, tuple(x_label(f.weight) for f in lam.factors),
+                          lam.components, lam.levels)
+    assert copy == lam and copy is not lam
+    for p in range(len(lam) + 1):
+        assert exterior_power(copy, p) == exterior_power(lam, p)
+    assert exterior_power(lam, 2) is exterior_power(lam, 2)

@@ -1,8 +1,11 @@
 """Spaces, fibrations, relative forms, pullbacks."""
 
+import ast
+from itertools import combinations_with_replacement
+
 import pytest
 
-from flagcalc.bundles import label_from_string, rank, x_label, z_label
+from flagcalc.bundles import label_from_string, m_label, rank, x_label, z_label
 from flagcalc.geometry import (
     MAX_N,
     conormal,
@@ -32,6 +35,14 @@ def test_registry_is_bounded_in_n():
     for n in (MAX_N + 1, 100, 10**9):
         with pytest.raises(ValueError, match=f"need 2 <= n <= {MAX_N}"):
             registry(n)
+
+
+def test_registry_is_built_once_and_read_only():
+    reg = registry(3)
+    assert registry(3) is reg
+    with pytest.raises(TypeError):
+        reg["mu"] = reg["nu"]
+    assert reg["mu"].base.name == "Z"
 
 
 def test_sigma_frame_is_an_involution():
@@ -122,6 +133,25 @@ def test_pullback_factors_gives_the_full_chain():
 def test_pullback_factors_requires_multiplicity_free():
     with pytest.raises(ValueError):
         pullback_factors(label_from_string("(0||-1,0,1)", "M"))
+
+
+def test_an_unsupported_flag_type_is_refused_at_its_first_bad_orbit():
+    # X at n = 16 has a GL(14) Levi block; the torus weights of
+    # (0||0,...,0,3) that put 2 in that block and 1 last fill Sym^2 of
+    # GL(14) (105 weights), an orbit with two dominant weights
+    with pytest.raises(ValueError) as err:
+        pullback_factors(m_label((0,) * 16 + (3,)))
+    text = str(err.value)
+    assert text.startswith("cannot resolve a Levi constituent from weights [")
+    assert text.endswith("]; unsupported flag type")
+    listed = ast.literal_eval(text[text.index("["):text.rindex("]") + 1])
+    sym2 = set()
+    for pair in combinations_with_replacement(range(14), 2):
+        w = [0] * 14
+        for i in pair:
+            w[i] += 1
+        sym2.add((0, 0, *w, 1))
+    assert listed == sorted(sym2)
 
 
 def test_large_n_flag_fibers_are_refused():

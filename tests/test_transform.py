@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from flagcalc.bundles import label_from_string, m_label, rank, trivial_label, x_label, z_label
+from flagcalc.geometry import MAX_N
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
@@ -56,6 +57,22 @@ def test_form_dictionary_matches_the_character_oracle(n):
 def test_form_dictionary_needs_n_at_least_2():
     with pytest.raises(ValueError):
         form_dictionary(1)
+
+
+def test_form_dictionary_is_bounded_in_n():
+    assert len(form_dictionary(MAX_N)[0]) == (MAX_N + 1) ** 2
+    for n in (MAX_N + 1, 100, 10**9):
+        with pytest.raises(ValueError, match=f"need 2 <= n <= {MAX_N}"):
+            form_dictionary(n)
+
+
+def test_form_dictionary_is_built_once_and_read_only():
+    full, perp = form_dictionary(3)
+    assert form_dictionary(3) is form_dictionary(3)
+    with pytest.raises(TypeError):
+        full[(0, 0)] = ()
+    with pytest.raises(TypeError):
+        perp[(1, 1)] = ()
 
 
 def test_form_naming_and_adjoint_work_at_n4():
