@@ -6,10 +6,10 @@ sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
 usage errors — bad flags, unparsable labels, a wedge column out of
-range, n outside 2..MAX_N, an empty fixture directory, a malformed
-fixture file or case (named as ``file[index]``).  Every refusal of the
-engine (a ``ValueError``) ends as exit 1, and every nonzero exit writes
-an ``error:`` line.
+range, n outside 2..MAX_N, a twist for another n, an empty fixture
+directory, a malformed fixture file or case (named as ``file[index]``).
+Every refusal of the engine (a ``ValueError``) ends as exit 1, and
+every nonzero exit writes an ``error:`` line.
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
@@ -49,6 +49,7 @@ from .transform import (
     ComplexOnM,
     FormType,
     TransformResult,
+    alternating_sum,
     assemble_transform,
     check_ellipticity,
     complex_from_form_types,
@@ -149,13 +150,21 @@ def _label(text: str, space: str | None = None) -> BundleLabel:
         raise CliError(f"cannot read {text!r} as a bundle on {space}: {exc}", USAGE_ERROR)
 
 
+def _sized_twist(label: BundleLabel, n: int) -> BundleLabel:
+    """A twist from a flag, a config file or a fixture case must live over
+    the same GL(n+1) as the run."""
+    if label.n != n:
+        raise CliError(f"twist {label} is for n={label.n}, but the run has n={n}", USAGE_ERROR)
+    return label
+
+
 def _twist_label(cfg: RunConfig) -> BundleLabel | None:
     if cfg.twist is None or cfg.twist == "trivial":
         return None
     label = _label(cfg.twist)
     if label.space not in ("Z", "X"):
         raise CliError(f"twists live on Z or X, got {label!r}", USAGE_ERROR)
-    return label
+    return _sized_twist(label, cfg.n)
 
 
 # -------------------------------------------------------- serialization
@@ -230,8 +239,8 @@ def _table_markdown(t: DirectImageTable) -> str:
 
 
 def _complex_markdown(c: ComplexOnM) -> str:
-    lines = [str(c)]
-    lines.append(f"ranks: {list(c.ranks())}  (alternating sum {c.alternating_rank_sum()})")
+    ranks = c.ranks()
+    lines = [str(c), f"ranks: {list(ranks)}  (alternating sum {alternating_sum(ranks)})"]
     if c.form_types is not None:
         named = ["+".join(str(ft) for ft in t) for t in c.form_types]
         lines.append("form types: " + " -> ".join(named))
@@ -444,7 +453,7 @@ def _run_case(case: dict) -> dict:
         return {"by_degree": {str(r): [str(b) for b in coh.by_degree[r]]
                               for r in coh.degrees()}}
     if op == "involutive":
-        coh = involutive_cohomology(_label(case["twist"], "Z"), n)
+        coh = involutive_cohomology(_sized_twist(_label(case["twist"], "Z"), n), n)
         return {"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}
     if op == "form_complex":
         types = [tuple(FormType(*ft) for ft in term) for term in case["types"]]
@@ -471,7 +480,7 @@ def _run_case(case: dict) -> dict:
 
 def _run_twist_case(case: dict, op: str, n: int, reg: dict) -> dict:
     """The fixture ops that start from a twist, all through e1_page."""
-    twist = _label(case["twist"]) if case.get("twist") else None
+    twist = _sized_twist(_label(case["twist"]), n) if case.get("twist") else None
     mode = case.get("mode", "paper")
     if op == "exterior_power":
         [(_p, bundle)] = twisted_forms(reg["mu"], twist_frames(twist, n)[1], case["p"])

@@ -97,14 +97,19 @@ class Fibration:
     ``fiber`` is a descriptor: ("cp", m) for projective m-space,
     ("flag", k) for the manifold of full flags in C^k, ("partial-flag",
     dims, k) for other flag types, or ("contractible",).  Topology is
-    stored data — the engine never tries to prove contractibility.
+    stored data, read off the descriptor — the engine never tries to
+    prove contractibility.
     """
 
     name: str
     total: FlagSpace
     base: FlagSpace
     fiber: tuple
-    fiber_contractible: bool
+
+    @property
+    def fiber_contractible(self) -> bool:
+        """A contractible fiber or a point (projective 0-space)."""
+        return self.fiber in (("contractible",), ("cp", 0))
 
     @property
     def fiber_dim(self) -> int:
@@ -158,11 +163,11 @@ def registry(n: int) -> MappingProxyType:
         "Z": z_space,
         "X": x_space,
         # holomorphic legs of the correspondence
-        "mu": Fibration("mu", x_space, z_space, ("contractible",), True),
-        "nu": Fibration("nu", x_space, m_space, flag_fiber, False),
+        "mu": Fibration("mu", x_space, z_space, ("contractible",)),
+        "nu": Fibration("nu", x_space, m_space, flag_fiber),
         # the underlying smooth Z-leg of the incidence variety; same root
         # data as mu, but the fiber topology the collapse arguments use
-        "eta": Fibration("eta", x_space, z_space, ("cp", n - 2), n == 2),
+        "eta": Fibration("eta", x_space, z_space, ("cp", n - 2)),
     })
 
 

@@ -19,7 +19,10 @@ constituent (p-q || -1^(p-k), 0^(n-p-q+2k), 1^(q-k)) for each
 k = max(0, p+q-n) .. min(p, q).  It powers the form-type annotations,
 the formal adjoint, and the comparison complexes.  "perp" marks the
 primitive part, the smallest-k constituent (the complement of the
-neighbouring diagonal wedged with the Kaehler class).
+neighbouring diagonal wedged with the Kaehler class).  Naming a term
+reads the rule backwards in one pass, linear in the term size, for every
+n <= MAX_N: a label lies in at most one L(p,q) of each degree, so the
+term splits by owner and each part is a*full + b*perp in at most one way.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "assemble_transform",
     "involutive_cohomology",
     "check_ellipticity",
+    "alternating_sum",
     "formal_adjoint",
     "form_type",
     "form_dictionary",
@@ -100,7 +104,8 @@ class FormType:
         return self.p + self.q
 
 
-def _alternating_sum(ranks) -> int:
+def alternating_sum(ranks) -> int:
+    """r0 - r1 + r2 - ...: the Euler characteristic of a complex of ranks."""
     return sum((-1) ** i * r for i, r in enumerate(ranks))
 
 
@@ -124,7 +129,7 @@ class ComplexOnM:
         return tuple(sum(rank(b) for b in term) for term in self.terms)
 
     def alternating_rank_sum(self) -> int:
-        return _alternating_sum(self.ranks())
+        return alternating_sum(self.ranks())
 
     def __str__(self) -> str:
         def side(term):
@@ -276,20 +281,6 @@ def form_dictionary(n: int) -> tuple[MappingProxyType, MappingProxyType]:
     return MappingProxyType(full), MappingProxyType(perp)
 
 
-_Catalog = dict[int, list[tuple[FormType, Counter]]]
-
-
-def _catalog(n: int) -> _Catalog:
-    """Every named form bundle with its label counts, grouped by degree."""
-    full, perp = form_dictionary(n)
-    cat = [(FormType(p, q, "full"), labs) for (p, q), labs in full.items()]
-    cat += [(FormType(p, q, "perp"), labs) for (p, q), labs in perp.items()]
-    by_degree: _Catalog = {}
-    for ft, labs in sorted(cat, key=lambda e: e[0]):
-        by_degree.setdefault(ft.degree, []).append((ft, Counter(labs)))
-    return dict(sorted(by_degree.items()))
-
-
 def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
     if ft.role == "kappa" and 0 < ft.p == ft.q < n:
         return (trivial_label("M", n),)  # the Kaehler line
@@ -325,33 +316,25 @@ def form_type(b: BundleLabel, n: int = 3) -> tuple[FormType, ...]:
     return tuple(sorted(out))
 
 
-def _partitions_of(
-    term: tuple[BundleLabel, ...], catalog: _Catalog
-) -> dict[int, list[tuple[FormType, ...]]]:
-    """All ways to write a term as a disjoint union of named bundles of
-    one common total degree, grouped by that degree.  A catalog entry
-    with a label outside the term can never be used, so it is dropped
-    before the search."""
-    want = Counter(term)
-    by_degree: dict[int, list] = {}
-    for d, all_entries in catalog.items():
-        entries = [(ft, labs) for ft, labs in all_entries if labs.keys() <= want.keys()]
-
-        found: list[tuple[FormType, ...]] = []
-
-        def cover(remaining: Counter, start: int, used: tuple[FormType, ...]):
-            if not +remaining:
-                found.append(used)
-                return
-            for k in range(start, len(entries)):
-                ft, labs = entries[k]
-                if all(remaining[x] >= c for x, c in labs.items()):
-                    cover(remaining - labs, k, used + (ft,))
-
-        cover(want, 0, ())
-        if found:
-            by_degree[d] = [tuple(sorted(f)) for f in found]
-    return by_degree
+def _naming(term, d: int, owner: dict, full, perp) -> tuple[FormType, ...] | None:
+    """The term as a sum of a*full(p,q) + b*perp(p,q) over the L(p,q) of
+    degree d that own its labels, or None.  A label lies in at most one
+    L(p,q) of a degree, and the constituents of one L(p,q) are distinct,
+    so a and b are read off each group: the naming is the only one."""
+    groups: dict[tuple[int, int], Counter] = {}
+    for lab, c in Counter(term).items():
+        if (d, lab) not in owner:
+            return None
+        groups.setdefault(owner[d, lab], Counter())[lab] = c
+    out: list[FormType] = []
+    for (p, q), got in groups.items():
+        labs, prim = full[p, q], perp.get((p, q), ())
+        a = min(got[lab] for lab in labs if lab not in prim)
+        b = got[prim[0]] - a if prim else 0
+        if b < 0 or got != Counter({lab: a + b * (lab in prim) for lab in labs}):
+            return None
+        out += [FormType(p, q, "full")] * a + [FormType(p, q, "perp")] * b
+    return tuple(sorted(out))
 
 
 def annotate_form_types(
@@ -360,27 +343,19 @@ def annotate_form_types(
     """Assign (p,q)-form names to every term, or None when ambiguous.
 
     Terms must carry consecutive total degrees (the arrows are first
-    order); subject to that chain constraint the partition of every
-    term must be unique.
+    order): exactly one start degree d0 may name every term i at degree
+    d0 + i.  Each term has at most one naming per degree (_naming).
     """
     if not terms:
         return None
-    catalog = _catalog(n)
-    options = [_partitions_of(t, catalog) for t in terms]
-    starts = [
-        d0 for d0 in options[0]
-        if all(d0 + i in opt for i, opt in enumerate(options))
-    ]
-    if len(starts) != 1:
-        return None
-    d0 = starts[0]
-    chosen = []
-    for i, opt in enumerate(options):
-        parts = set(opt[d0 + i])
-        if len(parts) != 1:
-            return None
-        chosen.append(next(iter(parts)))
-    return tuple(chosen)
+    full, perp = form_dictionary(n)
+    owner = {(p + q, lab): (p, q) for (p, q), labs in full.items() for lab in labs}
+    chains = []
+    for d0 in range(2 * n + 2 - len(terms)):
+        chain = tuple(_naming(t, d0 + i, owner, full, perp) for i, t in enumerate(terms))
+        if None not in chain:
+            chains.append(chain)
+    return chains[0] if len(chains) == 1 else None
 
 
 def complex_from_form_types(types, n: int = 3) -> ComplexOnM:
@@ -437,7 +412,7 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
                 (adm if t in targets else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
     ranks = c.ranks()
-    total = _alternating_sum(ranks)
+    total = alternating_sum(ranks)
     passed = total == 0 and all(a.ok for a in arrows)
     return EllipticityReport(ranks, total, tuple(arrows), passed)
 

@@ -5,7 +5,10 @@ force over all k! orderings, ranks and torus characters are recounted by
 enumerating interleaved integer patterns one row at a time, and the
 characters of wedge products come from listing subsets.  The (p,q)-form
 tables for n = 2, 3 are kept as the hand-written data they once were.
-Nothing here shares code with the package.
+Nothing here shares code with the package, except that the old naming of
+form types, an exhaustive cover search kept verbatim at the end, reads
+the package's form dictionary (itself checked against the character
+oracle above) and its FormType names.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
+
+from flagcalc.bundles import BundleLabel
+from flagcalc.transform import FormType, form_dictionary
 
 
 def brute_reduce(weight: tuple[int, ...]):
@@ -125,3 +131,78 @@ FORM_TABLES = {
         },
     ),
 }
+
+
+# Form-type naming as it once was: every way to cover a term exactly by
+# named bundles of one degree, found by backtracking, then the chain rule.
+# Exponential in n; the reference for transform.annotate_form_types.
+_Catalog = dict[int, list[tuple[FormType, Counter]]]
+
+
+def _catalog(n: int) -> _Catalog:
+    """Every named form bundle with its label counts, grouped by degree."""
+    full, perp = form_dictionary(n)
+    cat = [(FormType(p, q, "full"), labs) for (p, q), labs in full.items()]
+    cat += [(FormType(p, q, "perp"), labs) for (p, q), labs in perp.items()]
+    by_degree: _Catalog = {}
+    for ft, labs in sorted(cat, key=lambda e: e[0]):
+        by_degree.setdefault(ft.degree, []).append((ft, Counter(labs)))
+    return dict(sorted(by_degree.items()))
+
+
+def _partitions_of(
+    term: tuple[BundleLabel, ...], catalog: _Catalog
+) -> dict[int, list[tuple[FormType, ...]]]:
+    """All ways to write a term as a disjoint union of named bundles of
+    one common total degree, grouped by that degree.  A catalog entry
+    with a label outside the term can never be used, so it is dropped
+    before the search."""
+    want = Counter(term)
+    by_degree: dict[int, list] = {}
+    for d, all_entries in catalog.items():
+        entries = [(ft, labs) for ft, labs in all_entries if labs.keys() <= want.keys()]
+
+        found: list[tuple[FormType, ...]] = []
+
+        def cover(remaining: Counter, start: int, used: tuple[FormType, ...]):
+            if not +remaining:
+                found.append(used)
+                return
+            for k in range(start, len(entries)):
+                ft, labs = entries[k]
+                if all(remaining[x] >= c for x, c in labs.items()):
+                    cover(remaining - labs, k, used + (ft,))
+
+        cover(want, 0, ())
+        if found:
+            by_degree[d] = [tuple(sorted(f)) for f in found]
+    return by_degree
+
+
+def annotate_form_types(
+    terms: tuple[tuple[BundleLabel, ...], ...], n: int
+) -> tuple[tuple[FormType, ...], ...] | None:
+    """Assign (p,q)-form names to every term, or None when ambiguous.
+
+    Terms must carry consecutive total degrees (the arrows are first
+    order); subject to that chain constraint the partition of every
+    term must be unique.
+    """
+    if not terms:
+        return None
+    catalog = _catalog(n)
+    options = [_partitions_of(t, catalog) for t in terms]
+    starts = [
+        d0 for d0 in options[0]
+        if all(d0 + i in opt for i, opt in enumerate(options))
+    ]
+    if len(starts) != 1:
+        return None
+    d0 = starts[0]
+    chosen = []
+    for i, opt in enumerate(options):
+        parts = set(opt[d0 + i])
+        if len(parts) != 1:
+            return None
+        chosen.append(next(iter(parts)))
+    return tuple(chosen)

@@ -380,6 +380,32 @@ def test_n_above_the_bound_is_a_usage_error(capsys, argv):
     assert err == f"error: n must be in 2..{MAX_N}, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [(["transform", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
+     (["direct-images", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
+     (["relative-forms", "-n", "3", "--twist", "(1|0|0)"], (2, 3)),
+     (["check", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
+     (["adjoint", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
+     (["involutive", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
+     (["transform", "-n", "3", "--twist", "(0||1|0)"], (2, 3)),
+     (["transform", "--config", "{config}"], (2, 3)),
+     (["corpus", "--fixtures", "{fixtures}"], (2, 3))],
+    ids=["transform", "direct-images", "relative-forms", "check", "adjoint", "involutive",
+         "X twist", "config twist", "fixture twist"],
+)
+def test_a_twist_for_another_n_is_a_usage_error(capsys, tmp_path, argv, sizes):
+    (tmp_path / "run.json").write_text(json.dumps({"twist": "(1|0|0)"}))
+    (tmp_path / "fixtures").mkdir()
+    case = {"op": "transform", "n": 3, "twist": "(1|0|0)", "expect": {}}
+    paths = {"config": tmp_path / "run.json",
+             "fixtures": write_fixture(tmp_path / "fixtures", {"cases": [case]})}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(
+        f" is for n={sizes[0]}, but the run has n={sizes[1]}\n")
+
+
 def test_n_from_a_config_file_is_bounded_too(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": MAX_N + 1}))

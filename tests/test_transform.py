@@ -1,5 +1,6 @@
 """Assembly on projective space: collapse, form naming, adjoints, symbols."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from flagcalc.transform import (
 )
 
 from oracles import FORM_TABLES, torus_character, wedge_pair_character
+from oracles import annotate_form_types as cover_search_annotation
 
 
 def test_form_type_naming_and_degree():
@@ -157,6 +159,53 @@ def test_annotation_refuses_ambiguity_and_gaps():
     # a label outside the dictionary poisons its term
     alien = ((m_label((2, 0, 0, 0)),),)
     assert annotate_form_types(alien, 3) is None
+
+
+def _hand_built_chain(rng: random.Random, n: int) -> tuple[tuple, ...]:
+    """1-4 terms of consecutive degrees, each a sum of named form bundles,
+    sometimes with a label dropped, an extra named label or a foreign one."""
+    full, perp = form_dictionary(n)
+    named = list(full.items()) + list(perp.items())
+    every_label = sorted({lab for _pq, labs in named for lab in labs})
+    length = rng.randint(1, 4)
+    d0 = rng.randint(0, 2 * n + 1 - length)
+    chain = []
+    for i in range(length):
+        pool = [labs for (p, q), labs in named if p + q == d0 + i]
+        term = [lab for _ in range(rng.randint(1, 3)) for lab in rng.choice(pool)]
+        change = rng.choice(["none", "none", "drop", "add", "foreign"])
+        if change == "drop":
+            term.remove(rng.choice(term))
+        elif change == "add":
+            term.append(rng.choice(every_label))
+        elif change == "foreign":
+            term.append(m_label((rng.randint(-n, n), *sorted(rng.choices(range(-2, 3), k=n)))))
+        rng.shuffle(term)
+        chain.append(tuple(term))
+    return tuple(chain)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_annotation_matches_the_cover_search_oracle(n):
+    rng = random.Random(20_000 + n)
+    named = 0
+    for _ in range(600):
+        chain = _hand_built_chain(rng, n)
+        expected = cover_search_annotation(chain, n)
+        assert annotate_form_types(chain, n) == expected, chain
+        named += expected is not None
+    assert 0 < named < 600  # both outcomes are exercised
+
+
+def test_two_copies_of_every_degree_n_bundle_are_named_at_the_largest_n():
+    """The cover search in oracles.py grows about 7x per step in n on this
+    term; annotate_form_types is linear in its size."""
+    n = MAX_N
+    full, _perp = form_dictionary(n)
+    degree_n = [(p, n - p) for p in range(n + 1)]
+    term = tuple(lab for pq in degree_n for lab in full[pq] * 2)
+    [names] = annotate_form_types((term,), n)
+    assert Counter(names) == {FormType(p, q): 2 for p, q in degree_n}
 
 
 def test_untwisted_assembly_fields():
