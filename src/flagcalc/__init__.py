@@ -7,126 +7,26 @@ space, direct-image tables with an explicit cancellation ledger, and
 the assembly of the resulting complexes of irreducible bundles on the
 base, together with symbol-level consistency checks.
 
-Everything is exact (integers and rationals, no floats) and every
-inference step is logged rather than silently applied.
+Everything is exact (integers, no floats) and every inference step
+is logged rather than silently applied.  Each module lists its public
+names in ``__all__``; the package re-exports exactly their union.
 """
 
-from .bbw import (
-    MODES,
-    CancellationRecord,
-    CohomologyResult,
-    DirectImageTable,
-    direct_images,
-    global_cohomology,
-    reduce_factor,
-)
-from .bundles import (
-    BundleLabel,
-    FilteredBundle,
-    branch_to_torus,
-    dual,
-    exterior_power,
-    fiber_label,
-    is_line,
-    label_from_string,
-    m_label,
-    pieri_tensor,
-    rank,
-    tensor_line,
-    trivial_label,
-    x_label,
-    z_label,
-)
-from .geometry import (
-    Fibration,
-    FlagSpace,
-    conormal,
-    dimension_summary,
-    fiber_betti,
-    pullback_factors,
-    pullback_line,
-    registry,
-    relative_cotangent,
-)
-from .notation import ParseError, format_weight, parse_label
-from .transform import (
-    ArrowCheck,
-    ComplexOnM,
-    EllipticityReport,
-    FormType,
-    RealizationReport,
-    TransformResult,
-    UnsupportedTwistError,
-    annotate_form_types,
-    assemble_transform,
-    check_ellipticity,
-    complex_from_form_types,
-    emit_realization,
-    form_dictionary,
-    form_type,
-    formal_adjoint,
-    involutive_cohomology,
-)
-from .weights import SINGULAR, Singular, bbw_reduce, inversions, is_dominant, max_degree, rho
+from . import bbw, bundles, geometry, notation, transform, weights
+from .bbw import *  # noqa: F403
+from .bundles import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .notation import *  # noqa: F403
+from .transform import *  # noqa: F403
+from .weights import *  # noqa: F403
 
 __all__ = [
-    "MODES",
-    "CancellationRecord",
-    "CohomologyResult",
-    "DirectImageTable",
-    "direct_images",
-    "global_cohomology",
-    "reduce_factor",
-    "BundleLabel",
-    "FilteredBundle",
-    "branch_to_torus",
-    "dual",
-    "exterior_power",
-    "fiber_label",
-    "is_line",
-    "label_from_string",
-    "m_label",
-    "pieri_tensor",
-    "rank",
-    "tensor_line",
-    "trivial_label",
-    "x_label",
-    "z_label",
-    "Fibration",
-    "FlagSpace",
-    "conormal",
-    "dimension_summary",
-    "fiber_betti",
-    "pullback_factors",
-    "pullback_line",
-    "registry",
-    "relative_cotangent",
-    "ParseError",
-    "format_weight",
-    "parse_label",
-    "ArrowCheck",
-    "ComplexOnM",
-    "EllipticityReport",
-    "FormType",
-    "RealizationReport",
-    "TransformResult",
-    "UnsupportedTwistError",
-    "annotate_form_types",
-    "assemble_transform",
-    "check_ellipticity",
-    "complex_from_form_types",
-    "emit_realization",
-    "form_dictionary",
-    "form_type",
-    "formal_adjoint",
-    "involutive_cohomology",
-    "SINGULAR",
-    "Singular",
-    "bbw_reduce",
-    "inversions",
-    "is_dominant",
-    "max_degree",
-    "rho",
+    *weights.__all__,
+    *notation.__all__,
+    *bundles.__all__,
+    *geometry.__all__,
+    *bbw.__all__,
+    *transform.__all__,
     "__version__",
 ]
 

@@ -110,7 +110,7 @@ def reduce_factor(b: BundleLabel, fib: Fibration):
         raise ValueError(f"not a line bundle along the fibers: {b}")
     lo, hi = _fiber_entries(fib)
     reduced = bbw_reduce(b.weight[lo:hi])
-    if not reduced:
+    if reduced is None:
         return None
     q, dom = reduced
     return q, m_label((b.weight[0], *dom))
@@ -170,19 +170,12 @@ def direct_images(
 
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Cohomology by degree; absent degree means zero.
+    """Cohomology dimensions by degree; an absent degree means zero."""
 
-    Values are either label tuples (global cohomology) or plain
-    multiplicities of the trivial representation (involutive results).
-    """
-
-    by_degree: dict[int, object] = field(default_factory=dict)
+    by_degree: dict[int, int] = field(default_factory=dict)
 
     def dim_at(self, r: int) -> int:
-        v = self.by_degree.get(r, 0)
-        if isinstance(v, int):
-            return v
-        return sum(rank(b) for b in v)
+        return self.by_degree.get(r, 0)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.by_degree))
@@ -191,8 +184,9 @@ class CohomologyResult:
         return bool(self.by_degree)
 
 
-def global_cohomology(b: BundleLabel) -> CohomologyResult:
-    """Cohomology of a line bundle over the twistor space.
+def global_cohomology(b: BundleLabel) -> tuple[int, BundleLabel] | None:
+    """Cohomology of a line bundle over the twistor space: None, or
+    (q, fiber label) for the one degree q where it lives.
 
     Z-labels are written in Bott-Borel-Weil-ready order, so the full
     weight reduces directly; labels on the correspondence space carry
@@ -204,7 +198,7 @@ def global_cohomology(b: BundleLabel) -> CohomologyResult:
     if not is_line(b):
         raise ValueError(f"line bundles only, got {b}")
     reduced = bbw_reduce(sigma_swap(b.weight) if b.space == "X" else b.weight)
-    if not reduced:
-        return CohomologyResult({})
+    if reduced is None:
+        return None
     q, dom = reduced
-    return CohomologyResult({q: (fiber_label(dom),)})
+    return q, fiber_label(dom)

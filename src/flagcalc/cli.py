@@ -5,9 +5,11 @@ markdown``, the default) or deterministic JSON (``--format json``,
 sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
-usage errors — bad flags, unparsable labels, a wedge column out of
-range, n outside 2..MAX_N, a twist for another n, an empty fixture
-directory, a malformed fixture file or case (named as ``file[index]``).
+usage errors — bad flags, unparsable labels or labels of more than
+MAX_N + 1 entries, a wedge column out of range, n outside 2..MAX_N, a
+twist or a ``--line`` for another n, ``--conormal`` on a Z-leg, an empty
+fixture directory, a malformed fixture file or case (named as
+``file[index]``).
 Every refusal of the engine (a ``ValueError``) ends as exit 1, and
 every nonzero exit writes an ``error:`` line.
 
@@ -59,7 +61,7 @@ from .transform import (
     involutive_cohomology,
     twisted_forms,
 )
-from .weights import SINGULAR, bbw_reduce
+from .weights import bbw_reduce
 
 __all__ = ["main", "RunConfig"]
 
@@ -106,8 +108,9 @@ class RunConfig:
                 raise CliError(f"{key} must be one of {allowed}, got {value!r}", USAGE_ERROR)
 
     @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        base: dict = {}
+    def from_args(args: argparse.Namespace, **defaults) -> "RunConfig":
+        """The command's own ``defaults``, then the config file, then flags."""
+        base: dict = dict(defaults)
         if getattr(args, "config", None):
             try:  # ValueError covers bad UTF-8 and bad JSON
                 with open(args.config, encoding="utf-8") as fh:
@@ -131,10 +134,16 @@ class RunConfig:
 # ------------------------------------------------------------- parsing
 
 def _parse_or_usage(text: str):
+    """Every label from a flag, a config file or a fixture case: at most
+    MAX_N + 1 entries, so that no command works on an unbounded weight."""
     try:
-        return parse_label(text)
+        parsed = parse_label(text)
     except ParseError as exc:
         raise CliError(f"cannot parse {text!r}: {exc}", USAGE_ERROR)
+    if len(parsed.weight) > MAX_N + 1:
+        raise CliError(f"a label has at most {MAX_N + 1} entries (n <= {MAX_N}), "
+                       f"got {len(parsed.weight)}", USAGE_ERROR)
+    return parsed
 
 
 def _label(text: str, space: str | None = None) -> BundleLabel:
@@ -150,11 +159,12 @@ def _label(text: str, space: str | None = None) -> BundleLabel:
         raise CliError(f"cannot read {text!r} as a bundle on {space}: {exc}", USAGE_ERROR)
 
 
-def _sized_twist(label: BundleLabel, n: int) -> BundleLabel:
-    """A twist from a flag, a config file or a fixture case must live over
-    the same GL(n+1) as the run."""
+def _sized(label: BundleLabel, n: int, role: str = "twist") -> BundleLabel:
+    """A twist (or a line to tensor with) from a flag, a config file or a
+    fixture case must live over the same GL(n+1) as the run."""
     if label.n != n:
-        raise CliError(f"twist {label} is for n={label.n}, but the run has n={n}", USAGE_ERROR)
+        raise CliError(f"{role} {label} is for n={label.n}, but the run has n={n}",
+                       USAGE_ERROR)
     return label
 
 
@@ -164,7 +174,7 @@ def _twist_label(cfg: RunConfig) -> BundleLabel | None:
     label = _label(cfg.twist)
     if label.space not in ("Z", "X"):
         raise CliError(f"twists live on Z or X, got {label!r}", USAGE_ERROR)
-    return _sized_twist(label, cfg.n)
+    return _sized(label, cfg.n)
 
 
 # -------------------------------------------------------- serialization
@@ -264,21 +274,14 @@ def _fail(message: str) -> int:
 def cmd_bbw(args) -> int:
     cfg = RunConfig.from_args(args)
     weight = _parse_or_usage(args.weight).weight
-    k = args.k if args.k is not None else len(weight)
-    try:
-        result = bbw_reduce(weight, k)
-    except ValueError as exc:
-        raise CliError(str(exc), USAGE_ERROR)
+    result = bbw_reduce(weight)
     if cfg.format == "json":
-        out = {"weight": list(weight), "k": k}
-        if result is SINGULAR:
-            out["singular"] = True
-        else:
-            out["singular"] = False
+        out = {"weight": list(weight), "k": len(weight), "singular": result is None}
+        if result is not None:
             out["q"], out["dominant"] = result[0], list(result[1])
         print(_j(out))
     else:
-        if result is SINGULAR:
+        if result is None:
             print("singular")
         else:
             print(f"q={result[0]} -> {format_weight(result[1])}")
@@ -300,7 +303,7 @@ def cmd_tensor(args) -> int:
     cfg = RunConfig.from_args(args)
     label = _label(args.label, "M")
     if args.line is not None:
-        line = _label(args.line, "M")
+        line = _sized(_label(args.line, "M"), label.n, "line")
         terms = [tensor_line(label, line)]
     else:
         terms = list(pieri_tensor(label))
@@ -313,10 +316,14 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_relative_forms(args) -> int:
-    cfg = RunConfig.from_args(args)
+    # the conormal splitting lives on the M-leg, so --conormal defaults to nu
+    cfg = RunConfig.from_args(args, fibration="nu" if args.conormal else "mu")
     fib = registry(cfg.n)[cfg.fibration]
     twist_x = twist_frames(_twist_label(cfg), cfg.n)[1]
     if args.conormal:
+        if fib.base.name != "M":
+            raise CliError(f"--conormal splits along the M-leg nu, not {fib.name}",
+                           USAGE_ERROR)
         bundle = conormal(fib).twist_by(twist_x)
     else:
         [(_p, bundle)] = twisted_forms(fib, twist_x, args.p)
@@ -450,10 +457,9 @@ def _run_case(case: dict) -> dict:
         return {"terms": [str(t) for t in terms]}
     if op == "global_cohomology":
         coh = global_cohomology(_label(case["label"], case.get("space", "Z")))
-        return {"by_degree": {str(r): [str(b) for b in coh.by_degree[r]]
-                              for r in coh.degrees()}}
+        return {"by_degree": {} if coh is None else {str(coh[0]): [str(coh[1])]}}
     if op == "involutive":
-        coh = involutive_cohomology(_sized_twist(_label(case["twist"], "Z"), n), n)
+        coh = involutive_cohomology(_sized(_label(case["twist"], "Z"), n), n)
         return {"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}
     if op == "form_complex":
         types = [tuple(FormType(*ft) for ft in term) for term in case["types"]]
@@ -480,7 +486,7 @@ def _run_case(case: dict) -> dict:
 
 def _run_twist_case(case: dict, op: str, n: int, reg: dict) -> dict:
     """The fixture ops that start from a twist, all through e1_page."""
-    twist = _sized_twist(_label(case["twist"]), n) if case.get("twist") else None
+    twist = _sized(_label(case["twist"]), n) if case.get("twist") else None
     mode = case.get("mode", "paper")
     if op == "exterior_power":
         [(_p, bundle)] = twisted_forms(reg["mu"], twist_frames(twist, n)[1], case["p"])
@@ -603,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bbw", help="reduce a fiber weight to (q, dominant) or 'singular'")
     p.add_argument("weight")
-    p.add_argument("--k", type=int, default=None)
     _add_common(p, n=False)
     p.set_defaults(func=cmd_bbw)
 

@@ -71,7 +71,6 @@ class FlagSpace:
     n: int
     blocks: tuple[int, ...]           # block sizes used by labels on this space
     isotropy: frozenset[Root]         # roots (i, j) of the isotropy subalgebra
-    realization: tuple[int, ...]      # coordinate permutation of the realization
 
     @property
     def complex_dim(self) -> int:
@@ -94,22 +93,22 @@ class FlagSpace:
 class Fibration:
     """One leg of the double fibration, with stored fiber topology.
 
-    ``fiber`` is a descriptor: ("cp", m) for projective m-space,
-    ("flag", k) for the manifold of full flags in C^k, ("partial-flag",
-    dims, k) for other flag types, or ("contractible",).  Topology is
-    stored data, read off the descriptor — the engine never tries to
-    prove contractibility.
+    ``fiber`` is the flag type (k_1, ..., k_r) of the flag manifold of
+    C^(k_1+...+k_r) that the fiber is homotopy equivalent to: () is a
+    point, (1, m) is projective m-space, (1,) * k the full flags in C^k.
+    Topology is stored data — the engine never tries to prove
+    contractibility.
     """
 
     name: str
     total: FlagSpace
     base: FlagSpace
-    fiber: tuple
+    fiber: tuple[int, ...]
 
     @property
     def fiber_contractible(self) -> bool:
-        """A contractible fiber or a point (projective 0-space)."""
-        return self.fiber in (("contractible",), ("cp", 0))
+        """The flag manifold is a point: at most one nonzero part."""
+        return sum(1 for k in self.fiber if k) <= 1
 
     @property
     def fiber_dim(self) -> int:
@@ -147,27 +146,27 @@ def registry(n: int) -> MappingProxyType:
     coords = tuple(range(n + 1))
     sigma = sigma_swap(coords)
 
-    m_space = FlagSpace("M", n, (1, n), _chain_roots((1, n), coords), coords)
+    m_space = FlagSpace("M", n, (1, n), _chain_roots((1, n), coords))
 
+    # Z's standard parabolic, conjugated by sigma
     z_std = _chain_roots((1, n - 1, 1), coords)
-    z_real = frozenset((sigma[i], sigma[j]) for i, j in z_std)
-    z_space = FlagSpace("Z", n, (1, n - 1, 1), z_real, sigma)
+    z_space = FlagSpace("Z", n, (1, n - 1, 1),
+                        frozenset((sigma[i], sigma[j]) for i, j in z_std))
 
     # X's isotropy: the chain parabolic of its own blocks past the spectator
-    x_iso = _chain_roots(x_blocks(n)[1:], coords[1:])
-    x_space = FlagSpace("X", n, x_blocks(n), x_iso, coords)
+    x_fiber = x_blocks(n)[1:]
+    x_space = FlagSpace("X", n, x_blocks(n), _chain_roots(x_fiber, coords[1:]))
 
-    flag_fiber = ("flag", n) if n <= 3 else ("partial-flag", (1, n - 1), n)
     return MappingProxyType({
         "M": m_space,
         "Z": z_space,
         "X": x_space,
         # holomorphic legs of the correspondence
-        "mu": Fibration("mu", x_space, z_space, ("contractible",)),
-        "nu": Fibration("nu", x_space, m_space, flag_fiber),
+        "mu": Fibration("mu", x_space, z_space, ()),
+        "nu": Fibration("nu", x_space, m_space, x_fiber),
         # the underlying smooth Z-leg of the incidence variety; same root
         # data as mu, but the fiber topology the collapse arguments use
-        "eta": Fibration("eta", x_space, z_space, ("cp", n - 2)),
+        "eta": Fibration("eta", x_space, z_space, (1, n - 2)),
     })
 
 
@@ -180,32 +179,26 @@ def dimension_summary(n: int) -> tuple[int, int, int]:
 # ----------------------------------------------------- fiber topology
 
 def fiber_betti(f: Fibration) -> list[int]:
-    """Betti numbers of the fiber, for the fiber types we can name.
+    """Betti numbers of the fiber, a flag manifold of type k = f.fiber.
 
-    Projective m-space has one cell in each even degree; a full flag
-    manifold's Poincare polynomial is the q-factorial [k]_q! evaluated
-    at q = t^2.  Partial flag fibers (n >= 4) are rejected.
+    Its Poincare polynomial is the Gaussian multinomial
+    prod_{j <= |k|} (1 - q^j) / prod_i prod_{j <= k_i} (1 - q^j) at
+    q = t^2, computed as a power series cut after its top degree, the
+    complex dimension (|k|^2 - sum k_i^2) / 2.
     """
-    kind = f.fiber[0]
-    if kind == "cp":
-        m = f.fiber[1]
-        return [1 if i % 2 == 0 else 0 for i in range(2 * m + 1)]
-    if kind == "flag":
-        k = f.fiber[1]
-        poly = [1]
-        for i in range(1, k + 1):
-            # multiply by 1 + q + ... + q^(i-1)
-            out = [0] * (len(poly) + i - 1)
-            for a, ca in enumerate(poly):
-                for b in range(i):
-                    out[a + b] += ca
-            poly = out
-        betti = [0] * (2 * len(poly) - 1)
-        betti[::2] = poly
-        return betti
-    if kind == "contractible":
-        return [1]
-    raise ValueError(f"unsupported fiber type for {f.name}: {f.fiber}")
+    size = sum(f.fiber)
+    top = (size * size - sum(k * k for k in f.fiber)) // 2
+    poly = [1] + [0] * top
+    for j in range(1, size + 1):  # times (1 - q^j)
+        for i in range(top, j - 1, -1):
+            poly[i] -= poly[i - j]
+    for k in f.fiber:
+        for j in range(1, k + 1):  # divided by (1 - q^j)
+            for i in range(j, top + 1):
+                poly[i] += poly[i - j]
+    betti = [0] * (2 * top + 1)
+    betti[::2] = poly
+    return betti
 
 
 # ------------------------------------------- relative cotangent bundles
@@ -335,7 +328,7 @@ def relative_cotangent(f: Fibration) -> FilteredBundle:
     """Holomorphic 1-forms along the fibers of f, as a filtered bundle.
 
     The factors are the lines -alpha for each isotropy root alpha of
-    the base (in its realization) that is not an isotropy root of the
+    the base (Z's in the sigma frame) that is not an isotropy root of the
     total space; the filtration comes from the total space's nilradical
     as in _assemble_filtered.
     """
@@ -369,15 +362,15 @@ def conormal(f: Fibration) -> FilteredBundle:
 # ---------------------------------------------------------- pullbacks
 
 def sigma_swap(entries: tuple) -> tuple:
-    """sigma = (0 1), an involution: Z's realization and the Z <-> X frame change."""
+    """sigma = (0 1), an involution: Z's frame and the Z <-> X frame change."""
     return (entries[1], entries[0], *entries[2:])
 
 
 def pullback_line(b: BundleLabel) -> BundleLabel:
     """Pull a line bundle on Z back to the correspondence space.
 
-    The realization swaps the first two weight entries; the result is
-    relabeled onto X's block structure.
+    sigma swaps the first two weight entries; the result is relabeled
+    onto X's block structure.
     """
     if b.space != "Z":
         raise ValueError(f"pullback_line starts on Z, got {b!r}")

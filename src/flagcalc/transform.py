@@ -232,8 +232,8 @@ def involutive_cohomology(twist: BundleLabel, n: int) -> CohomologyResult:
     The topology spectral sequence of the Z-leg collapses for exactly
     two twists — the trivial one and the hyperplane twist (1|0,...,0) —
     giving H^r = (+)_i H^(r-i)(Z, twist) over the even Betti degrees i
-    of the projective-space fiber.  Anything else has no pinned rule
-    and is refused.
+    of the projective-space fiber, where BBW puts H(Z, twist) in a
+    single degree.  Anything else has no pinned rule and is refused.
     """
     if twist.space != "Z":
         raise UnsupportedTwistError(f"involutive cohomology needs a twist on Z, got {twist!r}")
@@ -246,12 +246,10 @@ def involutive_cohomology(twist: BundleLabel, n: int) -> CohomologyResult:
         )
     zcoh = global_cohomology(twist)
     betti = fiber_betti(registry(n)["eta"])
-    out: dict[int, int] = {}
-    for i, b in enumerate(betti):
-        if b:
-            for r in zcoh.by_degree:
-                out[r + i] = out.get(r + i, 0) + b * zcoh.dim_at(r)
-    return CohomologyResult(out)
+    if zcoh is None:
+        return CohomologyResult({})
+    q, module = zcoh
+    return CohomologyResult({q + i: b * rank(module) for i, b in enumerate(betti) if b})
 
 
 # ------------------------------------------------------- form dictionary

@@ -22,40 +22,12 @@ Weight = tuple[int, ...]
 
 __all__ = [
     "Weight",
-    "SINGULAR",
-    "Singular",
     "rho",
     "inversions",
     "is_dominant",
     "bbw_reduce",
     "max_degree",
 ]
-
-
-class Singular:
-    """Marker for weights killed by the affine Weyl action.
-
-    A single shared instance, ``SINGULAR``, is used everywhere; it is
-    falsy so that ``if reduced := bbw_reduce(w):`` keeps only the
-    nonsingular branch (a genuine result ``(q, dominant)`` is a nonempty
-    tuple, hence truthy).
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Singular"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-SINGULAR = Singular()
 
 
 def rho(k: int) -> Weight:
@@ -80,23 +52,18 @@ def is_dominant(w: Weight) -> bool:
     return all(a <= b for a, b in zip(w, w[1:]))
 
 
-def bbw_reduce(w: Weight, k: int | None = None) -> Singular | tuple[int, Weight]:
-    """Bott-Borel-Weil reduction of a GL(k,C) weight.
+def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
+    """Bott-Borel-Weil reduction of a GL(k,C) weight, k = len(w).
 
-    Returns ``SINGULAR`` when w + rho has a repeated entry, and otherwise
-    the pair ``(q, dominant)`` where q is the inversion count of w + rho
-    and ``dominant`` is the unique dominant weight in the affine Weyl
-    orbit: sorted(w + rho) - rho.
-
-    ``k`` is accepted for explicitness but must equal ``len(w)``.
+    Returns None when w + rho has a repeated entry (the weight is
+    singular: no cohomology at all), and otherwise the pair
+    ``(q, dominant)`` where q is the inversion count of w + rho and
+    ``dominant`` is the unique dominant weight in the affine Weyl orbit:
+    sorted(w + rho) - rho.
     """
-    if k is None:
-        k = len(w)
-    if k != len(w):
-        raise ValueError(f"weight {w} does not have {k} entries")
     shifted = tuple(a + i for i, a in enumerate(w))
-    if len(set(shifted)) != k:
-        return SINGULAR
+    if len(set(shifted)) != len(shifted):
+        return None
     q = inversions(shifted)
     dominant = tuple(a - i for i, a in enumerate(sorted(shifted)))
     return q, dominant

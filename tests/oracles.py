@@ -3,7 +3,9 @@
 These are deliberately naive: the weight reduction is redone by brute
 force over all k! orderings, ranks and torus characters are recounted by
 enumerating interleaved integer patterns one row at a time, and the
-characters of wedge products come from listing subsets.  The (p,q)-form
+characters of wedge products come from listing subsets, and the Euler
+characteristic of a direct-image column is the Weyl dimension polynomial
+at each unsorted fiber weight, with no reduction at all.  The (p,q)-form
 tables for n = 2, 3 are kept as the hand-written data they once were.
 Nothing here shares code with the package, except that the old naming of
 form types, an exhaustive cover search kept verbatim at the end, reads
@@ -69,6 +71,19 @@ def pattern_count(top: tuple[int, ...]) -> int:
 def count_rank(mu: tuple[int, ...]) -> int:
     """Rank of the irreducible with nondecreasing highest weight mu."""
     return pattern_count(tuple(reversed(mu)))
+
+
+def weyl_euler(weight: tuple[int, ...]) -> int:
+    """The Weyl polynomial prod_{i<j} (w_j - w_i + j - i) / (j - i) at any
+    integer weight, unsorted: (-1)^q times the rank of its cohomology in
+    degree q, and 0 for a singular weight, so a sum of these is an Euler
+    characteristic.  The product of each numerator is a multiple of the
+    denominator's, so the one division is exact."""
+    num = den = 1
+    for i, j in combinations(range(len(weight)), 2):
+        num *= weight[j] - weight[i] + j - i
+        den *= j - i
+    return num // den
 
 
 def torus_character(mu: tuple[int, ...]) -> Counter:

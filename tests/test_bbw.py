@@ -158,12 +158,12 @@ def test_cohomology_result_helpers():
     assert empty.dim_at(0) == 0
     assert empty.degrees() == ()
 
-    mixed = CohomologyResult({0: 1, 2: (label_from_string("(0,0,2)", "fiber"),)})
-    assert mixed
-    assert mixed.degrees() == (0, 2)
-    assert mixed.dim_at(0) == 1
-    assert mixed.dim_at(2) == 6  # dim Sym^2(C^3)
-    assert mixed.dim_at(1) == 0
+    two = CohomologyResult({0: 1, 2: 6})
+    assert two
+    assert two.degrees() == (0, 2)
+    assert two.dim_at(0) == 1
+    assert two.dim_at(2) == 6
+    assert two.dim_at(1) == 0
 
 
 @pytest.mark.parametrize(
@@ -179,7 +179,7 @@ def test_cohomology_result_helpers():
 def test_global_cohomology_worked_values(weight, space, expected):
     label = z_label(weight) if space == "Z" else x_label(weight)
     result = global_cohomology(label)
-    assert {r: result.dim_at(r) for r in result.degrees()} == expected
+    assert ({} if result is None else {result[0]: rank(result[1])}) == expected
 
 
 def test_global_cohomology_frame_swap_matches_the_pullback():
@@ -187,7 +187,7 @@ def test_global_cohomology_frame_swap_matches_the_pullback():
     for w in [(1, 0, 0, 0), (3, 0, 0, -3), (0, 0, 0, 0), (-1, 1, 1, 2)]:
         on_z = global_cohomology(z_label(w))
         on_x = global_cohomology(pullback_line(z_label(w)))
-        assert on_z.by_degree == on_x.by_degree
+        assert on_z == on_x
 
 
 def test_global_cohomology_rejects_wrong_inputs():

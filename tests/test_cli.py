@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flagcalc.bbw import MODES
+from flagcalc.bundles import label_from_string, pieri_tensor
 from flagcalc.cli import FIBRATIONS, FORMATS, main
 from flagcalc.geometry import MAX_N
 
@@ -390,9 +391,10 @@ def test_n_above_the_bound_is_a_usage_error(capsys, argv):
      (["involutive", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
      (["transform", "-n", "3", "--twist", "(0||1|0)"], (2, 3)),
      (["transform", "--config", "{config}"], (2, 3)),
-     (["corpus", "--fixtures", "{fixtures}"], (2, 3))],
+     (["corpus", "--fixtures", "{fixtures}"], (2, 3)),
+     (["tensor", "(0||0,0,0)", "--line", "(1||0,0)"], (2, 3))],
     ids=["transform", "direct-images", "relative-forms", "check", "adjoint", "involutive",
-         "X twist", "config twist", "fixture twist"],
+         "X twist", "config twist", "fixture twist", "tensor line"],
 )
 def test_a_twist_for_another_n_is_a_usage_error(capsys, tmp_path, argv, sizes):
     (tmp_path / "run.json").write_text(json.dumps({"twist": "(1|0|0)"}))
@@ -404,6 +406,56 @@ def test_a_twist_for_another_n_is_a_usage_error(capsys, tmp_path, argv, sizes):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(
         f" is for n={sizes[0]}, but the run has n={sizes[1]}\n")
+
+
+def long_label(command: str, entries: int) -> str:
+    """A zero label of the given length, shaped for the command."""
+    zeros = ",".join(["0"] * (entries - 1))
+    return f"(0,{zeros})" if command == "bbw" else f"(0||{zeros})"
+
+
+@pytest.mark.parametrize("command", ["rank", "bbw", "tensor", "corpus"])
+def test_labels_longer_than_the_bound_are_usage_errors(capsys, tmp_path, command):
+    def call(entries):
+        if command != "corpus":
+            return run(capsys, command, long_label(command, entries))
+        label = long_label(command, entries)
+        expect = ({"terms": [str(t) for t in pieri_tensor(label_from_string(label, "M"))]}
+                  if entries == MAX_N + 1 else {})
+        case = {"op": "pieri", "label": label, "expect": expect}
+        return run(capsys, "corpus", "--fixtures", write_fixture(tmp_path, {"cases": [case]}))
+
+    prefix = "bad[0]: " if command == "corpus" else ""
+    for entries in (MAX_N + 2, 1000):
+        start = time.perf_counter()
+        code, out, err = call(entries)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: {prefix}a label has at most {MAX_N + 1} entries"
+                       f" (n <= {MAX_N}), got {entries}\n")
+    code, out, err = call(MAX_N + 1)  # the largest label still works
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_conormal_runs_along_the_m_leg_by_default(capsys, tmp_path, fmt):
+    code, out, _ = run(capsys, "relative-forms", "--conormal", "--format", fmt)
+    assert code == 0
+    assert run(capsys, "relative-forms", "--fibration", "nu", "--conormal",
+               "--format", fmt) == (0, out, "")
+    (tmp_path / "nu.json").write_text(json.dumps({"fibration": "nu"}))
+    assert run(capsys, "relative-forms", "--conormal", "--config", str(tmp_path / "nu.json"),
+               "--format", fmt) == (0, out, "")
+    assert "(-1||1|0|0)" in out and "(1||0|0|-1)" in out
+
+
+@pytest.mark.parametrize("leg", ["mu", "eta"])
+def test_conormal_on_a_named_z_leg_is_a_usage_error(capsys, tmp_path, leg):
+    (tmp_path / "leg.json").write_text(json.dumps({"fibration": leg}))
+    for argv in (["--fibration", leg], ["--config", str(tmp_path / "leg.json")]):
+        code, out, err = run(capsys, "relative-forms", "--conormal", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --conormal splits along the M-leg nu, not {leg}\n"
 
 
 def test_n_from_a_config_file_is_bounded_too(capsys, tmp_path):
@@ -474,8 +526,6 @@ def fuzz_argv(draw, workdir: pathlib.Path) -> list[str]:
     if command in ("bbw", "rank", "tensor"):
         argv.append(draw(LABEL_TEXT))
     options = {"--format": st.sampled_from(FORMATS)}
-    if command == "bbw":
-        options["--k"] = WIDE_INT.map(str)
     if command == "rank":
         options["--space"] = st.sampled_from(("M", "Z", "X", "fiber"))
     if command == "tensor":

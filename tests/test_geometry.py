@@ -2,6 +2,7 @@
 
 import ast
 from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from flagcalc.geometry import (
     pullback_line,
     registry,
     relative_cotangent,
+    sigma_swap,
     twist_frames,
 )
 
@@ -46,9 +48,9 @@ def test_registry_is_built_once_and_read_only():
 
 
 def test_sigma_frame_is_an_involution():
-    z = registry(3)["mu"].base
-    sigma = z.realization
-    assert tuple(sigma[sigma[i]] for i in range(len(sigma))) == tuple(range(len(sigma)))
+    coords = tuple(range(registry(3)["mu"].base.n + 1))
+    sigma = sigma_swap(coords)
+    assert tuple(sigma[sigma[i]] for i in range(len(sigma))) == coords
 
 
 def test_fibration_bookkeeping():
@@ -70,10 +72,26 @@ def test_fibration_bookkeeping():
         (3, "mu", [1]),
         (3, "nu", [1, 0, 2, 0, 2, 0, 1]),
         (2, "nu", [1, 0, 1]),
+        (4, "nu", [1, 0, 2, 0, 3, 0, 3, 0, 2, 0, 1]),  # partial flags (1,2,1) in C^4
     ],
 )
 def test_fiber_betti_numbers(n, name, betti):
     assert fiber_betti(registry(n)[name]) == betti
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_fiber_betti_counts_the_cells_of_the_flag_manifold(n):
+    # a flag manifold of type k has one even-dimensional Schubert cell per
+    # coset of the Weyl group: (sum k)! / prod k_i! cells, Poincare duality
+    reg = registry(n)
+    for name in ("mu", "nu", "eta"):
+        parts = reg[name].fiber
+        betti = fiber_betti(reg[name])
+        assert sum(betti) == factorial(sum(parts)) // prod(factorial(k) for k in parts)
+        assert betti == betti[::-1]
+        assert not any(betti[1::2])
+    # the fibers of nu are the flag manifold itself, so its top degree is 2 dim
+    assert len(fiber_betti(reg["nu"])) == 2 * reg["nu"].fiber_dim + 1
 
 
 def test_relative_cotangent_of_the_holomorphic_leg():

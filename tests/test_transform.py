@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
+from flagcalc.bbw import MODES
 from flagcalc.bundles import label_from_string, m_label, rank, trivial_label, x_label, z_label
-from flagcalc.geometry import MAX_N
+from flagcalc.geometry import MAX_N, pullback_line, registry
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
@@ -21,9 +22,10 @@ from flagcalc.transform import (
     form_type,
     formal_adjoint,
     involutive_cohomology,
+    twisted_forms,
 )
 
-from oracles import FORM_TABLES, torus_character, wedge_pair_character
+from oracles import FORM_TABLES, torus_character, wedge_pair_character, weyl_euler
 from oracles import annotate_form_types as cover_search_annotation
 
 
@@ -242,6 +244,33 @@ def test_e1_page_columns_and_their_range():
     for p in (-1, 5):
         with pytest.raises(ValueError, match=r"outside 0\.\.4"):
             e1_page(twist_x, 3, "conservative", p)
+
+
+# the benchmark's twist boxes: (a|b|c) for n = 2 and (a|b,b|c) for n = 3
+TWIST_BOXES = {
+    2: [(a, b, c) for a in range(-6, 7) for b in range(-3, 4) for c in range(-6, 7)],
+    3: [(a, b, b, c) for a in range(-4, 5) for b in range(-2, 3) for c in range(-4, 5)],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_column_euler_characteristic_matches_the_weyl_oracle(n):
+    # each X-factor contributes W(its fiber weight) to its column, singular
+    # or not and cancelled or not, with no reduction and no sorting
+    reg = registry(n)
+    columns = nonzero = 0
+    for w in TWIST_BOXES[n]:
+        twist_x = pullback_line(z_label(w))
+        forms = twisted_forms(reg["mu"], twist_x)
+        for mode in MODES:
+            table = e1_page(twist_x, n, mode)
+            for p, bundle in forms:
+                euler = sum(weyl_euler(f.weight[1:]) for f in bundle.factors)
+                assert table.euler_rank(p) == euler, (w, mode, p)
+                columns += 1
+                nonzero += euler != 0
+    assert columns == {2: 7098, 3: 4050}[n]
+    assert nonzero > columns // 2
 
 
 def test_hyperplane_assembly_collapses_only_in_paper_mode():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagcalc.weights import SINGULAR, bbw_reduce, inversions, is_dominant, max_degree, rho
+from flagcalc.weights import bbw_reduce, inversions, is_dominant, max_degree, rho
 
 
 def test_rho_is_the_staircase():
@@ -44,13 +44,7 @@ def test_reduction_worked_values(weight, expected):
 
 @pytest.mark.parametrize("weight", [(0, 1, 0), (1, 0, 0), (3, 1, 2, 0), (0, -1)])
 def test_reduction_singular_values(weight):
-    assert bbw_reduce(weight) is SINGULAR
-    assert not bbw_reduce(weight)  # usable as a falsy sentinel
-
-
-def test_reduction_rejects_mismatched_length():
-    with pytest.raises(ValueError):
-        bbw_reduce((0, 1), k=3)
+    assert bbw_reduce(weight) is None
 
 
 def test_max_degree_is_pair_count():
@@ -76,7 +70,7 @@ def test_reduction_commutes_with_determinant_twist(entries, c):
         q, dom = base
         assert twisted == (q, tuple(d + c for d in dom))
     else:
-        assert twisted is SINGULAR
+        assert twisted is None
 
 
 def test_dominant_weights_reduce_to_themselves():
