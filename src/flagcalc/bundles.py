@@ -30,9 +30,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
-from .notation import format_entries, parse_label
+from .notation import ParsedLabel, format_entries, parse_label
 from .weights import is_dominant
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "z_label",
     "fiber_label",
     "trivial_label",
+    "label_space",
     "label_from_string",
     "rank",
     "dual",
@@ -131,14 +133,25 @@ def trivial_label(space: str, n: int) -> BundleLabel:
 _CONSTRUCTORS = {"M": m_label, "X": x_label, "Z": z_label, "fiber": fiber_label}
 
 
-def label_from_string(text: str, space: str) -> BundleLabel:
-    """Parse a label string and place it on the named space.
+def label_space(parsed: ParsedLabel) -> str:
+    """The space a label's separators name, read off the shapes above:
+    ``||`` with two blocks is M and with more X; without ``||``, three
+    blocks are Z and any other count a fiber weight."""
+    if parsed.double_bar:
+        return "M" if len(parsed.blocks) == 2 else "X"
+    return "Z" if len(parsed.blocks) == 3 else "fiber"
+
+
+def label_from_string(text: str, space: str, parsed: ParsedLabel | None = None) -> BundleLabel:
+    """Parse a label string and place it on the named space; a caller that
+    has parsed ``text`` already passes the result as ``parsed``.
 
     The block structure implied by the separators must agree with the
     space's own; this catches e.g. an M-style label handed to the
     twistor space.
     """
-    parsed = parse_label(text)
+    if parsed is None:
+        parsed = parse_label(text)
     lab = _CONSTRUCTORS[space](parsed.weight)
     want_bar = space in _DOUBLE_BAR_SPACES
     if parsed.blocks != lab.blocks or (parsed.double_bar != want_bar and len(parsed.blocks) > 1):
@@ -176,14 +189,7 @@ def rank(b) -> int:
     """Rank of a BundleLabel or a FilteredBundle (sum over factors)."""
     if isinstance(b, FilteredBundle):
         return sum(rank(f) for f in b.factors)
-    return _prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _block_spans(b.blocks))
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+    return prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _block_spans(b.blocks))
 
 
 def is_line(b: BundleLabel) -> bool:
@@ -269,23 +275,11 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
             out[partial + (row[0],)] += 1
             return
         total = sum(row)
-        for nxt in _interleavings(row):
+        # x_(i+1) <= row[i+1] <= x_i, so the ranges alone make the entries interleave
+        for nxt in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
             descend(nxt, partial + (total - sum(nxt),))
 
     # weight entries come out last-coordinate-first; reverse at the end
-    def _interleavings(row: tuple[int, ...]):
-        ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
-        def rec(i: int, acc: list[int]):
-            if i == len(ranges):
-                yield tuple(acc)
-                return
-            for v in ranges[i]:
-                if not acc or v <= acc[-1]:
-                    acc.append(v)
-                    yield from rec(i + 1, acc)
-                    acc.pop()
-        yield from rec(0, [])
-
     descend(top, ())
     return Counter({tuple(reversed(w)): c for w, c in out.items()})
 

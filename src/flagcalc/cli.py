@@ -5,16 +5,18 @@ markdown``, the default) or deterministic JSON (``--format json``,
 sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
-usage errors — bad flags, unparsable labels or labels of more than
-MAX_N + 1 entries, a wedge column out of range, n outside 2..MAX_N, a
-twist or a ``--line`` for another n, ``--conormal`` on a Z-leg, an empty
-fixture directory, a malformed fixture file or case (named as
-``file[index]``).
+usage errors — bad flags, unparsable labels, labels of more than
+MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, a
+wedge column out of range, n outside 2..MAX_N, a twist or a ``--line``
+for another n, ``--conormal`` on a Z-leg, an empty fixture directory, a
+malformed fixture file or case (named as ``file[index]``).
 Every refusal of the engine (a ``ValueError``) ends as exit 1, and
 every nonzero exit writes an ``error:`` line.
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
+A fixture case's ``n``, ``twist``, ``mode`` and ``fibration`` go through the
+same ``RunConfig``, and an op that mirrors a command runs its compute function.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .bbw import MODES, DirectImageTable, global_cohomology
+from .bbw import MODES, CohomologyResult, DirectImageTable, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
     label_from_string,
+    label_space,
     pieri_tensor,
     rank,
     tensor_line,
@@ -42,7 +45,6 @@ from .geometry import (
     pullback_factors,
     pullback_line,
     registry,
-    relative_cotangent,
     twist_frames,
 )
 from .notation import ParseError, format_weight, parse_label
@@ -69,6 +71,9 @@ USAGE_ERROR = 2
 MATH_ERROR = 1
 FORMATS = ("markdown", "json")
 FIBRATIONS = ("mu", "nu", "eta")
+# Largest |entry| of a label from outside: with MAX_N + 1 entries every printed
+# number stays far under Python's 4300-digit int -> str limit (a GL(17) rank < 1300).
+MAX_ENTRY = 10**9
 
 
 class CliError(Exception):
@@ -79,18 +84,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _checked_n(n) -> int:
-    """n from a flag, a config file or a fixture case: an integer in 2..MAX_N."""
-    if type(n) is not int:
-        raise CliError(f"n must be an integer, got {n!r}", USAGE_ERROR)
-    if not 2 <= n <= MAX_N:
-        raise CliError(f"n must be in 2..{MAX_N}, got {n}", USAGE_ERROR)
-    return n
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Merged settings: config-file defaults overridden by flags."""
+    """The one reader of run settings: the command's own defaults, then a
+    config file, then flags; or a fixture case's fields over its op's
+    defaults.  ``n`` is an integer in 2..MAX_N."""
 
     n: int = 3
     twist: str | None = None
@@ -99,7 +97,10 @@ class RunConfig:
     fibration: str = "mu"
 
     def __post_init__(self):
-        _checked_n(self.n)
+        if type(self.n) is not int:
+            raise CliError(f"n must be an integer, got {self.n!r}", USAGE_ERROR)
+        if not 2 <= self.n <= MAX_N:
+            raise CliError(f"n must be in 2..{MAX_N}, got {self.n}", USAGE_ERROR)
         if not isinstance(self.twist, (str, type(None))):
             raise CliError(f"twist must be a label string, got {self.twist!r}", USAGE_ERROR)
         for key, allowed in (("mode", MODES), ("format", FORMATS), ("fibration", FIBRATIONS)):
@@ -135,7 +136,8 @@ class RunConfig:
 
 def _parse_or_usage(text: str):
     """Every label from a flag, a config file or a fixture case: at most
-    MAX_N + 1 entries, so that no command works on an unbounded weight."""
+    MAX_N + 1 entries of at most MAX_ENTRY in absolute value, so that no
+    command works on an unbounded weight or prints an unbounded number."""
     try:
         parsed = parse_label(text)
     except ParseError as exc:
@@ -143,18 +145,19 @@ def _parse_or_usage(text: str):
     if len(parsed.weight) > MAX_N + 1:
         raise CliError(f"a label has at most {MAX_N + 1} entries (n <= {MAX_N}), "
                        f"got {len(parsed.weight)}", USAGE_ERROR)
+    if (top := max(map(abs, parsed.weight))) > MAX_ENTRY:
+        raise CliError(f"a label entry is at most {MAX_ENTRY} in absolute value, "
+                       f"got one of {len(str(top))} digits", USAGE_ERROR)
     return parsed
 
 
 def _label(text: str, space: str | None = None) -> BundleLabel:
+    """A label from outside on ``space``, or on the space its separators name."""
     parsed = _parse_or_usage(text)
     if space is None:
-        if parsed.double_bar:
-            space = "M" if len(parsed.blocks) == 2 else "X"
-        else:
-            space = "Z" if len(parsed.blocks) == 3 else "fiber"
+        space = label_space(parsed)
     try:
-        return label_from_string(text, space)
+        return label_from_string(text, space, parsed)
     except ValueError as exc:
         raise CliError(f"cannot read {text!r} as a bundle on {space}: {exc}", USAGE_ERROR)
 
@@ -208,6 +211,10 @@ def table_to_json(t: DirectImageTable) -> dict:
             for r in t.log
         ],
     }
+
+
+def cohomology_to_json(coh: CohomologyResult) -> dict:
+    return {"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}
 
 
 def complex_to_json(c: ComplexOnM) -> dict:
@@ -315,18 +322,24 @@ def cmd_tensor(args) -> int:
     return 0
 
 
-def cmd_relative_forms(args) -> int:
-    # the conormal splitting lives on the M-leg, so --conormal defaults to nu
-    cfg = RunConfig.from_args(args, fibration="nu" if args.conormal else "mu")
+def _forms(cfg: RunConfig, p: int, conormal_part: bool) -> FilteredBundle:
+    """Lambda^p of the relative forms along the run's leg, or the conormal
+    part of the relative cotangent bundle, tensored with the twist."""
     fib = registry(cfg.n)[cfg.fibration]
     twist_x = twist_frames(_twist_label(cfg), cfg.n)[1]
-    if args.conormal:
+    if conormal_part:
         if fib.base.name != "M":
             raise CliError(f"--conormal splits along the M-leg nu, not {fib.name}",
                            USAGE_ERROR)
-        bundle = conormal(fib).twist_by(twist_x)
-    else:
-        [(_p, bundle)] = twisted_forms(fib, twist_x, args.p)
+        return conormal(fib).twist_by(twist_x)
+    [(_p, bundle)] = twisted_forms(fib, twist_x, p)
+    return bundle
+
+
+def cmd_relative_forms(args) -> int:
+    # the conormal splitting lives on the M-leg, so --conormal defaults to nu
+    cfg = RunConfig.from_args(args, fibration="nu" if args.conormal else "mu")
+    bundle = _forms(cfg, args.p, args.conormal)
     if cfg.format == "json":
         print(_j(filtered_to_json(bundle)))
     else:
@@ -336,9 +349,14 @@ def cmd_relative_forms(args) -> int:
     return 0
 
 
+def _e1(cfg: RunConfig, p: int | None) -> DirectImageTable:
+    """Column p of the first page (every column when p is None)."""
+    return e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.n, cfg.mode, p)
+
+
 def cmd_direct_images(args) -> int:
     cfg = RunConfig.from_args(args)
-    table = e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.n, cfg.mode, args.p)
+    table = _e1(cfg, args.p)
     if cfg.format == "json":
         print(_j(table_to_json(table)))
     else:
@@ -346,18 +364,18 @@ def cmd_direct_images(args) -> int:
     return 0
 
 
-def _transform(args, refusal: str = "") -> tuple[RunConfig, TransformResult]:
-    """The settings and the assembled transform behind transform, adjoint and
-    check; with a refusal, a page that did not collapse is an error."""
-    cfg = RunConfig.from_args(args)
+def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
+    """The assembled transform behind transform, adjoint and check; with a
+    refusal, a page that did not collapse is an error."""
     res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
     if refusal and res.complex_ is None:
         raise CliError(f"{refusal}: {res.reason}")
-    return cfg, res
+    return res
 
 
 def cmd_transform(args) -> int:
-    cfg, res = _transform(args)
+    cfg = RunConfig.from_args(args)
+    res = _transform(cfg)
     if cfg.format == "json":
         table = table_to_json(res.table)
         out = {
@@ -377,16 +395,21 @@ def cmd_transform(args) -> int:
     return 0 if res.complex_ is not None else _fail(f"no complex: {res.reason}")
 
 
-def cmd_involutive(args) -> int:
-    cfg = RunConfig.from_args(args)
+def _involutive(cfg: RunConfig) -> CohomologyResult:
+    """Involutive cohomology of the run's twist, the trivial one by default."""
     twist = _twist_label(cfg)
     if twist is None:
         twist = trivial_label("Z", cfg.n)
     if twist.space != "Z":
         raise CliError("involutive cohomology expects a twist on Z", USAGE_ERROR)
-    coh = involutive_cohomology(twist, cfg.n)
+    return involutive_cohomology(twist, cfg.n)
+
+
+def cmd_involutive(args) -> int:
+    cfg = RunConfig.from_args(args)
+    coh = _involutive(cfg)
     if cfg.format == "json":
-        print(_j({"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}))
+        print(_j(cohomology_to_json(coh)))
     else:
         if not coh.degrees():
             print("H^r = 0 for all r")
@@ -396,7 +419,8 @@ def cmd_involutive(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    cfg, res = _transform(args, "no complex to dualize")
+    cfg = RunConfig.from_args(args)
+    res = _transform(cfg, "no complex to dualize")
     adj = formal_adjoint(res.complex_, cfg.n)
     if cfg.format == "json":
         print(_j({"adjoint": complex_to_json(adj)}))
@@ -406,7 +430,8 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg, res = _transform(args, "nothing to check")
+    cfg = RunConfig.from_args(args)
+    res = _transform(cfg, "nothing to check")
     report = check_ellipticity(res.complex_)
     if cfg.format == "json":
         print(_j({
@@ -440,14 +465,45 @@ def cmd_check(args) -> int:
 def _run_case(case: dict) -> dict:
     """Execute one fixture case and return the actual outcome."""
     op = case["op"]
-    n = _checked_n(case.get("n", 3))
-    reg = registry(n)
-    if op in ("exterior_power", "direct_images", "transform", "adjoint", "check"):
-        return _run_twist_case(case, op, n, reg)
-    if op == "relative_cotangent":
-        return filtered_to_json(relative_cotangent(reg[case.get("fibration", "mu")]))
-    if op == "conormal":
-        return filtered_to_json(conormal(reg[case.get("fibration", "nu")]))
+    # the case's settings over the op's defaults (a case has no output format);
+    # the conormal op splits along the M-leg, like relative-forms --conormal
+    given = {k: case[k] for k in ("n", "twist", "mode", "fibration") if k in case}
+    cfg = RunConfig(**{"fibration": "nu" if op == "conormal" else "mu", **given})
+    if op in ("exterior_power", "relative_cotangent", "conormal"):
+        p = case["p"] if op == "exterior_power" else 1
+        return filtered_to_json(_forms(cfg, p, op == "conormal"))
+    if op == "direct_images":
+        col = _e1(cfg, case["p"])
+        return {
+            "cells": table_to_json(col)["cells"],
+            "applied": sum(r.applied for r in col.log),
+            "candidates": len(col.log),
+        }
+    if op in ("transform", "adjoint", "check"):
+        res = _transform(cfg)
+        if op == "transform":
+            return {
+                "cells": table_to_json(res.table)["cells"],
+                "applied": sum(r.applied for r in res.table.log),
+                "complex": None if res.complex_ is None else complex_to_json(res.complex_),
+            }
+        if res.complex_ is None:
+            return {"error": res.reason}
+        if op == "adjoint":
+            return {"adjoint": complex_to_json(formal_adjoint(res.complex_, cfg.n))}
+        report = check_ellipticity(res.complex_)
+        unreachable = []
+        for a in report.arrows:
+            hit = {t for _s, t in a.admissible}
+            missing = sorted(str(t) for t in set(res.complex_.terms[a.index + 1]) - hit)
+            if missing:
+                unreachable.append({"arrow": a.index, "targets": missing})
+        return {
+            "ranks": list(report.ranks),
+            "alternating_sum": report.alternating_sum,
+            "passed": report.passed,
+            "unreachable": unreachable,
+        }
     if op == "pullback_factors":
         return filtered_to_json(pullback_factors(_label(case["label"], "M")))
     if op == "pullback_line":
@@ -459,11 +515,10 @@ def _run_case(case: dict) -> dict:
         coh = global_cohomology(_label(case["label"], case.get("space", "Z")))
         return {"by_degree": {} if coh is None else {str(coh[0]): [str(coh[1])]}}
     if op == "involutive":
-        coh = involutive_cohomology(_sized(_label(case["twist"], "Z"), n), n)
-        return {"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}
+        return cohomology_to_json(_involutive(cfg))
     if op == "form_complex":
         types = [tuple(FormType(*ft) for ft in term) for term in case["types"]]
-        cx = complex_from_form_types(types, n)
+        cx = complex_from_form_types(types, cfg.n)
         report = check_ellipticity(cx)
         return {
             "terms": [[str(b) for b in t] for t in cx.terms],
@@ -472,7 +527,7 @@ def _run_case(case: dict) -> dict:
             "passed": report.passed,
         }
     if op == "realization":
-        rep = emit_realization(n=n)
+        rep = emit_realization(n=cfg.n)
         return {
             "degree": rep.degree,
             "source": str(rep.source),
@@ -482,46 +537,6 @@ def _run_case(case: dict) -> dict:
             "d_full": [str(b) for b in rep.d_full],
         }
     raise CliError(f"unknown fixture op {op!r}", USAGE_ERROR)
-
-
-def _run_twist_case(case: dict, op: str, n: int, reg: dict) -> dict:
-    """The fixture ops that start from a twist, all through e1_page."""
-    twist = _sized(_label(case["twist"]), n) if case.get("twist") else None
-    mode = case.get("mode", "paper")
-    if op == "exterior_power":
-        [(_p, bundle)] = twisted_forms(reg["mu"], twist_frames(twist, n)[1], case["p"])
-        return filtered_to_json(bundle)
-    if op == "direct_images":
-        col = e1_page(twist_frames(twist, n)[1], n, mode, case["p"])
-        return {
-            "cells": table_to_json(col)["cells"],
-            "applied": sum(r.applied for r in col.log),
-            "candidates": len(col.log),
-        }
-    res = assemble_transform(twist, n, mode)
-    if op == "transform":
-        return {
-            "cells": table_to_json(res.table)["cells"],
-            "applied": sum(r.applied for r in res.table.log),
-            "complex": None if res.complex_ is None else complex_to_json(res.complex_),
-        }
-    if res.complex_ is None:
-        return {"error": res.reason}
-    if op == "adjoint":
-        return {"adjoint": complex_to_json(formal_adjoint(res.complex_, n))}
-    report = check_ellipticity(res.complex_)
-    unreachable = []
-    for a in report.arrows:
-        hit = {t for _s, t in a.admissible}
-        missing = sorted(str(t) for t in set(res.complex_.terms[a.index + 1]) - hit)
-        if missing:
-            unreachable.append({"arrow": a.index, "targets": missing})
-    return {
-        "ranks": list(report.ranks),
-        "alternating_sum": report.alternating_sum,
-        "passed": report.passed,
-        "unreachable": unreachable,
-    }
 
 
 def _replay(case, where: str) -> tuple:
@@ -535,28 +550,23 @@ def _replay(case, where: str) -> tuple:
         raise CliError(f"{where}: malformed case: {exc!r}", USAGE_ERROR)
 
 
-def _fixture_files(directory: str | None):
-    root = resources.files("flagcalc") / "fixtures"
-    if directory is not None:
-        root = pathlib.Path(directory)
-        if not root.is_dir():
-            raise CliError(f"fixture directory {directory!r} does not exist", USAGE_ERROR)
-    entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
-    return [(e.name[:-5], e.read_bytes()) for e in entries]
-
-
 def cmd_corpus(args) -> int:
     cfg = RunConfig.from_args(args)
-    files = _fixture_files(args.fixtures)
-    if args.only:
-        files = [(k, raw) for k, raw in files if k == args.only]
+    root = resources.files("flagcalc") / "fixtures"
+    if args.fixtures is not None:
+        root = pathlib.Path(args.fixtures)
+        if not root.is_dir():
+            raise CliError(f"fixture directory {args.fixtures!r} does not exist", USAGE_ERROR)
+    files = sorted((e for e in root.iterdir() if e.name.endswith(".json")
+                    and (not args.only or e.name[:-5] == args.only)), key=lambda e: e.name)
     if not files:
         raise CliError("no fixtures found: nothing was verified", USAGE_ERROR)
     results = []
-    for key, raw in files:
+    for entry in files:
+        key = entry.name[:-5]
         try:  # ValueError covers bad UTF-8 and bad JSON
-            cases = json.loads(raw)["cases"]
-        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            cases = json.loads(entry.read_bytes())["cases"]
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
             raise CliError(f"{key}: not a fixture file with a 'cases' list: {exc!r}",
                            USAGE_ERROR)
         if not isinstance(cases, list):
@@ -585,8 +595,10 @@ def cmd_corpus(args) -> int:
 
 # --------------------------------------------------------------- main
 
-def _add_common(p: argparse.ArgumentParser, *, n=True, twist=False, mode=False,
+def _add_common(p: argparse.ArgumentParser, func, *, n=True, twist=False, mode=False,
                 fibration=False):
+    """The subcommand's handler and the options it shares with others."""
+    p.set_defaults(func=func)
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--config", default=None, metavar="FILE")
     if n:
@@ -609,56 +621,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bbw", help="reduce a fiber weight to (q, dominant) or 'singular'")
     p.add_argument("weight")
-    _add_common(p, n=False)
-    p.set_defaults(func=cmd_bbw)
+    _add_common(p, cmd_bbw, n=False)
 
     p = sub.add_parser("rank", help="rank of an irreducible bundle label")
     p.add_argument("label")
     p.add_argument("--space", choices=("M", "Z", "X", "fiber"), default=None)
-    _add_common(p, n=False)
-    p.set_defaults(func=cmd_rank)
+    _add_common(p, cmd_rank, n=False)
 
     p = sub.add_parser("tensor", help="Pieri decomposition (or line tensor) on the base")
     p.add_argument("label")
     p.add_argument("--line", default=None)
-    _add_common(p, n=False)
-    p.set_defaults(func=cmd_tensor)
+    _add_common(p, cmd_tensor, n=False)
 
     p = sub.add_parser("relative-forms",
                        help="relative cotangent bundle and its wedge powers")
     p.add_argument("-p", type=int, default=1)
     p.add_argument("--conormal", action="store_true")
-    _add_common(p, twist=True, fibration=True)
-    p.set_defaults(func=cmd_relative_forms)
+    _add_common(p, cmd_relative_forms, twist=True, fibration=True)
 
     p = sub.add_parser("direct-images", help="first-page table of direct images")
     p.add_argument("-p", type=int, default=None,
                    help="column to push down (default: all)")
-    _add_common(p, twist=True, mode=True)
-    p.set_defaults(func=cmd_direct_images)
+    _add_common(p, cmd_direct_images, twist=True, mode=True)
 
     p = sub.add_parser("transform",
                        help="full pipeline: first page plus the collapsed complex")
-    _add_common(p, twist=True, mode=True)
-    p.set_defaults(func=cmd_transform)
+    _add_common(p, cmd_transform, twist=True, mode=True)
 
     p = sub.add_parser("involutive", help="cohomology of the involutive complex")
-    _add_common(p, twist=True)
-    p.set_defaults(func=cmd_involutive)
+    _add_common(p, cmd_involutive, twist=True)
 
     p = sub.add_parser("adjoint", help="formal adjoint of the collapsed complex")
-    _add_common(p, twist=True, mode=True)
-    p.set_defaults(func=cmd_adjoint)
+    _add_common(p, cmd_adjoint, twist=True, mode=True)
 
     p = sub.add_parser("check", help="symbol-level ellipticity checks")
-    _add_common(p, twist=True, mode=True)
-    p.set_defaults(func=cmd_check)
+    _add_common(p, cmd_check, twist=True, mode=True)
 
     p = sub.add_parser("corpus", help="replay the bundled worked examples")
     p.add_argument("--fixtures", default=None, metavar="DIR")
     p.add_argument("--only", default=None, metavar="KEY")
-    _add_common(p, n=False)
-    p.set_defaults(func=cmd_corpus)
+    _add_common(p, cmd_corpus, n=False)
 
     return ap
 

@@ -83,7 +83,11 @@ def parse_label(text: str) -> ParsedLabel:
             j += 1
         if j == i or (j == i + 1 and s[i] not in _DIGITS):
             raise ParseError(text, i, "expected an integer")
-        entries.append(int(s[i:j]))
+        try:
+            entries.append(int(s[i:j]))
+        except ValueError:  # more digits than Python converts to an int
+            digits = j - i - (s[i] in "+-")
+            raise ParseError(text, i, f"an integer of {digits} digits is too long") from None
         if j == m:
             break
         if s[j] == "|":

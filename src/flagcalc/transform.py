@@ -145,7 +145,6 @@ class TransformResult:
     reason: str            # empty when a complex was emitted
     twist_z: BundleLabel | None
     twist_x: BundleLabel
-    n: int
     mode: str
 
 
@@ -195,7 +194,7 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
     elif ps != list(range(ps[0], ps[-1] + 1)):
         reason = f"no collapse: nonempty columns {ps} are not contiguous"
     if reason:
-        return TransformResult(table, None, reason, twist_z, twist_x, n, mode)
+        return TransformResult(table, None, reason, twist_z, twist_x, mode)
 
     q0 = qs[0]
     terms = tuple(table.labels_at(p, q0) for p in range(ps[0], ps[-1] + 1))
@@ -221,7 +220,7 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
         claims=claims,
         claim_tags=claim_tags,
     )
-    return TransformResult(table, cx, "", twist_z, twist_x, n, mode)
+    return TransformResult(table, cx, "", twist_z, twist_x, mode)
 
 
 # ------------------------------------------------ involutive cohomology

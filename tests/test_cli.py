@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from flagcalc.bbw import MODES
 from flagcalc.bundles import label_from_string, pieri_tensor
-from flagcalc.cli import FIBRATIONS, FORMATS, main
+from flagcalc.cli import FIBRATIONS, FORMATS, MAX_ENTRY, main
 from flagcalc.geometry import MAX_N
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -339,6 +339,13 @@ def test_unreadable_fixture_or_config_bytes_are_a_usage_error(capsys, tmp_path, 
     assert code == 2 and err.startswith("error: cannot read config")
 
 
+def test_a_fixture_entry_that_is_not_a_file_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "bad.json").mkdir()
+    code, _, err = run(capsys, "corpus", "--fixtures", str(tmp_path))
+    assert code == 2 and err.startswith("error: bad: not a fixture file")
+    assert "Traceback" not in err
+
+
 def test_a_good_case_in_a_clean_fixture_passes(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "--fixtures",
                        write_fixture(tmp_path, {"cases": [PIERI_CASE]}))
@@ -435,6 +442,74 @@ def test_labels_longer_than_the_bound_are_usage_errors(capsys, tmp_path, command
                        f" (n <= {MAX_N}), got {entries}\n")
     code, out, err = call(MAX_N + 1)  # the largest label still works
     assert (code, err) == (0, "") and out
+
+
+BOUND_CALLS = {
+    "rank": lambda e: ["rank", f"(0||0,0,{e})"],
+    "bbw": lambda e: ["bbw", f"({e},0)"],
+    "tensor": lambda e: ["tensor", f"(0||0,0,{e})"],
+    "transform": lambda e: ["transform", "--twist", f"({e}|0,0|0)"],
+    "config twist": lambda e: ["transform", "--config", {"twist": f"({e}|0,0|0)"}],
+    "fixture label": lambda e: ["corpus", "--fixtures", {"op": "pieri", "label": f"(0||0,0,{e})"}],
+}
+
+
+@pytest.mark.parametrize("where", sorted(BOUND_CALLS))
+def test_label_entries_over_the_bound_are_usage_errors(capsys, tmp_path, where):
+    def call(entry: str):
+        argv = BOUND_CALLS[where](entry)
+        if where == "config twist":
+            (tmp_path / "run.json").write_text(json.dumps(argv[-1]))
+            argv[-1] = str(tmp_path / "run.json")
+        elif where == "fixture label":
+            label = argv[-1]["label"]
+            expect = ({"terms": [str(t) for t in pieri_tensor(label_from_string(label, "M"))]}
+                      if entry == str(MAX_ENTRY) else {})
+            argv[-1] = write_fixture(tmp_path, {"cases": [{**argv[-1], "expect": expect}]})
+        return run(capsys, *argv)
+
+    prefix = "bad[0]: " if where == "fixture label" else ""
+    code, out, err = call("9" * 5000)  # over Python's limit on int conversion
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {prefix}cannot parse")
+    assert err.endswith(": an integer of 5000 digits is too long\n")
+    for entry in ("9" * 4000, str(MAX_ENTRY + 1)):
+        digits = len(entry)
+        assert call(entry) == (2, "", f"error: {prefix}a label entry is at most {MAX_ENTRY} in"
+                               f" absolute value, got one of {digits} digits\n")
+    code, out, err = call(str(MAX_ENTRY))  # the largest entry still works
+    assert (code, err) == (0, "") and out
+
+
+PARITY_CASES = {
+    "bad mode": ({"op": "transform", "mode": "bogus"}, ["transform"], {"mode": "bogus"}),
+    "twist on M": ({"op": "transform", "twist": "(0||0,0,0)"},
+                   ["transform", "--twist", "(0||0,0,0)"], None),
+    "conormal on mu": ({"op": "conormal", "fibration": "mu"},
+                       ["relative-forms", "--conormal", "--fibration", "mu"], None),
+    "unknown leg": ({"op": "relative_cotangent", "fibration": "Q"}, ["relative-forms"],
+                    {"fibration": "Q"}),
+    "trivial twist": ({"op": "transform", "twist": "trivial"},
+                      ["transform", "--twist", "trivial"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_a_fixture_case_reads_its_settings_like_flags_and_config_files(capsys, tmp_path, name):
+    case, argv, config = PARITY_CASES[name]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    code, _, err = run(capsys, *argv)
+    # the untwisted transform's pinned outcome, so that an accepted case passes
+    pinned = json.loads((SRC / "flagcalc" / "fixtures" / "eq26.json").read_text())["cases"][0]
+    assert pinned["op"] == "transform" and "twist" not in pinned
+    (tmp_path / "fixtures").mkdir()
+    fixture = write_fixture(tmp_path / "fixtures", {"cases": [{**pinned, **case}]})
+    fixture_code, _, fixture_err = run(capsys, "corpus", "--fixtures", fixture)
+    assert fixture_code == code
+    assert fixture_err == err.replace("error: ", "error: bad[0]: ", 1)
+    assert (code == 0) == (name == "trivial twist")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
