@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundles import BundleLabel, FilteredBundle, fiber_label, is_line, m_label, rank
+from .bundles import BundleLabel, FilteredBundle, fiber_label, is_line, rank
 from .geometry import Fibration, sigma_swap
 from .weights import bbw_reduce
 
@@ -112,8 +112,8 @@ def reduce_factor(b: BundleLabel, fib: Fibration):
     reduced = bbw_reduce(b.weight[lo:hi])
     if reduced is None:
         return None
-    q, dom = reduced
-    return q, m_label((b.weight[0], *dom))
+    q, dom = reduced  # sorted(w + rho) - rho is dominant: no label checks needed
+    return q, BundleLabel._trusted("M", (1, len(dom)), (b.weight[0], *dom))
 
 
 def direct_images(

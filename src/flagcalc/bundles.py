@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
+from operator import add
 
 from .notation import ParsedLabel, format_entries, parse_label
 from .weights import is_dominant
@@ -80,6 +81,13 @@ class BundleLabel:
                     f"entries must be nondecreasing within each block: {self.weight}"
                     f" with blocks {self.blocks}"
                 )
+
+    @classmethod
+    def _trusted(cls, space: str, blocks: tuple[int, ...], weight: tuple[int, ...]):
+        """A label built unchecked, where dominance holds by construction (test_api.py)."""
+        label = object.__new__(cls)
+        label.__dict__.update(space=space, blocks=blocks, weight=weight)
+        return label
 
     @property
     def n(self) -> int:
@@ -336,14 +344,16 @@ class FilteredBundle:
         return " ".join(bits)
 
     def twist_by(self, line: BundleLabel) -> "FilteredBundle":
-        """Tensor every factor by a line bundle (filtration unchanged)."""
-        return FilteredBundle(
-            self.space,
-            self.blocks,
-            tuple(tensor_line(f, line) for f in self.factors),
-            self.components,
-            self.levels,
-        )
+        """Tensor every factor by a line bundle (filtration unchanged).  A line
+        on this space is constant on each block, so the shifted factors stay
+        dominant and skip the label checks; any other argument goes through
+        ``tensor_line`` factor by factor, with its refusals."""
+        if is_line(line) and (line.space, line.blocks) == (self.space, self.blocks):
+            shifted = (tuple(map(add, f.weight, line.weight)) for f in self.factors)
+            factors = tuple(BundleLabel._trusted(self.space, self.blocks, w) for w in shifted)
+        else:
+            factors = tuple(tensor_line(f, line) for f in self.factors)
+        return FilteredBundle(self.space, self.blocks, factors, self.components, self.levels)
 
     @staticmethod
     def of_lines(labels, components, levels) -> "FilteredBundle":

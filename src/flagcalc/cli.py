@@ -141,7 +141,7 @@ def _parse_or_usage(text: str):
     try:
         parsed = parse_label(text)
     except ParseError as exc:
-        raise CliError(f"cannot parse {text!r}: {exc}", USAGE_ERROR)
+        raise CliError(str(exc), USAGE_ERROR)
     if len(parsed.weight) > MAX_N + 1:
         raise CliError(f"a label has at most {MAX_N + 1} entries (n <= {MAX_N}), "
                        f"got {len(parsed.weight)}", USAGE_ERROR)

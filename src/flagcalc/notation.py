@@ -31,6 +31,7 @@ _UNICODE_SUBS = {
 
 # str.isdigit would also take superscripts and non-ASCII decimal digits.
 _DIGITS = frozenset("0123456789")
+_SHOWN = 60  # a longer label is quoted in a parse error by its head and its length
 
 
 class ParseError(ValueError):
@@ -39,7 +40,9 @@ class ParseError(ValueError):
     def __init__(self, text: str, pos: int, message: str):
         self.text = text
         self.pos = pos
-        super().__init__(f"cannot parse {text!r} at position {pos}: {message}")
+        shown = repr(text) if len(text) <= _SHOWN else (
+            f"{text[:_SHOWN]!r}... ({len(text)} characters)")
+        super().__init__(f"cannot parse {shown} at position {pos}: {message}")
 
 
 @dataclass(frozen=True)

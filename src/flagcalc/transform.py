@@ -396,7 +396,9 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
     cotangent generators (a first-order invariant operator can exist);
     the arrow passes when at least one component is admissible, and
     every inadmissible component is reported.  The complex passes when
-    all arrows do and the alternating rank sum vanishes.
+    all arrows do and the alternating rank sum vanishes.  The Pieri tensor
+    of s reaches the dominant labels s + (+-1, -+e_i), so an M-label t (dominant
+    already) is admissible when t - s = (+-1, -+e_i) for exactly one i.
     """
     if not c.terms or any(not t for t in c.terms):
         raise ValueError("malformed complex: empty terms")
@@ -404,9 +406,14 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
     for i in range(len(c.terms) - 1):
         adm, bad = [], []
         for s in c.terms[i]:
-            targets = set(pieri_tensor(s))
+            if s.space != "M":
+                raise ValueError(f"the symbol check expects base-space labels, got {s!r}")
+            a, mu, blocks = s.weight[0], s.weight[1:], (1, len(s.weight) - 1)
             for t in c.terms[i + 1]:
-                (adm if t in targets else bad).append((s, t))
+                step = t.weight[0] - a
+                ok = (t.space == "M" and t.blocks == blocks and step in (1, -1)
+                      and [y - x for x, y in zip(mu, t.weight[1:]) if x != y] == [-step])
+                (adm if ok else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
     ranks = c.ranks()
     total = alternating_sum(ranks)

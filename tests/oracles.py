@@ -10,7 +10,10 @@ tables for n = 2, 3 are kept as the hand-written data they once were.
 Nothing here shares code with the package, except that the old naming of
 form types, an exhaustive cover search kept verbatim at the end, reads
 the package's form dictionary (itself checked against the character
-oracle above) and its FormType names.
+oracle above) and its FormType names, and the old symbol-check test,
+membership in the listed Pieri tensor, reads the package's
+``pieri_tensor`` (checked in test_bundles by its worked values and by
+rank conservation).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from flagcalc.bundles import BundleLabel
+from flagcalc.bundles import BundleLabel, pieri_tensor
 from flagcalc.transform import FormType, form_dictionary
 
 
@@ -84,6 +87,12 @@ def weyl_euler(weight: tuple[int, ...]) -> int:
         num *= weight[j] - weight[i] + j - i
         den *= j - i
     return num // den
+
+
+def pieri_admissible(source: BundleLabel, target: BundleLabel) -> bool:
+    """The symbol check's old test of one arrow component: the target is
+    one of the labels the source's Pieri tensor lists."""
+    return target in set(pieri_tensor(source))
 
 
 def torus_character(mu: tuple[int, ...]) -> Counter:

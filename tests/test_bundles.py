@@ -218,6 +218,39 @@ def test_twist_by_shifts_every_factor():
     assert out.components == lam.components and out.levels == lam.levels
 
 
+def test_twist_by_refuses_what_tensor_line_refuses():
+    from flagcalc.geometry import registry, relative_cotangent
+
+    lam3, lam4 = (relative_cotangent(registry(n)["mu"]) for n in (3, 4))
+    nonline = x_label((0, 0, 0, 1, 0))  # rank 2 on the GL(2) block of X at n = 4
+    refusals = [
+        (FilteredBundle.of_lines([nonline], [0], [0]), nonline,
+         "neither (0||0|0,1|0) nor (0||0|0,1|0) is a line bundle; use pieri_tensor"),
+        (lam4, nonline,  # the first factor is a line, the second is not
+         "neither (-1||0|0,1|0) nor (0||0|0,1|0) is a line bundle; use pieri_tensor"),
+        (lam3, z_label((1, 0, 0, 0)),
+         "cannot tensor labels on different spaces: <X (-1||0|0|1)> vs <Z (1|0,0|0)>"),
+        (lam3, m_label((1, 0, 0, 0)),
+         "cannot tensor labels on different spaces: <X (-1||0|0|1)> vs <M (1||0,0,0)>"),
+        (lam3, x_label((1, 0, 0)),
+         "cannot tensor labels on different spaces: <X (-1||0|0|1)> vs <X (1||0|0)>"),
+        (lam4, z_label((0, 0, 0, 0, 0)),
+         "cannot tensor labels on different spaces: <X (-1||0|0,0|1)> vs <Z (0|0,0,0|0)>"),
+    ]
+    for bundle, line, message in refusals:
+        with pytest.raises(ValueError) as err:
+            bundle.twist_by(line)
+        assert str(err.value) == message
+    # tensoring by any irreducible shifts a line factor, and a line shifts any factor
+    line = x_label((1, 1, 2, 2, 3))
+    shifted = FilteredBundle.of_lines([x_label((1, 1, 2, 3, 3))], [0], [0])
+    assert FilteredBundle.of_lines([nonline], [0], [0]).twist_by(line) == shifted
+    assert FilteredBundle.of_lines([line], [0], [0]).twist_by(nonline) == shifted
+    # nothing to tensor: the parent returned the empty bundle, whatever the line
+    empty = FilteredBundle("X", (1, 1, 1, 1))
+    assert empty.twist_by(z_label((1, 0, 0, 0))) == empty
+
+
 @pytest.mark.parametrize("p, count", [(0, 1), (1, 4), (2, 6), (3, 4), (4, 1)])
 def test_exterior_power_sizes(p, count):
     from flagcalc.geometry import registry, relative_cotangent

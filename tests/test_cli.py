@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -479,6 +480,29 @@ def test_label_entries_over_the_bound_are_usage_errors(capsys, tmp_path, where):
                                f" absolute value, got one of {digits} digits\n")
     code, out, err = call(str(MAX_ENTRY))  # the largest entry still works
     assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("where", sorted(BOUND_CALLS))
+def test_a_parse_error_names_the_label_once_and_briefly(capsys, tmp_path, where):
+    argv = BOUND_CALLS[where]("9" * 5000)
+    text = argv[-1] if isinstance(argv[-1], str) else argv[-1].get("label", argv[-1].get("twist"))
+    prefix = ""
+    if where == "config twist":
+        (tmp_path / "run.json").write_text(json.dumps(argv[-1]))
+        argv[-1] = str(tmp_path / "run.json")
+    elif where == "fixture label":
+        argv[-1] = write_fixture(tmp_path, {"cases": [{**argv[-1], "expect": {}}]})
+        prefix = "bad[0]: "
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    # the label's head and its length, once: a 5000-digit label made a line of 10,000+
+    assert len(err) < 200, err
+    assert re.fullmatch(rf"error: {re.escape(prefix)}cannot parse {re.escape(repr(text[:60]))}"
+                        rf"\.\.\. \({len(text)} characters\) at position \d+: "
+                        r"an integer of 5000 digits is too long\n", err), err
+    # a label under the width is quoted whole
+    assert run(capsys, "rank", "(1,2") == (
+        2, "", "error: cannot parse '(1,2' at position 0: unbalanced parentheses\n")
 
 
 PARITY_CASES = {

@@ -6,7 +6,17 @@ from collections import Counter
 import pytest
 
 from flagcalc.bbw import MODES
-from flagcalc.bundles import label_from_string, m_label, rank, trivial_label, x_label, z_label
+from flagcalc.bundles import (
+    BundleLabel,
+    fiber_label,
+    label_from_string,
+    m_label,
+    rank,
+    tensor_line,
+    trivial_label,
+    x_label,
+    z_label,
+)
 from flagcalc.geometry import MAX_N, pullback_line, registry
 from flagcalc.transform import (
     ComplexOnM,
@@ -25,7 +35,7 @@ from flagcalc.transform import (
     twisted_forms,
 )
 
-from oracles import FORM_TABLES, torus_character, wedge_pair_character, weyl_euler
+from oracles import FORM_TABLES, pieri_admissible, torus_character, wedge_pair_character, weyl_euler
 from oracles import annotate_form_types as cover_search_annotation
 
 
@@ -273,6 +283,32 @@ def test_column_euler_characteristic_matches_the_weyl_oracle(n):
     assert nonzero > columns // 2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_labels_built_unchecked_pass_full_validation(monkeypatch, n):
+    # the trusted constructor skips BundleLabel's checks; every label it
+    # builds on the twist boxes, through twist_by and reduce_factor, must
+    # be one the public constructor accepts and equals
+    made = []
+    trusted = BundleLabel._trusted
+    monkeypatch.setattr(BundleLabel, "_trusted",
+                        classmethod(lambda cls, *args: made.append(trusted(*args)) or made[-1]))
+    untwisted = twisted_forms(registry(n)["mu"], trivial_label("X", n))
+    for w in TWIST_BOXES[n]:
+        twist_x = pullback_line(z_label(w))
+        for p, bundle in untwisted:
+            expected = tuple(tensor_line(f, twist_x) for f in bundle.factors)
+            assert bundle.twist_by(twist_x).factors == expected, (w, p)
+        for mode in MODES:
+            e1_page(twist_x, n, mode)
+    assert len(made) > 10 * len(TWIST_BOXES[n])
+    assert {(label.space, label.blocks) for label in made} == {
+        ("X", (1,) * (n + 1)), ("M", (1, n))}
+    for label in made:
+        assert type(label) is BundleLabel
+        assert label == BundleLabel(label.space, label.blocks, label.weight), label
+        assert hash(label) == hash(BundleLabel(label.space, label.blocks, label.weight))
+
+
 def test_hyperplane_assembly_collapses_only_in_paper_mode():
     quiet = assemble_transform(z_label((1, 0, 0, 0)), 3, "paper")
     assert quiet.complex_ is not None
@@ -385,6 +421,93 @@ def test_symbol_check_failure_modes():
     assert not rep.passed
     assert all(a.ok for a in rep.arrows)
     assert rep.alternating_sum == -5
+
+
+def _arrow_partition(source_term, target_term):
+    adm, bad = [], []
+    for pair in ((s, t) for s in source_term for t in target_term):
+        (adm if pieri_admissible(*pair) else bad).append(pair)
+    return tuple(adm), tuple(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symbol_check_matches_the_pieri_membership_oracle_on_the_boxes(n):
+    # every arrow component of every collapsed complex of the benchmark
+    # boxes, in both modes, lands on the same side in the same order
+    complexes = pairs = admissible = 0
+    for w in TWIST_BOXES[n]:
+        for mode in MODES:
+            cx = assemble_transform(z_label(w), n, mode).complex_
+            if cx is None:
+                continue
+            complexes += 1
+            for i, arrow in enumerate(check_ellipticity(cx).arrows):
+                adm, bad = _arrow_partition(cx.terms[i], cx.terms[i + 1])
+                assert (arrow.admissible, arrow.inadmissible) == (adm, bad), (w, mode, i)
+                pairs += len(adm) + len(bad)
+                admissible += len(adm)
+    # n = 3 in paper mode alone: 365 complexes and 11,390 pairs
+    assert (complexes, pairs, admissible) == {2: (2212, 8232, 8232),
+                                              3: (590, 21804, 14628)}[n]
+
+
+def _random_m_weight(rng: random.Random, n: int) -> tuple[int, ...]:
+    return (rng.randint(-3, 3), *sorted(rng.randint(-2, 2) for _ in range(n)))
+
+
+def _targets(rng: random.Random, s: BundleLabel) -> list[BundleLabel]:
+    """Labels near s, on M and elsewhere, each tried as an arrow target."""
+    n, a, mu = s.n, s.weight[0], s.weight[1:]
+    weights = []
+    for i in range(n):  # every Pieri step, dominant or not
+        for da in (1, -1):
+            weights.append((a + da, *(x - da * (j == i) for j, x in enumerate(mu))))
+    for _ in range(6):  # nearby weights, some moved in two places or in a alone
+        weights.append(tuple(x + rng.choice((-1, 0, 0, 1)) for x in s.weight))
+    weights.append(_random_m_weight(rng, n))
+    out = []
+    for w in weights:
+        for make in (m_label, z_label, x_label, fiber_label,  # and M's blocks on Z, M on others
+                     lambda v: BundleLabel("Z", (1, len(v) - 1), v),
+                     lambda v: BundleLabel("M", (2, len(v) - 2), v)):
+            try:
+                out.append(make(w))
+            except ValueError:  # not dominant on that space
+                pass
+    for other in (n - 1, n + 1):  # the same steps over another n
+        if other >= 1:
+            out.append(m_label((a + 1, *sorted(rng.randint(-2, 2) for _ in range(other)))))
+            out.append(m_label((a - 1, *mu[:other], *(mu[-1:] * (other - n)))))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symbol_check_matches_the_pieri_membership_oracle_on_random_pairs(n):
+    rng = random.Random(9000 + n)
+    seen = Counter()
+    for _ in range(150):
+        w = _random_m_weight(rng, n)
+        sources = [m_label(w)]
+        if w[0] <= w[1]:  # the same weight on M with other (still valid) blocks
+            sources.append(BundleLabel("M", (2, n - 1), w))
+        for s in sources:
+            targets = tuple(_targets(rng, s))
+            arrow, = check_ellipticity(ComplexOnM(((s,), targets), 0, 0)).arrows
+            assert (arrow.admissible, arrow.inadmissible) == _arrow_partition((s,), targets), s
+            seen["admissible"] += len(arrow.admissible)
+            seen.update(t.space for _s, t in arrow.inadmissible)
+            seen["other n"] += sum(t.n != n for t in targets)
+    assert min(seen.values()) > 50, seen
+
+
+def test_symbol_check_refuses_a_source_off_the_base():
+    target = m_label((1, 0, 0, 0))
+    for source in (z_label((0, 0, 0, 0)), x_label((0, 0, 0, 0)), fiber_label((0, 0, 0, 0))):
+        with pytest.raises(ValueError, match="expects base-space labels"):
+            check_ellipticity(ComplexOnM(((source,), (target,)), 0, 0))
+    # a label off the base that is only ever a target is inadmissible, as before
+    rep = check_ellipticity(ComplexOnM(((m_label((0, 0, 0, 0)),), (z_label((1, 0, 0, -1)),)), 0, 0))
+    assert [a.ok for a in rep.arrows] == [False]
 
 
 def test_comparison_complex_from_form_types():
