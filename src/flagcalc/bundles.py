@@ -164,7 +164,7 @@ def label_from_string(text: str, space: str, parsed: ParsedLabel | None = None) 
     want_bar = space in _DOUBLE_BAR_SPACES
     if parsed.blocks != lab.blocks or (parsed.double_bar != want_bar and len(parsed.blocks) > 1):
         raise ValueError(
-            f"{text!r} has blocks {parsed.blocks}"
+            f"the label has blocks {parsed.blocks}"
             f"{' with ||' if parsed.double_bar else ''}, "
             f"but space {space} wants {lab.blocks}{' with ||' if want_bar else ''}"
         )

@@ -5,8 +5,8 @@ markdown``, the default) or deterministic JSON (``--format json``,
 sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
-usage errors — bad flags, unparsable labels, labels of more than
-MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, a
+usage errors — bad flags, labels that do not parse or fit their space, of
+more than MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, a
 wedge column out of range, n outside 2..MAX_N, a twist or a ``--line``
 for another n, ``--conormal`` on a Z-leg, an empty fixture directory, a
 malformed fixture file or case (named as ``file[index]``).
@@ -47,7 +47,7 @@ from .geometry import (
     registry,
     twist_frames,
 )
-from .notation import ParseError, format_weight, parse_label
+from .notation import ParseError, _quoted, format_weight, parse_label
 from .transform import (
     ColumnRangeError,
     ComplexOnM,
@@ -159,7 +159,7 @@ def _label(text: str, space: str | None = None) -> BundleLabel:
     try:
         return label_from_string(text, space, parsed)
     except ValueError as exc:
-        raise CliError(f"cannot read {text!r} as a bundle on {space}: {exc}", USAGE_ERROR)
+        raise CliError(f"cannot read {_quoted(text)} as a bundle on {space}: {exc}", USAGE_ERROR)
 
 
 def _sized(label: BundleLabel, n: int, role: str = "twist") -> BundleLabel:
@@ -421,7 +421,7 @@ def cmd_involutive(args) -> int:
 def cmd_adjoint(args) -> int:
     cfg = RunConfig.from_args(args)
     res = _transform(cfg, "no complex to dualize")
-    adj = formal_adjoint(res.complex_, cfg.n)
+    adj = formal_adjoint(res.complex_)
     if cfg.format == "json":
         print(_j({"adjoint": complex_to_json(adj)}))
     else:
@@ -490,7 +490,7 @@ def _run_case(case: dict) -> dict:
         if res.complex_ is None:
             return {"error": res.reason}
         if op == "adjoint":
-            return {"adjoint": complex_to_json(formal_adjoint(res.complex_, cfg.n))}
+            return {"adjoint": complex_to_json(formal_adjoint(res.complex_))}
         report = check_ellipticity(res.complex_)
         unreachable = []
         for a in report.arrows:
@@ -527,7 +527,9 @@ def _run_case(case: dict) -> dict:
             "passed": report.passed,
         }
     if op == "realization":
-        rep = emit_realization(n=cfg.n)
+        # no twist means the canonical one here, so "trivial" must name its label
+        twist = trivial_label("Z", cfg.n) if cfg.twist == "trivial" else _twist_label(cfg)
+        rep = emit_realization(twist, cfg.n)
         return {
             "degree": rep.degree,
             "source": str(rep.source),

@@ -21,6 +21,14 @@ A root (i, j) stands for e_i - e_j (the (i,j) matrix position); the
 isotropy root sets below were pinned by requiring the relative
 cotangent bundle of mu and the dimension count (2n-1, 2n, 4n-3) to
 come out right for n = 2, 3.
+
+Relative forms, the conormal part and pullbacks from M reach X as a
+multiplicity-free set of torus weights, whose constituents are found by
+their sums over X's blocks (its Levi roots keep them).  This is exact: a
+GL(k) irreducible holds every dominant weight below its highest one, so
+all irreducibles of one degree share the most balanced weight, and a
+block-sum class is one constituent exactly when it is that weight's Weyl
+orbit, as many weights as its rank; any other class is refused.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ __all__ = [
 
 Root = tuple[int, int]
 
-# Largest n the registry builds: grouping the relative forms into their
-# filtration grows steeply with n, and the wedge refuses for n >= 4 anyway.
+# Largest n the registry builds: torus branching and the relative forms grow
+# with n, and the wedge refuses for n >= 4 anyway.
 MAX_N = 16
 
 
@@ -210,109 +218,80 @@ def _root_weight(alpha: Root, n: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _neg(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in w)
-
-
-def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> FilteredBundle:
     """Group a multiplicity-free weight set into a filtered bundle on X.
 
-    Levi-reachability inside the isotropy groups weights into
-    irreducible constituents; nilradical roots then give the "who
-    extends whom" order: adding a nilradical root moves deeper into the
-    filtration.  Components are the weak connectivity classes and the
-    level is the longest nilradical path from a top quotient.
+    The constituents are the classes of equal sums over X's blocks, each
+    accepted only when its members are the permutations inside the blocks
+    of its one dominant member, as many as that label's rank: the
+    irreducibles with a single dominant weight, one per class (see the
+    module docstring).  A nilradical root (i, j) moves a unit of block sum
+    to the earlier block(i), one step deeper into the filtration; as each
+    class is a full Weyl orbit, two classes whose sums differ by such a
+    move are joined by it.  Components are the weak connectivity classes
+    and the level is the longest nilradical path from a top quotient.
     """
     if len(set(weights)) != len(weights):
         raise ValueError("filtration grouping needs a multiplicity-free weight set")
-    n = space.n
-    levi = [_root_weight(a, n) for a in space.levi_roots()]
-    levi += [_neg(r) for r in levi]
-    nil = [_root_weight(a, n) for a in space.nilradical_roots()]
-    pool = set(weights)
+    block_of = [b for b, size in enumerate(space.blocks) for _ in range(size)]
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for w in weights:
+        sums = [0] * len(space.blocks)
+        for b, x in zip(block_of, w):
+            sums[b] += x
+        classes.setdefault(tuple(sums), []).append(w)
 
-    def constituent_label(orbit: set) -> BundleLabel:
-        doms = []
-        for w in orbit:
-            try:
-                doms.append(BundleLabel(space.name, space.blocks, w))
-            except ValueError:
-                continue
-        if len(doms) != 1 or rank(doms[0]) != len(orbit):
+    labels = []
+    for members in classes.values():
+        # sorting (block, entry) pairs sorts each weight inside its blocks
+        tops = {tuple(x for _b, x in sorted(zip(block_of, w))) for w in members}
+        label = BundleLabel(space.name, space.blocks, min(tops))
+        if len(tops) > 1 or rank(label) != len(members):
             raise ValueError(
-                f"cannot resolve a Levi constituent from weights {sorted(orbit)}; "
+                f"cannot resolve a Levi constituent from weights {sorted(members)}; "
                 "unsupported flag type"
             )
-        return doms[0]
-
-    # constituents: orbits under adding +-Levi roots, each resolved to its
-    # label as soon as it is found, so an unsupported flag type fails fast
-    orbit_of: dict[tuple[int, ...], int] = {}
-    orbits: list[set] = []
-    labels: list[BundleLabel] = []
-    for w in weights:
-        if w in orbit_of:
-            continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            v = frontier.pop()
-            for r in levi:
-                u = _add(v, r)
-                if u in pool and u not in orbit:
-                    orbit.add(u)
-                    frontier.append(u)
-        labels.append(constituent_label(orbit))
-        for v in orbit:
-            orbit_of[v] = len(orbits)
-        orbits.append(orbit)
+        labels.append(label)
 
     # nilradical edges between constituents: a -> b means b is deeper
-    k = len(orbits)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    for a, orbit in enumerate(orbits):
-        for w in orbit:
-            for r in nil:
-                u = _add(w, r)
-                if u in pool and orbit_of[u] != a:
-                    succ[a].add(orbit_of[u])
+    index = {sums: a for a, sums in enumerate(classes)}
+    moves = {(block_of[i], block_of[j]) for i, j in space.nilradical_roots()}
+    succ: list[set[int]] = [set() for _ in labels]
+    pred: list[set[int]] = [set() for _ in labels]
+    for sums, a in index.items():
+        for p, q in moves:
+            moved = list(sums)
+            moved[p] += 1
+            moved[q] -= 1
+            if (b := index.get(tuple(moved))) is not None:
+                succ[a].add(b)
+                pred[b].add(a)
 
-    level = [0] * k
-    changed = True
-    while changed:  # longest-path relaxation; the graph is tiny and acyclic
-        changed = False
-        for a in range(k):
-            for b in succ[a]:
-                if level[b] < level[a] + 1:
-                    if level[a] + 1 > k:
-                        raise ValueError("cyclic extension order; not a filtration")
-                    level[b] = level[a] + 1
-                    changed = True
-
-    comp = list(range(k))  # union-find over weak connectivity
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for a in range(k):
+    # longest-path levels in one topological pass (the list grows as it is read)
+    waiting = [len(into) for into in pred]
+    order = [a for a, d in enumerate(waiting) if not d]
+    level = [0] * len(labels)
+    for a in order:
         for b in succ[a]:
-            comp[find(a)] = find(b)
+            level[b] = max(level[b], level[a] + 1)
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < len(labels):
+        raise ValueError("cyclic extension order; not a filtration")
 
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    # weak components in one walk over the edges taken both ways
+    groups, seen = [], set()
+    for start in range(len(labels)):
+        if start not in seen:
+            seen.add(start)
+            groups.append([start])
+            for a in groups[-1]:
+                for b in (succ[a] | pred[a]) - seen:
+                    seen.add(b)
+                    groups[-1].append(b)
     # order components by their top quotient's weight; members by level
-    ordered = sorted(
-        groups.values(),
-        key=lambda g: min(labels[i].weight for i in g if level[i] == min(level[j] for j in g)),
-    )
+    ordered = sorted(groups, key=lambda g: min(labels[i].weight for i in g if level[i] == 0))
     factors, components, levels = [], [], []
     for c, members in enumerate(ordered):
         for i in sorted(members, key=lambda i: (level[i], labels[i].weight)):
@@ -333,7 +312,7 @@ def relative_cotangent(f: Fibration) -> FilteredBundle:
     as in _assemble_filtered.
     """
     extra = f.base.isotropy - f.total.isotropy
-    weights = [_neg(_root_weight(a, f.total.n)) for a in sorted(extra)]
+    weights = [_root_weight((j, i), f.total.n) for i, j in sorted(extra)]  # -(e_i - e_j)
     return _assemble_filtered(weights, f.total)
 
 

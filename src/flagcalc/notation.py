@@ -31,18 +31,22 @@ _UNICODE_SUBS = {
 
 # str.isdigit would also take superscripts and non-ASCII decimal digits.
 _DIGITS = frozenset("0123456789")
-_SHOWN = 60  # a longer label is quoted in a parse error by its head and its length
+_SHOWN = 60  # a longer label is quoted in an error by its head and its length
+
+
+def _quoted(text: str) -> str:
+    """A label as an error message quotes it: whole, or by head and length."""
+    return repr(text) if len(text) <= _SHOWN else f"{text[:_SHOWN]!r}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):
-    """Raised on malformed label strings; carries a character position."""
+    """Raised on malformed label strings; carries a character position,
+    an index into the text as given."""
 
     def __init__(self, text: str, pos: int, message: str):
         self.text = text
         self.pos = pos
-        shown = repr(text) if len(text) <= _SHOWN else (
-            f"{text[:_SHOWN]!r}... ({len(text)} characters)")
-        super().__init__(f"cannot parse {shown} at position {pos}: {message}")
+        super().__init__(f"cannot parse {_quoted(text)} at position {pos}: {message}")
 
 
 @dataclass(frozen=True)
@@ -59,17 +63,18 @@ class ParsedLabel:
     double_bar: bool
 
 
-def _normalise(text: str) -> str:
-    for src, dst in _UNICODE_SUBS.items():
-        text = text.replace(src, dst)
-    return "".join(text.split())  # drop all whitespace
+def _normalise(text: str) -> tuple[str, list[int]]:
+    """The text with its aliases replaced and its whitespace dropped, and
+    the index in the text that each character left comes from."""
+    kept = [(_UNICODE_SUBS.get(ch, ch), i) for i, ch in enumerate(text) if not ch.isspace()]
+    return "".join(sub for sub, _i in kept), [i for sub, i in kept for _ in sub]
 
 
 def parse_label(text: str) -> ParsedLabel:
     """Parse a label/weight string into entries + block structure."""
-    s = _normalise(text)
+    s, origin = _normalise(text)
     if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
+        s, origin = s[1:-1], origin[1:-1]
     elif "(" in s or ")" in s:
         raise ParseError(text, 0, "unbalanced parentheses")
     if not s:
@@ -85,12 +90,12 @@ def parse_label(text: str) -> ParsedLabel:
         while j < m and s[j] in _DIGITS:
             j += 1
         if j == i or (j == i + 1 and s[i] not in _DIGITS):
-            raise ParseError(text, i, "expected an integer")
+            raise ParseError(text, origin[i], "expected an integer")
         try:
             entries.append(int(s[i:j]))
         except ValueError:  # more digits than Python converts to an int
             digits = j - i - (s[i] in "+-")
-            raise ParseError(text, i, f"an integer of {digits} digits is too long") from None
+            raise ParseError(text, origin[i], f"an integer of {digits} digits is too long") from None
         if j == m:
             break
         if s[j] == "|":
@@ -104,9 +109,9 @@ def parse_label(text: str) -> ParsedLabel:
             separators.append(",")
             i = j + 1
         else:
-            raise ParseError(text, j, f"unexpected character {s[j]!r}")
+            raise ParseError(text, origin[j], f"unexpected character {s[j]!r}")
         if i >= m:
-            raise ParseError(text, j, "trailing separator")
+            raise ParseError(text, origin[j], "trailing separator")
 
     double_bar = "||" in separators
     if double_bar and separators[0] != "||":

@@ -216,7 +216,7 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
         terms,
         q_row=q0,
         start_p=ps[0],
-        form_types=annotate_form_types(terms, n),
+        form_types=annotate_form_types(terms),
         claims=claims,
         claim_tags=claim_tags,
     )
@@ -334,17 +334,26 @@ def _naming(term, d: int, owner: dict, full, perp) -> tuple[FormType, ...] | Non
     return tuple(sorted(out))
 
 
+def _labels_n(terms) -> int:
+    """The n that every label of a complex lives over."""
+    ns = {b.n for term in terms for b in term}
+    if len(ns) != 1:
+        raise ValueError("form names need labels over one n, got "
+                         + (f"labels over n in {sorted(ns)}" if ns else "no label"))
+    return ns.pop()
+
+
 def annotate_form_types(
-    terms: tuple[tuple[BundleLabel, ...], ...], n: int
+    terms: tuple[tuple[BundleLabel, ...], ...]
 ) -> tuple[tuple[FormType, ...], ...] | None:
     """Assign (p,q)-form names to every term, or None when ambiguous.
 
     Terms must carry consecutive total degrees (the arrows are first
     order): exactly one start degree d0 may name every term i at degree
-    d0 + i.  Each term has at most one naming per degree (_naming).
+    d0 + i.  Each term has at most one naming per degree (_naming).  n is
+    read from the labels; terms with no label, or over several n, are refused.
     """
-    if not terms:
-        return None
+    n = _labels_n(terms)
     full, perp = form_dictionary(n)
     owner = {(p + q, lab): (p, q) for (p, q), labs in full.items() for lab in labs}
     chains = []
@@ -423,14 +432,16 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
 
 # ------------------------------------------------------- formal adjoint
 
-def formal_adjoint(c: ComplexOnM, n: int = 3) -> ComplexOnM:
+def formal_adjoint(c: ComplexOnM) -> ComplexOnM:
     """Reverse the complex and send each L(p,q) summand to L(n-p,n-q).
 
     Labels are regenerated from the dictionary, so applying the map
-    twice restores the original complex (in canonical order).  A
-    complex whose terms cannot be annotated is rejected.
+    twice restores the original complex (in canonical order).  n is read
+    from the labels; a complex with no label, or whose terms cannot be
+    annotated, is rejected.
     """
-    fts = c.form_types if c.form_types is not None else annotate_form_types(c.terms, n)
+    n = _labels_n(c.terms)
+    fts = c.form_types if c.form_types is not None else annotate_form_types(c.terms)
     if fts is None:
         raise ValueError(
             "formal adjoint needs (p,q)-form annotations; "

@@ -13,7 +13,11 @@ the package's form dictionary (itself checked against the character
 oracle above) and its FormType names, and the old symbol-check test,
 membership in the listed Pieri tensor, reads the package's
 ``pieri_tensor`` (checked in test_bundles by its worked values and by
-rank conservation).
+rank conservation).  The old grouping of relative forms into a filtered
+bundle, kept verbatim at the end, finds each Levi constituent by a
+breadth-first search over the +-Levi root vectors and levels by a
+fixed-point loop; it reads the package's labels, ``rank`` (checked
+against the pattern count above) and the space's isotropy roots.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from flagcalc.bundles import BundleLabel, pieri_tensor
+from flagcalc.bundles import BundleLabel, FilteredBundle, pieri_tensor, rank
+from flagcalc.geometry import FlagSpace, _root_weight
 from flagcalc.transform import FormType, form_dictionary
 
 
@@ -230,3 +235,119 @@ def annotate_form_types(
             return None
         chosen.append(next(iter(parts)))
     return tuple(chosen)
+
+
+# ------------------------------------- filtration grouping (old search)
+
+def _neg(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in w)
+
+
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> FilteredBundle:
+    """Group a multiplicity-free weight set into a filtered bundle on X.
+
+    Levi-reachability inside the isotropy groups weights into
+    irreducible constituents; nilradical roots then give the "who
+    extends whom" order: adding a nilradical root moves deeper into the
+    filtration.  Components are the weak connectivity classes and the
+    level is the longest nilradical path from a top quotient.
+    """
+    if len(set(weights)) != len(weights):
+        raise ValueError("filtration grouping needs a multiplicity-free weight set")
+    n = space.n
+    levi = [_root_weight(a, n) for a in space.levi_roots()]
+    levi += [_neg(r) for r in levi]
+    nil = [_root_weight(a, n) for a in space.nilradical_roots()]
+    pool = set(weights)
+
+    def constituent_label(orbit: set) -> BundleLabel:
+        doms = []
+        for w in orbit:
+            try:
+                doms.append(BundleLabel(space.name, space.blocks, w))
+            except ValueError:
+                continue
+        if len(doms) != 1 or rank(doms[0]) != len(orbit):
+            raise ValueError(
+                f"cannot resolve a Levi constituent from weights {sorted(orbit)}; "
+                "unsupported flag type"
+            )
+        return doms[0]
+
+    # constituents: orbits under adding +-Levi roots, each resolved to its
+    # label as soon as it is found, so an unsupported flag type fails fast
+    orbit_of: dict[tuple[int, ...], int] = {}
+    orbits: list[set] = []
+    labels: list[BundleLabel] = []
+    for w in weights:
+        if w in orbit_of:
+            continue
+        orbit = {w}
+        frontier = [w]
+        while frontier:
+            v = frontier.pop()
+            for r in levi:
+                u = _add(v, r)
+                if u in pool and u not in orbit:
+                    orbit.add(u)
+                    frontier.append(u)
+        labels.append(constituent_label(orbit))
+        for v in orbit:
+            orbit_of[v] = len(orbits)
+        orbits.append(orbit)
+
+    # nilradical edges between constituents: a -> b means b is deeper
+    k = len(orbits)
+    succ: list[set[int]] = [set() for _ in range(k)]
+    for a, orbit in enumerate(orbits):
+        for w in orbit:
+            for r in nil:
+                u = _add(w, r)
+                if u in pool and orbit_of[u] != a:
+                    succ[a].add(orbit_of[u])
+
+    level = [0] * k
+    changed = True
+    while changed:  # longest-path relaxation; the graph is tiny and acyclic
+        changed = False
+        for a in range(k):
+            for b in succ[a]:
+                if level[b] < level[a] + 1:
+                    if level[a] + 1 > k:
+                        raise ValueError("cyclic extension order; not a filtration")
+                    level[b] = level[a] + 1
+                    changed = True
+
+    comp = list(range(k))  # union-find over weak connectivity
+
+    def find(i):
+        while comp[i] != i:
+            comp[i] = comp[comp[i]]
+            i = comp[i]
+        return i
+
+    for a in range(k):
+        for b in succ[a]:
+            comp[find(a)] = find(b)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    # order components by their top quotient's weight; members by level
+    ordered = sorted(
+        groups.values(),
+        key=lambda g: min(labels[i].weight for i in g if level[i] == min(level[j] for j in g)),
+    )
+    factors, components, levels = [], [], []
+    for c, members in enumerate(ordered):
+        for i in sorted(members, key=lambda i: (level[i], labels[i].weight)):
+            factors.append(labels[i])
+            components.append(c)
+            levels.append(level[i])
+    return FilteredBundle(
+        space.name, space.blocks, tuple(factors), tuple(components), tuple(levels)
+    )

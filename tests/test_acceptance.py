@@ -197,7 +197,7 @@ def test_formal_adjoint_reverses_form_types():
         ["L(1,2)", "L(2,1)"],
         ["L(2,2)_perp"],
     ]
-    adj = formal_adjoint(c, 3)
+    adj = formal_adjoint(c)
     assert [strings(t) for t in adj.terms] == [
         ["(0||-1,0,1)"],
         ["(-1||-1,1,1)", "(-1||0,0,1)", "(1||-1,-1,1)", "(1||-1,0,0)"],
@@ -213,7 +213,7 @@ def test_formal_adjoint_reverses_form_types():
         ["L(3,3)"],
     ]
     assert adj.ranks() == (8, 18, 15, 6, 1)
-    assert formal_adjoint(adj, 3).terms == c.terms
+    assert formal_adjoint(adj).terms == c.terms
 
 
 # 8 ─ symbol-level checks on both assembled complexes

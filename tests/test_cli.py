@@ -361,6 +361,21 @@ def test_an_unnamed_form_type_in_a_fixture_is_refused(capsys, tmp_path):
     assert err.startswith("error: bad[0]: no form type L(9,9) for n=3")
 
 
+def test_a_realization_case_honours_its_twist(capsys, tmp_path):
+    [eq41] = json.loads((SRC / "flagcalc" / "fixtures" / "eq41.json").read_text())["cases"]
+    canonical = {**eq41, "twist": "(3|0,0|-3)"}
+    code, out, _ = run(capsys, "corpus", "--fixtures",
+                       write_fixture(tmp_path, {"cases": [canonical]}))
+    assert (code, out.splitlines()[-1]) == (0, "1 passed, 0 failed")
+    # another twist used to come back with the canonical twist's presentation
+    for twist, shown in (("(1|0,0|0)", "(1|0,0|0)"), ("trivial", "(0|0,0|0)")):
+        code, out, err = run(capsys, "corpus", "--fixtures",
+                             write_fixture(tmp_path, {"cases": [{**eq41, "twist": twist}]}))
+        assert (code, out) == (1, "")
+        assert err == ("error: bad[0]: realization is pinned to the canonical twist for n=3, "
+                       f"got {shown}\n")
+
+
 def test_every_failure_exit_writes_an_error_line(capsys, tmp_path):
     code, _, err = run(capsys, "transform", "--twist", "(1|0,0|0)", "--mode", "conservative")
     assert code == 1 and err.startswith("error: no complex: ")
@@ -503,6 +518,17 @@ def test_a_parse_error_names_the_label_once_and_briefly(capsys, tmp_path, where)
     # a label under the width is quoted whole
     assert run(capsys, "rank", "(1,2") == (
         2, "", "error: cannot parse '(1,2' at position 0: unbalanced parentheses\n")
+
+
+def test_a_label_that_does_not_fit_its_space_is_quoted_once_and_briefly(capsys):
+    # whitespace passes every bound on a label: this line used to run to 10,118 characters
+    text = "(0||0,0," + " " * 5000 + "0)"
+    code, out, err = run(capsys, "rank", text, "--space", "Z")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {text[:60]!r}... ({len(text)} characters) as a bundle on "
+                   "Z: the label has blocks (1, 3) with ||, but space Z wants (1, 2, 1)\n")
+    assert run(capsys, "rank", "(0||0,x)") == (
+        2, "", "error: cannot parse '(0||0,x)' at position 6: expected an integer\n")
 
 
 PARITY_CASES = {

@@ -1,12 +1,14 @@
 """Spaces, fibrations, relative forms, pullbacks."""
 
 import ast
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
 
-from flagcalc.bundles import label_from_string, m_label, rank, x_label, z_label
+from flagcalc import geometry
+from flagcalc.bundles import label_from_string, m_label, rank, x_blocks, x_label, z_label
 from flagcalc.geometry import (
     MAX_N,
     conormal,
@@ -19,6 +21,7 @@ from flagcalc.geometry import (
     sigma_swap,
     twist_frames,
 )
+from oracles import assemble_filtered as search_grouping
 
 
 def test_dimension_summary():
@@ -180,3 +183,114 @@ def test_large_n_flag_fibers_are_refused():
     lam = relative_cotangent(reg["mu"])
     with pytest.raises(ValueError):
         exterior_power(lam, 2)
+
+
+# ------------------------------- block-sum grouping against the old search
+
+def _grouping(assemble, weights, space):
+    """A grouping's bundle, or the text of its refusal."""
+    try:
+        return assemble(weights, space)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_block_sum_grouping_matches_the_search_on_every_reachable_input(monkeypatch):
+    # record every weight set the public functions group: all legs and the
+    # conormal part for every n, seeded pullbacks for n <= 8 (most of them
+    # refused: not multiplicity-free, too wide, or unsupported), and the
+    # n = 16 Sym^3 pullback refused at a Sym^2 class of the GL(14) block
+    grouped = []
+    real = geometry._assemble_filtered
+
+    def recording(weights, space):
+        grouped.append((list(weights), space))
+        return real(weights, space)
+
+    monkeypatch.setattr(geometry, "_assemble_filtered", recording)
+    for n in range(2, MAX_N + 1):
+        reg = registry(n)
+        for leg in ("mu", "nu", "eta"):
+            relative_cotangent(reg[leg])
+        conormal(reg["nu"])
+    rng = random.Random(4100)
+    labels = [m_label((0,) * 16 + (3,))]
+    for n in range(2, 9):
+        for _ in range(60):
+            k, j = rng.randint(0, 4), rng.randint(0, n)
+            shape = rng.choice([(0,) * (n - 1) + (k,), (-k,) + (0,) * (n - 1),
+                                (0,) * (n - j) + (1,) * j,
+                                tuple(sorted(rng.randint(-2, 2) for _ in range(n)))])
+            shift = rng.randint(-2, 2)
+            labels.append(m_label((rng.randint(-2, 2), *(x + shift for x in shape))))
+    for label in labels:
+        try:
+            pullback_factors(label)
+        except ValueError:
+            pass
+    monkeypatch.undo()
+    refused = 0
+    for weights, space in grouped:
+        ours = _grouping(real, weights, space)
+        assert ours == _grouping(search_grouping, weights, space), (space.n, weights)
+        refused += isinstance(ours, str)
+    assert len(grouped) > 400 and refused > 50
+
+
+def _random_weight_set(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """A shuffled union of a few Weyl orbits on X's blocks: some of a
+    balanced (minuscule) weight, some of a random one, now and then with
+    a weight dropped or a stray weight added."""
+    out = set()
+    for _ in range(rng.randint(1, 4)):
+        balanced = rng.random() < 0.6
+        orbits = []
+        for size in x_blocks(n):
+            q, r = divmod(rng.randint(-2, 3), size)
+            top = ([q] * (size - r) + [q + 1] * r if balanced
+                   else sorted(rng.randint(-1, 2) for _ in range(size)))
+            orbits.append(set(permutations(top)))
+        ws = {sum(parts, ()) for parts in product(*orbits)}
+        if len(ws) > 1 and rng.random() < 0.2:
+            ws.remove(rng.choice(sorted(ws)))
+        if rng.random() < 0.1:
+            ws.add(tuple(rng.randint(-2, 2) for _ in range(n + 1)))
+        out |= ws
+    weights = sorted(out)
+    rng.shuffle(weights)
+    return weights
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_block_sum_grouping_matches_the_search_on_random_sets(n):
+    space = registry(n)["X"]
+    rng = random.Random(4200 + n)
+    outcomes = set()
+    for _ in range(400):
+        weights = _random_weight_set(rng, n)
+        ours = _grouping(geometry._assemble_filtered, weights, space)
+        theirs = _grouping(search_grouping, weights, space)
+        # the same sets accepted, with the same bundles; a refusal may name
+        # another class than the search's first bad orbit
+        if isinstance(theirs, str):
+            assert isinstance(ours, str), (weights, ours)
+        else:
+            assert ours == theirs, weights
+        outcomes.add(isinstance(theirs, str))
+    assert outcomes == {True, False} or n == 3  # every X block has size 1 for n <= 3
+
+
+@pytest.mark.parametrize("weights", [
+    # one class by its block sums, but not one irreducible: grouping alone
+    # would read it as (0||0|0,1|0)
+    [(0, 0, 0, 1, 0), (0, 0, 2, -1, 0)],
+    # a Weyl orbit short of its rank (2)
+    [(0, 0, 0, 1, 0)],
+    # Sym^2 of the GL(2) block: as many weights as its rank, but two dominant
+    [(0, 0, 0, 2, 0), (0, 0, 1, 1, 0), (0, 0, 2, 0, 0)],
+])
+def test_a_block_sum_class_that_is_not_one_irreducible_is_refused(weights):
+    space = registry(4)["X"]
+    for assemble in (geometry._assemble_filtered, search_grouping):
+        with pytest.raises(ValueError, match="cannot resolve a Levi constituent"):
+            assemble(weights, space)

@@ -57,6 +57,23 @@ def test_malformed_labels_raise(bad):
         parse_label(bad)
 
 
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("(0||0,x)", "x"),
+        (" ( −1 ‖ 0 ,\t; )", ";"),   # whitespace, the outer parenthesis and aliases count
+        ("0∥0,x", "x"),              # no outer parentheses
+        ("(1‖0|)", "|"),             # a trailing separator
+        ("(0,  99999" + "9" * 5000 + ")", "9"),
+    ],
+)
+def test_a_parse_error_points_into_the_label_as_given(text, bad):
+    with pytest.raises(ParseError) as err:
+        parse_label(text)
+    assert err.value.pos == text.index(bad)
+    assert f" at position {text.index(bad)}: " in str(err.value)
+
+
 def test_format_is_ascii_inverse():
     for text in ["(1||-1,0,0)", "(0||3|0|-3)", "(3|0,0|-3)", "(-2,0,1)"]:
         p = parse_label(text)

@@ -100,14 +100,14 @@ def test_form_naming_and_adjoint_work_at_n4():
     )
     c = complex_from_form_types(types, 4)
     assert c.ranks() == (1, 8, 28, 44)
-    adj = formal_adjoint(c, 4)
+    adj = formal_adjoint(c)
     assert [[str(t) for t in term] for term in adj.form_types] == [
         ["L(2,3)", "L(3,2)_perp"],
         ["L(2,4)", "L(3,3)_kappa", "L(3,3)_perp", "L(4,2)"],
         ["L(3,4)", "L(4,3)"],
         ["L(4,4)"],
     ]
-    again = formal_adjoint(adj, 4)
+    again = formal_adjoint(adj)
     assert again.terms == c.terms
     assert again.form_types == c.form_types
 
@@ -150,7 +150,7 @@ def test_form_type_occurrences(label, expected):
 
 def test_annotation_of_the_untwisted_complex():
     c = assemble_transform(None, 3, "paper").complex_
-    ann = annotate_form_types(c.terms, 3)
+    ann = annotate_form_types(c.terms)
     assert [[str(t) for t in term] for term in ann] == [
         ["L(0,0)"],
         ["L(0,1)", "L(1,0)"],
@@ -164,13 +164,13 @@ def test_annotation_of_the_untwisted_complex():
 def test_annotation_refuses_ambiguity_and_gaps():
     trivial = m_label((0, 0, 0, 0))
     # a lone trivial factor could be L(0,0) or L(3,3): no unique chain
-    assert annotate_form_types(((trivial,),), 3) is None
+    assert annotate_form_types(((trivial,),)) is None
     # degree must step by one between consecutive terms
     gapped = ((trivial,), (m_label((-2, 0, 1, 1)),))
-    assert annotate_form_types(gapped, 3) is None
+    assert annotate_form_types(gapped) is None
     # a label outside the dictionary poisons its term
     alien = ((m_label((2, 0, 0, 0)),),)
-    assert annotate_form_types(alien, 3) is None
+    assert annotate_form_types(alien) is None
 
 
 def _hand_built_chain(rng: random.Random, n: int) -> tuple[tuple, ...]:
@@ -203,8 +203,12 @@ def test_annotation_matches_the_cover_search_oracle(n):
     named = 0
     for _ in range(600):
         chain = _hand_built_chain(rng, n)
+        if not any(chain):  # every label dropped: no n to read
+            with pytest.raises(ValueError, match="got no label"):
+                annotate_form_types(chain)
+            continue
         expected = cover_search_annotation(chain, n)
-        assert annotate_form_types(chain, n) == expected, chain
+        assert annotate_form_types(chain) == expected, chain
         named += expected is not None
     assert 0 < named < 600  # both outcomes are exercised
 
@@ -216,7 +220,7 @@ def test_two_copies_of_every_degree_n_bundle_are_named_at_the_largest_n():
     full, _perp = form_dictionary(n)
     degree_n = [(p, n - p) for p in range(n + 1)]
     term = tuple(lab for pq in degree_n for lab in full[pq] * 2)
-    [names] = annotate_form_types((term,), n)
+    [names] = annotate_form_types((term,))
     assert Counter(names) == {FormType(p, q): 2 for p, q in degree_n}
 
 
@@ -373,7 +377,7 @@ def test_involutive_cohomology_refuses_other_twists():
 
 def test_formal_adjoint_reverses_and_reflects():
     c = assemble_transform(None, 3, "paper").complex_
-    adj = formal_adjoint(c, 3)
+    adj = formal_adjoint(c)
     assert adj.ranks() == tuple(reversed(c.ranks()))
     assert [[str(t) for t in term] for term in adj.form_types] == [
         ["L(1,1)_perp"],
@@ -382,7 +386,7 @@ def test_formal_adjoint_reverses_and_reflects():
         ["L(2,3)", "L(3,2)"],
         ["L(3,3)"],
     ]
-    again = formal_adjoint(adj, 3)
+    again = formal_adjoint(adj)
     assert again.terms == c.terms
     assert again.form_types == c.form_types
 
@@ -390,7 +394,20 @@ def test_formal_adjoint_reverses_and_reflects():
 def test_formal_adjoint_needs_annotations():
     hyp = assemble_transform(z_label((1, 0, 0, 0)), 3, "paper").complex_
     with pytest.raises(ValueError):
-        formal_adjoint(hyp, 3)
+        formal_adjoint(hyp)
+
+
+def test_the_adjoint_and_the_form_names_read_n_from_the_labels():
+    c = assemble_transform(None, 3, "paper").complex_
+    assert {b.n for term in formal_adjoint(c).terms for b in term} == {3}
+    for labelless in ((), ((),)):
+        with pytest.raises(ValueError, match="got no label"):
+            annotate_form_types(labelless)
+        with pytest.raises(ValueError, match="got no label"):
+            formal_adjoint(ComplexOnM(labelless))
+    mixed = ((m_label((0, 0, 0)),), (m_label((0, 0, 0, 0)),))
+    with pytest.raises(ValueError, match=r"labels over n in \[2, 3\]"):
+        annotate_form_types(mixed)
 
 
 def test_symbol_check_flags_the_unreachable_target():
