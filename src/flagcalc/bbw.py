@@ -113,7 +113,7 @@ def reduce_factor(b: BundleLabel, fib: Fibration):
     if reduced is None:
         return None
     q, dom = reduced  # sorted(w + rho) - rho is dominant: no label checks needed
-    return q, BundleLabel._trusted("M", (1, len(dom)), (b.weight[0], *dom))
+    return q, BundleLabel._trusted("M", (b.weight[0], *dom))
 
 
 def direct_images(

@@ -2,7 +2,8 @@
 
 An irreducible bundle is recorded by its *label*: a tuple of integers
 split into blocks by the flag type, nondecreasing inside each block
-(our dominance convention; see weights.py).  The spaces in play:
+(our dominance convention; see weights.py).  The spaces in play, whose
+blocks over GL(n+1) only ``block_shape(space, n)`` knows:
 
 ==========  ===========  =====================================
 space tag   blocks       printed shape (n = 3)
@@ -10,7 +11,7 @@ space tag   blocks       printed shape (n = 3)
 ``"M"``     (1, n)       (a||b,c,d)
 ``"X"``     (1,1,...,1)  (a||b|c|d)      full flag when n <= 3
 ``"Z"``     (1, n-1, 1)  (a|b,c|d)
-``"fiber"`` (k,)         (b,c,d)         plain GL(k) weight
+``"fiber"`` (n+1,)       (b,c,d)         plain GL(n+1) weight
 ==========  ===========  =====================================
 
 The ``||`` after the first entry marks the distinguished line of the
@@ -28,7 +29,7 @@ everything else is a genuine ``(+)`` direct sum.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
@@ -40,8 +41,8 @@ from .weights import is_dominant
 __all__ = [
     "BundleLabel",
     "FilteredBundle",
+    "block_shape",
     "m_label",
-    "x_blocks",
     "x_label",
     "z_label",
     "fiber_label",
@@ -59,33 +60,49 @@ __all__ = [
 
 # Spaces whose printed form puts '||' after the first entry.
 _DOUBLE_BAR_SPACES = frozenset({"M", "X"})
-_SPACES = frozenset({"M", "X", "Z", "fiber"})
+
+
+def block_shape(space: str, n: int) -> tuple[int, ...]:
+    """Block sizes of labels on a space over GL(n+1).  X is the full flag
+    for n <= 3; for larger n a block of size n-2 sits in the middle of its
+    last three blocks."""
+    if space == "X":
+        return (1,) * (n + 1) if n <= 3 else (1, 1, n - 2, 1)
+    if space == "M":
+        return (1, n)
+    if space == "Z":
+        return (1, n - 1, 1)
+    if space == "fiber":
+        return (n + 1,)
+    raise ValueError(f"unknown space tag {space!r}")
 
 
 @dataclass(frozen=True, order=True)
 class BundleLabel:
-    """An irreducible homogeneous bundle, named by its blocked weight."""
+    """An irreducible homogeneous bundle, named by its space and weight;
+    ``blocks`` is derived, and labels order by (space, blocks, weight)."""
 
     space: str
-    blocks: tuple[int, ...]
+    blocks: tuple[int, ...] = field(init=False)
     weight: tuple[int, ...]
 
     def __post_init__(self):
-        if self.space not in _SPACES:
-            raise ValueError(f"unknown space tag {self.space!r}")
-        if sum(self.blocks) != len(self.weight) or any(s < 1 for s in self.blocks):
-            raise ValueError(f"blocks {self.blocks} do not fit weight {self.weight}")
-        for lo, hi in _block_spans(self.blocks):
+        blocks = block_shape(self.space, len(self.weight) - 1)
+        if min(blocks, default=0) < 1:
+            raise ValueError(f"blocks {blocks} do not fit weight {self.weight}")
+        object.__setattr__(self, "blocks", blocks)
+        for lo, hi in _block_spans(blocks):
             if not is_dominant(self.weight[lo:hi]):
                 raise ValueError(
                     f"entries must be nondecreasing within each block: {self.weight}"
-                    f" with blocks {self.blocks}"
+                    f" with blocks {blocks}"
                 )
 
     @classmethod
-    def _trusted(cls, space: str, blocks: tuple[int, ...], weight: tuple[int, ...]):
+    def _trusted(cls, space: str, weight: tuple[int, ...]):
         """A label built unchecked, where dominance holds by construction (test_api.py)."""
         label = object.__new__(cls)
+        blocks = block_shape(space, len(weight) - 1)
         label.__dict__.update(space=space, blocks=blocks, weight=weight)
         return label
 
@@ -108,37 +125,24 @@ def _block_spans(blocks: tuple[int, ...]):
         start += size
 
 
-def x_blocks(n: int) -> tuple[int, ...]:
-    """Block shape of X-labels: the full flag for n <= 3; for larger n a
-    block of size n-2 sits in the middle of the last three blocks."""
-    return (1,) * (n + 1) if n <= 3 else (1, 1, n - 2, 1)
-
-
 def m_label(weight) -> BundleLabel:
-    w = tuple(weight)
-    return BundleLabel("M", (1, len(w) - 1), w)
+    return BundleLabel("M", tuple(weight))
 
 
 def x_label(weight) -> BundleLabel:
-    w = tuple(weight)
-    return BundleLabel("X", x_blocks(len(w) - 1), w)
+    return BundleLabel("X", tuple(weight))
 
 
 def z_label(weight) -> BundleLabel:
-    w = tuple(weight)
-    return BundleLabel("Z", (1, len(w) - 2, 1), w)
+    return BundleLabel("Z", tuple(weight))
 
 
 def fiber_label(weight) -> BundleLabel:
-    w = tuple(weight)
-    return BundleLabel("fiber", (len(w),), w)
+    return BundleLabel("fiber", tuple(weight))
 
 
 def trivial_label(space: str, n: int) -> BundleLabel:
-    return _CONSTRUCTORS[space]((0,) * (n + 1))
-
-
-_CONSTRUCTORS = {"M": m_label, "X": x_label, "Z": z_label, "fiber": fiber_label}
+    return BundleLabel(space, (0,) * (n + 1))
 
 
 def label_space(parsed: ParsedLabel) -> str:
@@ -160,7 +164,7 @@ def label_from_string(text: str, space: str, parsed: ParsedLabel | None = None) 
     """
     if parsed is None:
         parsed = parse_label(text)
-    lab = _CONSTRUCTORS[space](parsed.weight)
+    lab = BundleLabel(space, parsed.weight)
     want_bar = space in _DOUBLE_BAR_SPACES
     if parsed.blocks != lab.blocks or (parsed.double_bar != want_bar and len(parsed.blocks) > 1):
         raise ValueError(
@@ -212,7 +216,7 @@ def dual(b: BundleLabel) -> BundleLabel:
     w = list(b.weight)
     for lo, hi in _block_spans(b.blocks):
         w[lo:hi] = [-x for x in reversed(w[lo:hi])]
-    return BundleLabel(b.space, b.blocks, tuple(w))
+    return BundleLabel(b.space, tuple(w))
 
 
 def tensor_line(a: BundleLabel, b: BundleLabel) -> BundleLabel:
@@ -221,11 +225,11 @@ def tensor_line(a: BundleLabel, b: BundleLabel) -> BundleLabel:
     This is the only tensor that stays irreducible for free: the line
     bundle just shifts the weight entrywise.
     """
-    if a.space != b.space or a.blocks != b.blocks:
+    if a.space != b.space or a.n != b.n:
         raise ValueError(f"cannot tensor labels on different spaces: {a!r} vs {b!r}")
     if not (is_line(a) or is_line(b)):
         raise ValueError(f"neither {a} nor {b} is a line bundle; use pieri_tensor")
-    return BundleLabel(a.space, a.blocks, tuple(x + y for x, y in zip(a.weight, b.weight)))
+    return BundleLabel(a.space, tuple(x + y for x, y in zip(a.weight, b.weight)))
 
 
 # ------------------------------------------------------- Pieri tensor
@@ -305,17 +309,20 @@ class FilteredBundle:
     """
 
     space: str
-    blocks: tuple[int, ...]
+    n: int
     factors: tuple[BundleLabel, ...] = ()
     components: tuple[int, ...] = ()
     levels: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise TypeError(f"a filtered bundle is named by its space and n, got n={self.n!r}")
         if not len(self.factors) == len(self.components) == len(self.levels):
             raise ValueError("factors, components and levels differ in length")
+        shape = block_shape(self.space, self.n)  # refuses an unknown space too
         for f in self.factors:
-            if (f.space, f.blocks) != (self.space, self.blocks):
-                raise ValueError(f"factor {f!r} does not live on {self.space}{self.blocks}")
+            if (f.space, f.blocks) != (self.space, shape):
+                raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
         if self.components and list(self.components) != sorted(self.components):
             raise ValueError("components must be listed contiguously")
 
@@ -348,26 +355,27 @@ class FilteredBundle:
         on this space is constant on each block, so the shifted factors stay
         dominant and skip the label checks; any other argument goes through
         ``tensor_line`` factor by factor, with its refusals."""
-        if is_line(line) and (line.space, line.blocks) == (self.space, self.blocks):
+        if is_line(line) and (line.space, line.n) == (self.space, self.n):
             shifted = (tuple(map(add, f.weight, line.weight)) for f in self.factors)
-            factors = tuple(BundleLabel._trusted(self.space, self.blocks, w) for w in shifted)
+            factors = tuple(BundleLabel._trusted(self.space, w) for w in shifted)
         else:
             factors = tuple(tensor_line(f, line) for f in self.factors)
-        return FilteredBundle(self.space, self.blocks, factors, self.components, self.levels)
+        return FilteredBundle(self.space, self.n, factors, self.components, self.levels)
 
     @staticmethod
     def of_lines(labels, components, levels) -> "FilteredBundle":
         labels = tuple(labels)
         if not labels:
-            raise ValueError("use an explicit space/blocks for the empty bundle")
+            raise ValueError("use an explicit space and n for the empty bundle")
         return FilteredBundle(
-            labels[0].space, labels[0].blocks, labels, tuple(components), tuple(levels)
+            labels[0].space, labels[0].n, labels, tuple(components), tuple(levels)
         )
 
 
 @lru_cache
 def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
-    """Associated graded of the p-th wedge of a filtered sum of lines.
+    """Associated graded of the p-th wedge of a filtered sum of lines (any
+    filtered bundle for p <= 1: the trivial line, or the bundle itself).
 
     Each p-subset of factors contributes the line with the summed
     weight.  Subsets are grouped into output components by their
@@ -383,7 +391,7 @@ def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
     """
     if p < 0:
         raise ValueError("negative exterior power")
-    if any(not is_line(x) for x in f.factors):
+    if p >= 2 and any(not is_line(x) for x in f.factors):
         raise ValueError(
             "exterior_power needs line-bundle factors; "
             "non-full-flag totals (n >= 4) are not supported"
@@ -393,7 +401,7 @@ def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
     for subset in combinations(range(len(f.factors)), p):
         weight = tuple(
             sum(f.factors[i].weight[k] for i in subset)
-            for k in range(sum(f.blocks))
+            for k in range(f.n + 1)
         )
         multidegree = tuple(
             -sum(1 for i in subset if f.components[i] == c) for c in range(ncomp)
@@ -408,7 +416,7 @@ def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
     for multidegree, level, _subset, weight in entries:
         c = comp_of.setdefault(multidegree, len(comp_of))
         base_level.setdefault(c, level)
-        factors.append(BundleLabel(f.space, f.blocks, weight))
+        factors.append(BundleLabel(f.space, weight))
         components.append(c)
         levels.append(level - base_level[c])
-    return FilteredBundle(f.space, f.blocks, tuple(factors), tuple(components), tuple(levels))
+    return FilteredBundle(f.space, f.n, tuple(factors), tuple(components), tuple(levels))

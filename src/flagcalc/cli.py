@@ -351,7 +351,7 @@ def cmd_relative_forms(args) -> int:
 
 def _e1(cfg: RunConfig, p: int | None) -> DirectImageTable:
     """Column p of the first page (every column when p is None)."""
-    return e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.n, cfg.mode, p)
+    return e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.mode, p)
 
 
 def cmd_direct_images(args) -> int:
@@ -402,7 +402,7 @@ def _involutive(cfg: RunConfig) -> CohomologyResult:
         twist = trivial_label("Z", cfg.n)
     if twist.space != "Z":
         raise CliError("involutive cohomology expects a twist on Z", USAGE_ERROR)
-    return involutive_cohomology(twist, cfg.n)
+    return involutive_cohomology(twist)
 
 
 def cmd_involutive(args) -> int:

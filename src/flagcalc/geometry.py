@@ -3,24 +3,24 @@
 Everything lives inside GL(n+1,C) acting on C^{n+1} with coordinates
 0..n.  Three homogeneous spaces matter:
 
-* ``M``  — blocks (1, n): projective n-space, carrying the real
-  structure on which the assembled complexes live.  Its quoted
-  dimension is the *real* one, 2n.
-* ``Z``  — blocks (1, n-1, 1): the twistor space of pairs
-  (line, hyperplane containing it), complex dimension 2n-1.  Its
-  standard parabolic is conjugated by the transposition sigma = (0 1)
-  of the first two coordinates; weight labels on Z are written so that
-  Bott-Borel-Weil applies to the entries as printed.
+* ``M``  — projective n-space, carrying the real structure on which
+  the assembled complexes live.  Its quoted dimension is the *real*
+  one, 2n.
+* ``Z``  — the twistor space of pairs (line, hyperplane containing
+  it), complex dimension 2n-1.  Its standard parabolic is conjugated
+  by the transposition sigma = (0 1) of the first two coordinates;
+  weight labels on Z are written so that Bott-Borel-Weil applies to
+  the entries as printed.
 * ``X``  — the correspondence space of triples (line, hyperplane,
   second line in the hyperplane), an open orbit with isotropy roots
   forming a chain parabolic pattern on coordinates 1..n only; complex
   dimension 4n-3.  X-labels are written in the sigma-twisted frame, so
   pulling back a line bundle from Z just swaps the first two entries.
 
-A root (i, j) stands for e_i - e_j (the (i,j) matrix position); the
-isotropy root sets below were pinned by requiring the relative
-cotangent bundle of mu and the dimension count (2n-1, 2n, 4n-3) to
-come out right for n = 2, 3.
+A root (i, j) stands for e_i - e_j (the (i,j) matrix position); each
+isotropy is the chain parabolic of the space's ``bundles.block_shape``,
+pinned by requiring the relative cotangent bundle of mu and the
+dimension count (2n-1, 2n, 4n-3) to come out right for n = 2, 3.
 
 Relative forms, the conormal part and pullbacks from M reach X as a
 multiplicity-free set of torus weights, whose constituents are found by
@@ -28,7 +28,8 @@ their sums over X's blocks (its Levi roots keep them).  This is exact: a
 GL(k) irreducible holds every dominant weight below its highest one, so
 all irreducibles of one degree share the most balanced weight, and a
 block-sum class is one constituent exactly when it is that weight's Weyl
-orbit, as many weights as its rank; any other class is refused.
+orbit, as many weights as its rank; any other class is refused.  The
+nilradical joins them by moves between X's fiber blocks, in one pass.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from types import MappingProxyType
 from .bundles import (
     BundleLabel,
     FilteredBundle,
+    block_shape,
     branch_to_torus,
     is_line,
     m_label,
     rank,
     trivial_label,
-    x_blocks,
     x_label,
     z_label,
 )
@@ -73,11 +74,11 @@ MAX_N = 16
 
 @dataclass(frozen=True)
 class FlagSpace:
-    """A homogeneous space, described by its isotropy root set."""
+    """A homogeneous space, described by its isotropy root set; labels on
+    it have the blocks ``block_shape(name, n)``."""
 
     name: str
     n: int
-    blocks: tuple[int, ...]           # block sizes used by labels on this space
     isotropy: frozenset[Root]         # roots (i, j) of the isotropy subalgebra
 
     @property
@@ -89,12 +90,6 @@ class FlagSpace:
     def dim(self) -> int:
         """The quoted dimension: real (2x complex) for M, complex otherwise."""
         return 2 * self.complex_dim if self.name == "M" else self.complex_dim
-
-    def levi_roots(self) -> frozenset[Root]:
-        return frozenset(a for a in self.isotropy if (a[1], a[0]) in self.isotropy)
-
-    def nilradical_roots(self) -> frozenset[Root]:
-        return self.isotropy - self.levi_roots()
 
 
 @dataclass(frozen=True)
@@ -154,16 +149,15 @@ def registry(n: int) -> MappingProxyType:
     coords = tuple(range(n + 1))
     sigma = sigma_swap(coords)
 
-    m_space = FlagSpace("M", n, (1, n), _chain_roots((1, n), coords))
+    m_space = FlagSpace("M", n, _chain_roots(block_shape("M", n), coords))
 
     # Z's standard parabolic, conjugated by sigma
-    z_std = _chain_roots((1, n - 1, 1), coords)
-    z_space = FlagSpace("Z", n, (1, n - 1, 1),
-                        frozenset((sigma[i], sigma[j]) for i, j in z_std))
+    z_std = _chain_roots(block_shape("Z", n), coords)
+    z_space = FlagSpace("Z", n, frozenset((sigma[i], sigma[j]) for i, j in z_std))
 
     # X's isotropy: the chain parabolic of its own blocks past the spectator
-    x_fiber = x_blocks(n)[1:]
-    x_space = FlagSpace("X", n, x_blocks(n), _chain_roots(x_fiber, coords[1:]))
+    x_fiber = block_shape("X", n)[1:]
+    x_space = FlagSpace("X", n, _chain_roots(x_fiber, coords[1:]))
 
     return MappingProxyType({
         "M": m_space,
@@ -225,18 +219,21 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
     accepted only when its members are the permutations inside the blocks
     of its one dominant member, as many as that label's rank: the
     irreducibles with a single dominant weight, one per class (see the
-    module docstring).  A nilradical root (i, j) moves a unit of block sum
-    to the earlier block(i), one step deeper into the filtration; as each
-    class is a full Weyl orbit, two classes whose sums differ by such a
-    move are joined by it.  Components are the weak connectivity classes
-    and the level is the longest nilradical path from a top quotient.
+    module docstring).  A nilradical root moves a unit of block sum from a
+    fiber block q to an earlier one p < q, one step deeper into the
+    filtration; as each class is a full Weyl orbit, two classes whose sums
+    differ by such a move are joined by it.  Components are the weak
+    connectivity classes and the level is the longest path of moves from a
+    top quotient: each move lowers the potential sum(b * s_b) of the block
+    sums s_b, so descending potential visits a class after all above it.
     """
     if len(set(weights)) != len(weights):
         raise ValueError("filtration grouping needs a multiplicity-free weight set")
-    block_of = [b for b, size in enumerate(space.blocks) for _ in range(size)]
+    shape = block_shape(space.name, space.n)
+    block_of = [b for b, size in enumerate(shape) for _ in range(size)]
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for w in weights:
-        sums = [0] * len(space.blocks)
+        sums = [0] * len(shape)
         for b, x in zip(block_of, w):
             sums[b] += x
         classes.setdefault(tuple(sums), []).append(w)
@@ -245,7 +242,7 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
     for members in classes.values():
         # sorting (block, entry) pairs sorts each weight inside its blocks
         tops = {tuple(x for _b, x in sorted(zip(block_of, w))) for w in members}
-        label = BundleLabel(space.name, space.blocks, min(tops))
+        label = BundleLabel(space.name, min(tops))
         if len(tops) > 1 or rank(label) != len(members):
             raise ValueError(
                 f"cannot resolve a Levi constituent from weights {sorted(members)}; "
@@ -253,41 +250,30 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
             )
         labels.append(label)
 
-    # nilradical edges between constituents: a -> b means b is deeper
+    # moves a -> b (b deeper) and longest-path levels in one descending pass
     index = {sums: a for a, sums in enumerate(classes)}
-    moves = {(block_of[i], block_of[j]) for i, j in space.nilradical_roots()}
-    succ: list[set[int]] = [set() for _ in labels]
-    pred: list[set[int]] = [set() for _ in labels]
-    for sums, a in index.items():
-        for p, q in moves:
-            moved = list(sums)
-            moved[p] += 1
-            moved[q] -= 1
-            if (b := index.get(tuple(moved))) is not None:
-                succ[a].add(b)
-                pred[b].add(a)
-
-    # longest-path levels in one topological pass (the list grows as it is read)
-    waiting = [len(into) for into in pred]
-    order = [a for a, d in enumerate(waiting) if not d]
+    near: list[set[int]] = [set() for _ in labels]  # moves taken both ways
     level = [0] * len(labels)
-    for a in order:
-        for b in succ[a]:
-            level[b] = max(level[b], level[a] + 1)
-            waiting[b] -= 1
-            if not waiting[b]:
-                order.append(b)
-    if len(order) < len(labels):
-        raise ValueError("cyclic extension order; not a filtration")
+    for sums in sorted(index, key=lambda s: sum(b * x for b, x in enumerate(s)), reverse=True):
+        a = index[sums]
+        for p in range(1, len(shape)):
+            for q in range(p + 1, len(shape)):
+                moved = list(sums)
+                moved[p] += 1
+                moved[q] -= 1
+                if (b := index.get(tuple(moved))) is not None:
+                    near[a].add(b)
+                    near[b].add(a)
+                    level[b] = max(level[b], level[a] + 1)
 
-    # weak components in one walk over the edges taken both ways
+    # weak components in one walk
     groups, seen = [], set()
     for start in range(len(labels)):
         if start not in seen:
             seen.add(start)
             groups.append([start])
             for a in groups[-1]:
-                for b in (succ[a] | pred[a]) - seen:
+                for b in near[a] - seen:
                     seen.add(b)
                     groups[-1].append(b)
     # order components by their top quotient's weight; members by level
@@ -298,9 +284,7 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
             factors.append(labels[i])
             components.append(c)
             levels.append(level[i])
-    return FilteredBundle(
-        space.name, space.blocks, tuple(factors), tuple(components), tuple(levels)
-    )
+    return FilteredBundle(space.name, space.n, tuple(factors), tuple(components), tuple(levels))
 
 
 def relative_cotangent(f: Fibration) -> FilteredBundle:
@@ -365,6 +349,8 @@ def twist_frames(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:
     """
     if twist is None:
         twist = trivial_label("Z", n)
+    if twist.n != n:
+        raise ValueError(f"twist {twist} is for n={twist.n}, but the run has n={n}")
     if twist.space == "Z":
         return twist, pullback_line(twist)
     if twist.space == "X":

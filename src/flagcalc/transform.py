@@ -166,12 +166,10 @@ def twisted_forms(
     ]
 
 
-def e1_page(
-    twist_x: BundleLabel, n: int = 3, mode: str = "paper", p: int | None = None
-) -> DirectImageTable:
-    """The first page: twisted_forms of the Z-leg pushed down the M-leg;
-    twist_x is the twist in the X frame (geometry.twist_frames)."""
-    reg = registry(n)
+def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
+    """The first page over twist_x's n: twisted_forms of the Z-leg pushed
+    down the M-leg; twist_x is the twist in the X frame (twist_frames)."""
+    reg = registry(twist_x.n)
     return DirectImageTable.merge([
         direct_images(bundle, reg["nu"], mode, k)
         for k, bundle in twisted_forms(reg["mu"], twist_x, p)
@@ -181,7 +179,7 @@ def e1_page(
 def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> TransformResult:
     """Run the whole pipeline for one twist; collapse when honest."""
     twist_z, twist_x = twist_frames(twist, n)
-    table = e1_page(twist_x, n, mode)
+    table = e1_page(twist_x, mode)
 
     ps = sorted({p for p, _q in table.cells})
     qs = sorted({q for _p, q in table.cells})
@@ -201,7 +199,7 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
     claims = claim_tags = None
     if twist_z is not None:
         try:
-            inv = involutive_cohomology(twist_z, n)
+            inv = involutive_cohomology(twist_z)
         except UnsupportedTwistError:
             inv = None
         if inv is not None:
@@ -225,7 +223,7 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
 
 # ------------------------------------------------ involutive cohomology
 
-def involutive_cohomology(twist: BundleLabel, n: int) -> CohomologyResult:
+def involutive_cohomology(twist: BundleLabel) -> CohomologyResult:
     """Cohomology of the involutive complex on the correspondence space.
 
     The topology spectral sequence of the Z-leg collapses for exactly
@@ -236,7 +234,7 @@ def involutive_cohomology(twist: BundleLabel, n: int) -> CohomologyResult:
     """
     if twist.space != "Z":
         raise UnsupportedTwistError(f"involutive cohomology needs a twist on Z, got {twist!r}")
-    w = twist.weight
+    w, n = twist.weight, twist.n
     hyperplane = (1,) + (0,) * n
     if w != (0,) * (n + 1) and w != hyperplane:
         raise UnsupportedTwistError(
@@ -291,22 +289,22 @@ def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
     return labs
 
 
-def form_type(b: BundleLabel, n: int = 3) -> tuple[FormType, ...]:
-    """All dictionary occurrences of a label; empty tuple = unknown.
+def form_type(b: BundleLabel) -> tuple[FormType, ...]:
+    """All dictionary occurrences of a label over its n; empty tuple = unknown.
 
     The trivial label inside a diagonal bundle (other than the extreme
     corners) is the Kaehler line and is reported with role "kappa";
     primitive constituents are reported with role "perp" rather than
     doubly as plain members of the full bundle.
     """
-    full, perp = form_dictionary(n)
+    full, perp = form_dictionary(b.n)
     out = []
     for (p, q), labs in full.items():
         if b not in labs:
             continue
         if b in perp.get((p, q), ()):
             out.append(FormType(p, q, "perp"))
-        elif p == q and 0 < p < n and b == trivial_label("M", n):
+        elif p == q and 0 < p < b.n and b == trivial_label("M", b.n):
             out.append(FormType(p, q, "kappa"))
         else:
             out.append(FormType(p, q, "full"))
@@ -417,10 +415,10 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
         for s in c.terms[i]:
             if s.space != "M":
                 raise ValueError(f"the symbol check expects base-space labels, got {s!r}")
-            a, mu, blocks = s.weight[0], s.weight[1:], (1, len(s.weight) - 1)
+            a, mu, n = s.weight[0], s.weight[1:], s.n
             for t in c.terms[i + 1]:
                 step = t.weight[0] - a
-                ok = (t.space == "M" and t.blocks == blocks and step in (1, -1)
+                ok = (t.space == "M" and t.n == n and step in (1, -1)
                       and [y - x for x, y in zip(mu, t.weight[1:]) if x != y] == [-step])
                 (adm if ok else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))

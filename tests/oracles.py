@@ -259,16 +259,17 @@ def assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filte
     if len(set(weights)) != len(weights):
         raise ValueError("filtration grouping needs a multiplicity-free weight set")
     n = space.n
-    levi = [_root_weight(a, n) for a in space.levi_roots()]
+    levi_roots = {a for a in space.isotropy if (a[1], a[0]) in space.isotropy}
+    levi = [_root_weight(a, n) for a in levi_roots]
     levi += [_neg(r) for r in levi]
-    nil = [_root_weight(a, n) for a in space.nilradical_roots()]
+    nil = [_root_weight(a, n) for a in space.isotropy - levi_roots]
     pool = set(weights)
 
     def constituent_label(orbit: set) -> BundleLabel:
         doms = []
         for w in orbit:
             try:
-                doms.append(BundleLabel(space.name, space.blocks, w))
+                doms.append(BundleLabel(space.name, w))
             except ValueError:
                 continue
         if len(doms) != 1 or rank(doms[0]) != len(orbit):
@@ -349,5 +350,5 @@ def assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filte
             components.append(c)
             levels.append(level[i])
     return FilteredBundle(
-        space.name, space.blocks, tuple(factors), tuple(components), tuple(levels)
+        space.name, space.n, tuple(factors), tuple(components), tuple(levels)
     )

@@ -38,6 +38,21 @@ def test_constructors_enforce_block_monotonicity():
     x_label((0, 3, 0, -3))           # lines: any entries allowed per singleton block
 
 
+def test_labels_and_filtered_bundles_take_no_block_tuple():
+    # blocks come from the space and n alone, so none can be passed in
+    with pytest.raises(TypeError):
+        BundleLabel("M", (1, 3), (0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        BundleLabel._trusted("M", (1, 3), (0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        FilteredBundle("X", (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="unknown space tag 'Q'"):
+        FilteredBundle("Q", 3)
+    assert BundleLabel("M", (0, 0, 0, 0)) == m_label((0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"blocks \(\) do not fit weight \(\)"):
+        x_label(())  # no shape has no blocks
+
+
 def test_label_strings_round_trip():
     for text, space in [
         ("(1||-1,0,0)", "M"),
@@ -247,7 +262,7 @@ def test_twist_by_refuses_what_tensor_line_refuses():
     assert FilteredBundle.of_lines([nonline], [0], [0]).twist_by(line) == shifted
     assert FilteredBundle.of_lines([line], [0], [0]).twist_by(nonline) == shifted
     # nothing to tensor: the parent returned the empty bundle, whatever the line
-    empty = FilteredBundle("X", (1, 1, 1, 1))
+    empty = FilteredBundle("X", 3)
     assert empty.twist_by(z_label((1, 0, 0, 0))) == empty
 
 
@@ -273,7 +288,7 @@ def test_exterior_power_of_an_equal_bundle_is_equal():
     from flagcalc.geometry import registry, relative_cotangent
 
     lam = relative_cotangent(registry(3)["mu"])
-    copy = FilteredBundle(lam.space, lam.blocks, tuple(x_label(f.weight) for f in lam.factors),
+    copy = FilteredBundle(lam.space, lam.n, tuple(x_label(f.weight) for f in lam.factors),
                           lam.components, lam.levels)
     assert copy == lam and copy is not lam
     for p in range(len(lam) + 1):

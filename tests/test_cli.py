@@ -211,6 +211,22 @@ def test_relative_forms_json(capsys):
     assert doc["levels"] == [0, 0, 1, 1, 2, 0]
 
 
+@pytest.mark.parametrize("n, m_trivial, x_trivial", [
+    (4, "(0||0,0,0,0)", "(0||0|0,0|0)"),
+    (5, "(0||0,0,0,0,0)", "(0||0|0,0,0|0)"),
+])
+def test_the_zeroth_wedge_is_the_trivial_line_past_the_full_flag(capsys, n, m_trivial, x_trivial):
+    # Lambda^0 needs no line factors; only p >= 2 refuses a non-line factor
+    code, out, err = run(capsys, "direct-images", "-n", str(n), "-p", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cells"] == {"0,0": [m_trivial]}
+    code, out, err = run(capsys, "relative-forms", "-n", str(n), "-p", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["factors"] == [x_trivial]
+    code, _out, err = run(capsys, "direct-images", "-n", str(n), "-p", "2")
+    assert code == 1 and "exterior_power needs line-bundle factors" in err
+
+
 def test_adjoint_command(capsys):
     code, out, _ = run(capsys, "adjoint", "--format", "json")
     assert code == 0
@@ -285,7 +301,7 @@ def test_checks_survive_python_optimize():
         "import sys\n"
         "from flagcalc.bundles import FilteredBundle, x_label\n"
         "print(sys.flags.optimize)\n"
-        "FilteredBundle('X', (1, 1, 1, 1), (x_label((0, 0, 0, 0)),), (), ())\n"
+        "FilteredBundle('X', 3, (x_label((0, 0, 0, 0)),), (), ())\n"
     )
     bad = subprocess.run([sys.executable, "-O", "-c", malformed],
                          capture_output=True, text=True, env=env, timeout=60)

@@ -8,7 +8,16 @@ from math import factorial, prod
 import pytest
 
 from flagcalc import geometry
-from flagcalc.bundles import label_from_string, m_label, rank, x_blocks, x_label, z_label
+from flagcalc.bundles import (
+    block_shape,
+    fiber_label,
+    label_from_string,
+    m_label,
+    rank,
+    trivial_label,
+    x_label,
+    z_label,
+)
 from flagcalc.geometry import (
     MAX_N,
     conormal,
@@ -139,6 +148,39 @@ def test_twist_frames_gives_both_frames():
     assert twist_frames(x_label((1, 0, 0, 0)), 3) == (None, x_label((1, 0, 0, 0)))
     with pytest.raises(ValueError):
         twist_frames(label_from_string("(0||0,0,0)", "M"), 3)
+    with pytest.raises(ValueError, match=r"twist \(0\|0\|0\) is for n=2, but the run has n=3"):
+        twist_frames(z_label((0, 0, 0)), 3)
+
+
+def _levi_blocks(space) -> tuple[int, ...]:
+    """Sizes of the Levi classes of a space's isotropy in coordinate order,
+    Z's read back out of the sigma frame; X's spectator, in no root, is a
+    class of its own.  Chain parabolics have contiguous classes."""
+    iso = space.isotropy
+    if space.name == "Z":
+        sigma = sigma_swap(tuple(range(space.n + 1)))
+        iso = {(sigma[i], sigma[j]) for i, j in iso}
+    sizes = []
+    for c in range(space.n + 1):
+        if sizes and (c - 1, c) in iso and (c, c - 1) in iso:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(sizes)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_labels_spaces_and_relative_forms_have_the_block_shape_of_their_space(n):
+    zeros = (0,) * (n + 1)
+    for space, make in (("M", m_label), ("X", x_label), ("Z", z_label), ("fiber", fiber_label)):
+        assert make(zeros).blocks == trivial_label(space, n).blocks == block_shape(space, n)
+    reg = registry(n)
+    for name in ("M", "Z", "X"):
+        assert _levi_blocks(reg[name]) == block_shape(name, n)
+    for bundle in [relative_cotangent(reg[leg]) for leg in ("mu", "nu", "eta")] + [
+            conormal(reg["nu"])]:
+        assert (bundle.space, bundle.n) == ("X", n)
+        assert {f.blocks for f in bundle.factors} == {block_shape("X", n)}
 
 
 def test_pullback_factors_gives_the_full_chain():
@@ -245,7 +287,7 @@ def _random_weight_set(rng: random.Random, n: int) -> list[tuple[int, ...]]:
     for _ in range(rng.randint(1, 4)):
         balanced = rng.random() < 0.6
         orbits = []
-        for size in x_blocks(n):
+        for size in block_shape("X", n):
             q, r = divmod(rng.randint(-2, 3), size)
             top = ([q] * (size - r) + [q + 1] * r if balanced
                    else sorted(rng.randint(-1, 2) for _ in range(size)))

@@ -48,14 +48,14 @@ def test_reduction_lands_dominant_within_the_degree_bound(w):
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4))
 def test_rank_agrees_with_pattern_enumeration(entries):
     mu = tuple(sorted(entries))
-    label = BundleLabel("fiber", (len(mu),), mu)
+    label = BundleLabel("fiber", mu)
     assert rank(label) == count_rank(mu)
 
 
 def dominant_m_labels(max_abs=4):
     def build(draw_entries):
         a, rest = draw_entries
-        return BundleLabel("M", (1, 3), (a, *sorted(rest)))
+        return BundleLabel("M", (a, *sorted(rest)))
     return st.tuples(
         st.integers(min_value=-max_abs, max_value=max_abs),
         st.lists(st.integers(min_value=-max_abs, max_value=max_abs),
@@ -88,7 +88,7 @@ def test_pieri_conserves_total_rank(b):
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=4))
 def test_branching_multiplicities_account_for_the_full_rank(entries):
     mu = tuple(sorted(entries))
-    label = BundleLabel("fiber", (len(mu),), mu)
+    label = BundleLabel("fiber", mu)
     assert sum(branch_to_torus(mu).values()) == rank(label)
 
 
