@@ -112,8 +112,8 @@ def reduce_factor(b: BundleLabel, fib: Fibration):
     reduced = bbw_reduce(b.weight[lo:hi])
     if reduced is None:
         return None
-    q, dom = reduced  # sorted(w + rho) - rho is dominant: no label checks needed
-    return q, BundleLabel._trusted("M", (b.weight[0], *dom))
+    q, dom = reduced
+    return q, BundleLabel("M", (b.weight[0], *dom))
 
 
 def direct_images(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 from operator import add
 
@@ -77,6 +77,24 @@ def block_shape(space: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unknown space tag {space!r}")
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """What the label checks read off ``block_shape(space, n)``."""
+
+    blocks: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]  # block j holds weight[lo:hi]
+    links: tuple[int, ...]              # i where entries i and i+1 share a block
+
+
+@lru_cache
+def _shape(space: str, n: int) -> _Shape:
+    """The shape of labels on a space over GL(n+1), built once per (space, n)."""
+    blocks = block_shape(space, n)
+    ends = tuple(accumulate(blocks, initial=0))
+    spans = tuple(zip(ends, ends[1:]))
+    return _Shape(blocks, spans, tuple(i for lo, hi in spans for i in range(lo, hi - 1)))
+
+
 @dataclass(frozen=True, order=True)
 class BundleLabel:
     """An irreducible homogeneous bundle, named by its space and weight;
@@ -87,24 +105,17 @@ class BundleLabel:
     weight: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = block_shape(self.space, len(self.weight) - 1)
-        if min(blocks, default=0) < 1:
-            raise ValueError(f"blocks {blocks} do not fit weight {self.weight}")
-        object.__setattr__(self, "blocks", blocks)
-        for lo, hi in _block_spans(blocks):
-            if not is_dominant(self.weight[lo:hi]):
+        shape = _shape(self.space, len(self.weight) - 1)
+        if min(shape.blocks, default=0) < 1:
+            raise ValueError(f"blocks {shape.blocks} do not fit weight {self.weight}")
+        object.__setattr__(self, "blocks", shape.blocks)
+        w = self.weight
+        for i in shape.links:
+            if w[i] > w[i + 1]:
                 raise ValueError(
-                    f"entries must be nondecreasing within each block: {self.weight}"
-                    f" with blocks {blocks}"
+                    f"entries must be nondecreasing within each block: {w}"
+                    f" with blocks {shape.blocks}"
                 )
-
-    @classmethod
-    def _trusted(cls, space: str, weight: tuple[int, ...]):
-        """A label built unchecked, where dominance holds by construction (test_api.py)."""
-        label = object.__new__(cls)
-        blocks = block_shape(space, len(weight) - 1)
-        label.__dict__.update(space=space, blocks=blocks, weight=weight)
-        return label
 
     @property
     def n(self) -> int:
@@ -116,13 +127,6 @@ class BundleLabel:
 
     def __repr__(self) -> str:
         return f"<{self.space} {self}>"
-
-
-def _block_spans(blocks: tuple[int, ...]):
-    start = 0
-    for size in blocks:
-        yield start, start + size
-        start += size
 
 
 def m_label(weight) -> BundleLabel:
@@ -201,20 +205,19 @@ def rank(b) -> int:
     """Rank of a BundleLabel or a FilteredBundle (sum over factors)."""
     if isinstance(b, FilteredBundle):
         return sum(rank(f) for f in b.factors)
-    return prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _block_spans(b.blocks))
+    return prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _shape(b.space, b.n).spans)
 
 
 def is_line(b: BundleLabel) -> bool:
     """Rank one <=> the weight is constant on every block."""
-    return all(
-        len(set(b.weight[lo:hi])) == 1 for lo, hi in _block_spans(b.blocks)
-    )
+    w = b.weight
+    return all(w[i] == w[i + 1] for i in _shape(b.space, b.n).links)
 
 
 def dual(b: BundleLabel) -> BundleLabel:
     """Dual bundle: negate and reverse the weight inside each block."""
     w = list(b.weight)
-    for lo, hi in _block_spans(b.blocks):
+    for lo, hi in _shape(b.space, b.n).spans:
         w[lo:hi] = [-x for x in reversed(w[lo:hi])]
     return BundleLabel(b.space, tuple(w))
 
@@ -319,7 +322,7 @@ class FilteredBundle:
             raise TypeError(f"a filtered bundle is named by its space and n, got n={self.n!r}")
         if not len(self.factors) == len(self.components) == len(self.levels):
             raise ValueError("factors, components and levels differ in length")
-        shape = block_shape(self.space, self.n)  # refuses an unknown space too
+        shape = _shape(self.space, self.n).blocks  # refuses an unknown space too
         for f in self.factors:
             if (f.space, f.blocks) != (self.space, shape):
                 raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
@@ -351,25 +354,17 @@ class FilteredBundle:
         return " ".join(bits)
 
     def twist_by(self, line: BundleLabel) -> "FilteredBundle":
-        """Tensor every factor by a line bundle (filtration unchanged).  A line
-        on this space is constant on each block, so the shifted factors stay
-        dominant and skip the label checks; any other argument goes through
-        ``tensor_line`` factor by factor, with its refusals."""
-        if is_line(line) and (line.space, line.n) == (self.space, self.n):
-            shifted = (tuple(map(add, f.weight, line.weight)) for f in self.factors)
-            factors = tuple(BundleLabel._trusted(self.space, w) for w in shifted)
-        else:
-            factors = tuple(tensor_line(f, line) for f in self.factors)
-        return FilteredBundle(self.space, self.n, factors, self.components, self.levels)
-
-    @staticmethod
-    def of_lines(labels, components, levels) -> "FilteredBundle":
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("use an explicit space and n for the empty bundle")
-        return FilteredBundle(
-            labels[0].space, labels[0].n, labels, tuple(components), tuple(levels)
+        """Tensor every factor by a line bundle on this space and n (filtration
+        unchanged).  A line is constant on each block, so every shifted factor
+        stays dominant; anything else is refused."""
+        if (line.space, line.n) != (self.space, self.n) or not is_line(line):
+            raise ValueError(
+                f"twist_by needs a line bundle on {self.space} over n={self.n}, got {line!r}"
+            )
+        factors = tuple(
+            BundleLabel(self.space, tuple(map(add, f.weight, line.weight))) for f in self.factors
         )
+        return FilteredBundle(self.space, self.n, factors, self.components, self.levels)
 
 
 @lru_cache

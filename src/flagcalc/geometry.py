@@ -68,7 +68,7 @@ __all__ = [
 Root = tuple[int, int]
 
 # Largest n the registry builds: torus branching and the relative forms grow
-# with n, and the wedge refuses for n >= 4 anyway.
+# with n, and for n >= 4 only the wedges p <= 1 work anyway.
 MAX_N = 16
 
 

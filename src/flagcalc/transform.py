@@ -153,7 +153,8 @@ def twisted_forms(
 ) -> list[tuple[int, FilteredBundle]]:
     """(p, Lambda^p of the relative forms of fib, tensored with twist_x) for
     column p, or for every column 0..rank when p is None.  Lambda^1 is the
-    relative cotangent bundle itself, shown even where the wedge refuses."""
+    relative cotangent bundle itself; taking it as is, not through the
+    wedge, keeps ``exterior_power``'s call count steady."""
     lam = relative_cotangent(fib)
     if p is None:
         ps = range(len(lam) + 1)  # every factor is a line, or the wedge refuses

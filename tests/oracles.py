@@ -17,7 +17,10 @@ rank conservation).  The old grouping of relative forms into a filtered
 bundle, kept verbatim at the end, finds each Levi constituent by a
 breadth-first search over the +-Levi root vectors and levels by a
 fixed-point loop; it reads the package's labels, ``rank`` (checked
-against the pattern count above) and the space's isotropy roots.
+against the pattern count above) and the space's isotropy roots.  The
+old per-block label rules, ``is_dominant`` on each block's slice and one
+distinct value per block for a line, cut the weight by the package's
+``block_shape``, the one statement of the block sizes.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from flagcalc.bundles import BundleLabel, FilteredBundle, pieri_tensor, rank
+from flagcalc.bundles import BundleLabel, FilteredBundle, block_shape, pieri_tensor, rank
 from flagcalc.geometry import FlagSpace, _root_weight
 from flagcalc.transform import FormType, form_dictionary
+from flagcalc.weights import is_dominant
 
 
 def brute_reduce(weight: tuple[int, ...]):
@@ -92,6 +96,27 @@ def weyl_euler(weight: tuple[int, ...]) -> int:
         num *= weight[j] - weight[i] + j - i
         den *= j - i
     return num // den
+
+
+def block_slices(space: str, weight: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """The weight cut into the blocks of its space, or None when the shape
+    has a block of size below one (too few entries for the space)."""
+    blocks = block_shape(space, len(weight) - 1)
+    if min(blocks, default=0) < 1:
+        return None
+    ends = [sum(blocks[:j]) for j in range(len(blocks) + 1)]
+    return [weight[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def block_dominant(space: str, weight: tuple[int, ...]) -> bool:
+    """The old label check on a weight that fits its space: nondecreasing
+    inside every block."""
+    return all(is_dominant(part) for part in block_slices(space, weight))
+
+
+def block_line(label: BundleLabel) -> bool:
+    """The old line test: one distinct value in every block."""
+    return all(len(set(part)) == 1 for part in block_slices(label.space, label.weight))
 
 
 def pieri_admissible(source: BundleLabel, target: BundleLabel) -> bool:

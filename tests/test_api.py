@@ -42,32 +42,21 @@ def test_no_assert_statement_in_the_engine():
         assert not lines, f"{path.name}: assert at lines {lines}"
 
 
-# Where BundleLabel._trusted may build a label without its checks, and why
-# the weight is dominant there by construction.
-TRUSTED_SITES = {
-    ("bundles.py", "FilteredBundle.twist_by"),  # a line adds a constant on each block
-    ("bbw.py", "reduce_factor"),                # bbw_reduce returns sorted(w + rho) - rho
-}
+def _unchecked_constructions(tree: ast.AST):
+    """Lines that call a ``_trusted`` constructor or ``object.__new__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func
+            if target.attr == "_trusted" or (
+                    target.attr == "__new__" and isinstance(target.value, ast.Name)
+                    and target.value.id == "object"):
+                yield node.lineno
 
 
-def _trusted_calls(tree: ast.AST, scope: tuple[str, ...] = ()):
-    """(enclosing qualified name, line) of each call to ``*._trusted``."""
-    for node in ast.iter_child_nodes(tree):
-        inner = scope
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = (*scope, node.name)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_trusted"):
-            yield ".".join(scope), node.lineno
-        yield from _trusted_calls(node, inner)
-
-
-def test_labels_skip_their_checks_only_at_the_listed_sites():
-    # a new trusted path must be added to TRUSTED_SITES on purpose
-    sites = {}
+def test_no_label_is_built_without_its_checks():
+    # every label goes through BundleLabel's own checks, which read one
+    # cached shape record, so no path needs to skip them
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for where, line in _trusted_calls(tree):
-            sites.setdefault((path.name, where), []).append(line)
-    assert set(sites) == TRUSTED_SITES, sites
-    assert all(len(lines) == 1 for lines in sites.values()), sites
+        lines = list(_unchecked_constructions(tree))
+        assert not lines, f"{path.name}: unchecked construction at lines {lines}"

