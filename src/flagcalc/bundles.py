@@ -35,7 +35,7 @@ from itertools import accumulate, combinations, product
 from math import prod
 from operator import add
 
-from .notation import ParsedLabel, format_entries, parse_label
+from .notation import ArgumentError, ParsedLabel, format_entries, parse_label
 from .weights import is_dominant
 
 __all__ = [
@@ -229,7 +229,8 @@ def tensor_line(a: BundleLabel, b: BundleLabel) -> BundleLabel:
     bundle just shifts the weight entrywise.
     """
     if a.space != b.space or a.n != b.n:
-        raise ValueError(f"cannot tensor labels on different spaces: {a!r} vs {b!r}")
+        raise ArgumentError(f"cannot tensor labels on different spaces or over different n: "
+                            f"{a!r} vs {b!r}")
     if not (is_line(a) or is_line(b)):
         raise ValueError(f"neither {a} nor {b} is a line bundle; use pieri_tensor")
     return BundleLabel(a.space, tuple(x + y for x, y in zip(a.weight, b.weight)))

@@ -5,13 +5,17 @@ markdown``, the default) or deterministic JSON (``--format json``,
 sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
 mathematical failure (corpus mismatch, failed ellipticity check,
 table that does not collapse to a complex, unsupported twist), 2 for
-usage errors — bad flags, labels that do not parse or fit their space, of
-more than MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, a
-wedge column out of range, n outside 2..MAX_N, a twist or a ``--line``
-for another n, ``--conormal`` on a Z-leg, an empty fixture directory, a
-malformed fixture file or case (named as ``file[index]``).
-Every refusal of the engine (a ``ValueError``) ends as exit 1, and
-every nonzero exit writes an ``error:`` line.
+usage errors.  The exception alone picks the code: an ``ArgumentError``
+exits 2 and any other ``ValueError`` exits 1.  The engine raises
+``ArgumentError`` for what it cannot take as given: a label that does not
+parse, a wedge column out of range, a twist not on Z or X or for another
+n, ``--conormal`` on a Z-leg, an involutive twist not on Z, a ``--line``
+for another n.  This module raises it for its own input checks: bad flags
+or config values, labels that do not fit their space, of more than
+MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, n
+outside 2..MAX_N, ``--conormal`` with ``-p``, an empty fixture directory,
+a malformed fixture file or case (named as ``file[index]``).  Every
+nonzero exit writes an ``error:`` line.
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
@@ -47,9 +51,8 @@ from .geometry import (
     registry,
     twist_frames,
 )
-from .notation import ParseError, _quoted, format_weight, parse_label
+from .notation import ArgumentError, _quoted, format_weight, parse_label
 from .transform import (
-    ColumnRangeError,
     ComplexOnM,
     FormType,
     TransformResult,
@@ -76,14 +79,6 @@ FIBRATIONS = ("mu", "nu", "eta")
 MAX_ENTRY = 10**9
 
 
-class CliError(Exception):
-    """Fatal command error carrying its exit code."""
-
-    def __init__(self, message: str, code: int = MATH_ERROR):
-        super().__init__(message)
-        self.code = code
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """The one reader of run settings: the command's own defaults, then a
@@ -98,15 +93,15 @@ class RunConfig:
 
     def __post_init__(self):
         if type(self.n) is not int:
-            raise CliError(f"n must be an integer, got {self.n!r}", USAGE_ERROR)
+            raise ArgumentError(f"n must be an integer, got {self.n!r}")
         if not 2 <= self.n <= MAX_N:
-            raise CliError(f"n must be in 2..{MAX_N}, got {self.n}", USAGE_ERROR)
+            raise ArgumentError(f"n must be in 2..{MAX_N}, got {self.n}")
         if not isinstance(self.twist, (str, type(None))):
-            raise CliError(f"twist must be a label string, got {self.twist!r}", USAGE_ERROR)
+            raise ArgumentError(f"twist must be a label string, got {self.twist!r}")
         for key, allowed in (("mode", MODES), ("format", FORMATS), ("fibration", FIBRATIONS)):
             value = getattr(self, key)
             if value not in allowed:
-                raise CliError(f"{key} must be one of {allowed}, got {value!r}", USAGE_ERROR)
+                raise ArgumentError(f"{key} must be one of {allowed}, got {value!r}")
 
     @staticmethod
     def from_args(args: argparse.Namespace, **defaults) -> "RunConfig":
@@ -117,9 +112,9 @@ class RunConfig:
                 with open(args.config, encoding="utf-8") as fh:
                     loaded = json.load(fh)
             except (OSError, ValueError, RecursionError) as exc:
-                raise CliError(f"cannot read config {args.config}: {exc}", USAGE_ERROR)
+                raise ArgumentError(f"cannot read config {args.config}: {exc}")
             if not isinstance(loaded, dict):
-                raise CliError("config file must hold a JSON object", USAGE_ERROR)
+                raise ArgumentError("config file must hold a JSON object")
             base.update(loaded)
         keys = {f.name for f in fields(RunConfig)}
         for key in keys:
@@ -128,7 +123,7 @@ class RunConfig:
                 base[key] = value
         unknown = set(base) - keys
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}", USAGE_ERROR)
+            raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
         return RunConfig(**base)
 
 
@@ -138,16 +133,13 @@ def _parse_or_usage(text: str):
     """Every label from a flag, a config file or a fixture case: at most
     MAX_N + 1 entries of at most MAX_ENTRY in absolute value, so that no
     command works on an unbounded weight or prints an unbounded number."""
-    try:
-        parsed = parse_label(text)
-    except ParseError as exc:
-        raise CliError(str(exc), USAGE_ERROR)
+    parsed = parse_label(text)
     if len(parsed.weight) > MAX_N + 1:
-        raise CliError(f"a label has at most {MAX_N + 1} entries (n <= {MAX_N}), "
-                       f"got {len(parsed.weight)}", USAGE_ERROR)
+        raise ArgumentError(f"a label has at most {MAX_N + 1} entries (n <= {MAX_N}), "
+                            f"got {len(parsed.weight)}")
     if (top := max(map(abs, parsed.weight))) > MAX_ENTRY:
-        raise CliError(f"a label entry is at most {MAX_ENTRY} in absolute value, "
-                       f"got one of {len(str(top))} digits", USAGE_ERROR)
+        raise ArgumentError(f"a label entry is at most {MAX_ENTRY} in absolute value, "
+                            f"got one of {len(str(top))} digits")
     return parsed
 
 
@@ -159,25 +151,17 @@ def _label(text: str, space: str | None = None) -> BundleLabel:
     try:
         return label_from_string(text, space, parsed)
     except ValueError as exc:
-        raise CliError(f"cannot read {_quoted(text)} as a bundle on {space}: {exc}", USAGE_ERROR)
+        raise ArgumentError(f"cannot read {_quoted(text)} as a bundle on {space}: {exc}")
 
 
-def _sized(label: BundleLabel, n: int, role: str = "twist") -> BundleLabel:
-    """A twist (or a line to tensor with) from a flag, a config file or a
-    fixture case must live over the same GL(n+1) as the run."""
-    if label.n != n:
-        raise CliError(f"{role} {label} is for n={label.n}, but the run has n={n}",
-                       USAGE_ERROR)
-    return label
-
-
-def _twist_label(cfg: RunConfig) -> BundleLabel | None:
+def _twist_label(cfg: RunConfig) -> BundleLabel:
+    """The run's twist, the trivial Z-line by default; ``twist_frames``
+    refuses one that is not on Z or X or is for another n."""
     if cfg.twist is None or cfg.twist == "trivial":
-        return None
+        return trivial_label("Z", cfg.n)
     label = _label(cfg.twist)
-    if label.space not in ("Z", "X"):
-        raise CliError(f"twists live on Z or X, got {label!r}", USAGE_ERROR)
-    return _sized(label, cfg.n)
+    twist_frames(label, cfg.n)
+    return label
 
 
 # -------------------------------------------------------- serialization
@@ -310,8 +294,7 @@ def cmd_tensor(args) -> int:
     cfg = RunConfig.from_args(args)
     label = _label(args.label, "M")
     if args.line is not None:
-        line = _sized(_label(args.line, "M"), label.n, "line")
-        terms = [tensor_line(label, line)]
+        terms = [tensor_line(label, _label(args.line, "M"))]
     else:
         terms = list(pieri_tensor(label))
     if cfg.format == "json":
@@ -328,18 +311,17 @@ def _forms(cfg: RunConfig, p: int, conormal_part: bool) -> FilteredBundle:
     fib = registry(cfg.n)[cfg.fibration]
     twist_x = twist_frames(_twist_label(cfg), cfg.n)[1]
     if conormal_part:
-        if fib.base.name != "M":
-            raise CliError(f"--conormal splits along the M-leg nu, not {fib.name}",
-                           USAGE_ERROR)
         return conormal(fib).twist_by(twist_x)
     [(_p, bundle)] = twisted_forms(fib, twist_x, p)
     return bundle
 
 
 def cmd_relative_forms(args) -> int:
+    if args.conormal and args.p is not None:
+        raise ArgumentError(f"--conormal splits the 1-forms and takes no -p, got -p {args.p}")
     # the conormal splitting lives on the M-leg, so --conormal defaults to nu
     cfg = RunConfig.from_args(args, fibration="nu" if args.conormal else "mu")
-    bundle = _forms(cfg, args.p, args.conormal)
+    bundle = _forms(cfg, 1 if args.p is None else args.p, args.conormal)
     if cfg.format == "json":
         print(_j(filtered_to_json(bundle)))
     else:
@@ -369,7 +351,7 @@ def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
     refusal, a page that did not collapse is an error."""
     res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
     if refusal and res.complex_ is None:
-        raise CliError(f"{refusal}: {res.reason}")
+        raise ValueError(f"{refusal}: {res.reason}")
     return res
 
 
@@ -397,12 +379,7 @@ def cmd_transform(args) -> int:
 
 def _involutive(cfg: RunConfig) -> CohomologyResult:
     """Involutive cohomology of the run's twist, the trivial one by default."""
-    twist = _twist_label(cfg)
-    if twist is None:
-        twist = trivial_label("Z", cfg.n)
-    if twist.space != "Z":
-        raise CliError("involutive cohomology expects a twist on Z", USAGE_ERROR)
-    return involutive_cohomology(twist)
+    return involutive_cohomology(_twist_label(cfg))
 
 
 def cmd_involutive(args) -> int:
@@ -527,9 +504,8 @@ def _run_case(case: dict) -> dict:
             "passed": report.passed,
         }
     if op == "realization":
-        # no twist means the canonical one here, so "trivial" must name its label
-        twist = trivial_label("Z", cfg.n) if cfg.twist == "trivial" else _twist_label(cfg)
-        rep = emit_realization(twist, cfg.n)
+        # no twist means the canonical one here, not the trivial one
+        rep = emit_realization(None if cfg.twist is None else _twist_label(cfg), cfg.n)
         return {
             "degree": rep.degree,
             "source": str(rep.source),
@@ -538,18 +514,19 @@ def _run_case(case: dict) -> dict:
             "dbar_full": [str(b) for b in rep.dbar_full],
             "d_full": [str(b) for b in rep.d_full],
         }
-    raise CliError(f"unknown fixture op {op!r}", USAGE_ERROR)
+    raise ArgumentError(f"unknown fixture op {op!r}")
 
 
 def _replay(case, where: str) -> tuple:
     """(expected, actual) of one fixture case.  Errors name the case: a
-    missing or ill-typed field is a usage error, a refusal keeps its code."""
+    missing or ill-typed field is a usage error, a refusal keeps its class."""
     try:
         return case["expect"], _run_case(case)
-    except (CliError, ValueError) as exc:
-        raise CliError(f"{where}: {exc}", _exit_code(exc))
+    except ValueError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
     except (KeyError, TypeError, AttributeError) as exc:
-        raise CliError(f"{where}: malformed case: {exc!r}", USAGE_ERROR)
+        raise ArgumentError(f"{where}: malformed case: {exc!r}")
 
 
 def cmd_corpus(args) -> int:
@@ -558,21 +535,20 @@ def cmd_corpus(args) -> int:
     if args.fixtures is not None:
         root = pathlib.Path(args.fixtures)
         if not root.is_dir():
-            raise CliError(f"fixture directory {args.fixtures!r} does not exist", USAGE_ERROR)
+            raise ArgumentError(f"fixture directory {args.fixtures!r} does not exist")
     files = sorted((e for e in root.iterdir() if e.name.endswith(".json")
-                    and (not args.only or e.name[:-5] == args.only)), key=lambda e: e.name)
+                    and (args.only is None or e.name[:-5] == args.only)), key=lambda e: e.name)
     if not files:
-        raise CliError("no fixtures found: nothing was verified", USAGE_ERROR)
+        raise ArgumentError("no fixtures found: nothing was verified")
     results = []
     for entry in files:
         key = entry.name[:-5]
         try:  # ValueError covers bad UTF-8 and bad JSON
             cases = json.loads(entry.read_bytes())["cases"]
         except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise CliError(f"{key}: not a fixture file with a 'cases' list: {exc!r}",
-                           USAGE_ERROR)
+            raise ArgumentError(f"{key}: not a fixture file with a 'cases' list: {exc!r}")
         if not isinstance(cases, list):
-            raise CliError(f"{key}: 'cases' must be a list", USAGE_ERROR)
+            raise ArgumentError(f"{key}: 'cases' must be a list")
         for idx, case in enumerate(cases):
             expect, actual = _replay(case, f"{key}[{idx}]")
             results.append((key, idx, actual == expect, expect, actual))
@@ -637,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relative-forms",
                        help="relative cotangent bundle and its wedge powers")
-    p.add_argument("-p", type=int, default=1)
+    p.add_argument("-p", type=int, default=None,
+                   help="wedge power (default: 1; not with --conormal)")
     p.add_argument("--conormal", action="store_true")
     _add_common(p, cmd_relative_forms, twist=True, fibration=True)
 
@@ -667,21 +644,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _exit_code(exc: CliError | ValueError) -> int:
-    """A CliError carries its code; of the engine's refusals (ValueError) a
-    column out of range is a usage error and any other one is math."""
-    if isinstance(exc, CliError):
-        return exc.code
-    return USAGE_ERROR if isinstance(exc, ColumnRangeError) else MATH_ERROR
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return USAGE_ERROR if isinstance(exc, ArgumentError) else MATH_ERROR
     except BrokenPipeError:
         return 0
 

@@ -50,6 +50,7 @@ from .bundles import (
     x_label,
     z_label,
 )
+from .notation import ArgumentError
 
 __all__ = [
     "FlagSpace",
@@ -309,7 +310,7 @@ def conormal(f: Fibration) -> FilteredBundle:
     Z-leg's relative cotangent bundle.
     """
     if f.base.name != "M":
-        raise ValueError(f"conormal splitting is defined along the M-leg, not {f.name}")
+        raise ArgumentError(f"conormal splitting is defined along the M-leg, not {f.name}")
     n = f.total.n
     mu_fib = registry(n)["mu"]
     used = set(relative_cotangent(mu_fib).factors)
@@ -345,20 +346,21 @@ def pullback_line(b: BundleLabel) -> BundleLabel:
 def twist_frames(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:
     """(Z-label or None, X-label) of None (trivial), a Z-line or an X-line.
 
-    An X-twist whose swapped weight is not a Z-label has no Z form.
+    An X-twist whose swapped weight is not a Z-label has no Z form.  A twist
+    on another space or over another n is an ArgumentError.
     """
     if twist is None:
         twist = trivial_label("Z", n)
+    if twist.space not in ("Z", "X"):
+        raise ArgumentError(f"twists live on Z or X, got {twist!r}")
     if twist.n != n:
-        raise ValueError(f"twist {twist} is for n={twist.n}, but the run has n={n}")
+        raise ArgumentError(f"twist {twist} is for n={twist.n}, but the run has n={n}")
     if twist.space == "Z":
         return twist, pullback_line(twist)
-    if twist.space == "X":
-        try:
-            return z_label(sigma_swap(twist.weight)), twist
-        except ValueError:
-            return None, twist
-    raise ValueError(f"twists live on Z (or already on X), got {twist!r}")
+    try:
+        return z_label(sigma_swap(twist.weight)), twist
+    except ValueError:
+        return None, twist
 
 
 def pullback_factors(b: BundleLabel) -> FilteredBundle:

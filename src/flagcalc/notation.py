@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ParsedLabel", "ParseError", "parse_label", "format_entries", "format_weight"]
+__all__ = [
+    "ParsedLabel", "ArgumentError", "ParseError", "parse_label", "format_entries", "format_weight",
+]
 
 # Unicode forms tolerated on input, never emitted.
 _UNICODE_SUBS = {
@@ -39,7 +41,13 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= _SHOWN else f"{text[:_SHOWN]!r}... ({len(text)} characters)"
 
 
-class ParseError(ValueError):
+class ArgumentError(ValueError):
+    """A refusal of an argument as given, not of the mathematics: a label,
+    a twist, a leg or a column that the call cannot take.  The command line
+    exits 2 on it and 1 on any other ``ValueError``."""
+
+
+class ParseError(ArgumentError):
     """Raised on malformed label strings; carries a character position,
     an index into the text as given."""
 

@@ -44,6 +44,7 @@ from .bundles import (
     z_label,
 )
 from .geometry import MAX_N, Fibration, fiber_betti, registry, relative_cotangent, twist_frames
+from .notation import ArgumentError
 
 __all__ = [
     "FormType",
@@ -53,7 +54,6 @@ __all__ = [
     "EllipticityReport",
     "RealizationReport",
     "UnsupportedTwistError",
-    "ColumnRangeError",
     "twisted_forms",
     "e1_page",
     "assemble_transform",
@@ -71,10 +71,6 @@ __all__ = [
 
 class UnsupportedTwistError(ValueError):
     """Raised when no pinned rule covers the requested twist."""
-
-
-class ColumnRangeError(ValueError):
-    """Raised for a wedge column p outside 0..rank of the relative forms."""
 
 
 # ----------------------------------------------------------- complexes
@@ -152,19 +148,16 @@ def twisted_forms(
     fib: Fibration, twist_x: BundleLabel, p: int | None = None
 ) -> list[tuple[int, FilteredBundle]]:
     """(p, Lambda^p of the relative forms of fib, tensored with twist_x) for
-    column p, or for every column 0..rank when p is None.  Lambda^1 is the
-    relative cotangent bundle itself; taking it as is, not through the
-    wedge, keeps ``exterior_power``'s call count steady."""
+    column p, or for every column 0..rank when p is None; a column outside
+    0..rank is an ArgumentError."""
     lam = relative_cotangent(fib)
     if p is None:
         ps = range(len(lam) + 1)  # every factor is a line, or the wedge refuses
     elif 0 <= p <= rank(lam):
         ps = (p,)
     else:
-        raise ColumnRangeError(f"column p={p} is outside 0..{rank(lam)}")
-    return [
-        (k, (lam if k == 1 else exterior_power(lam, k)).twist_by(twist_x)) for k in ps
-    ]
+        raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
+    return [(k, exterior_power(lam, k).twist_by(twist_x)) for k in ps]
 
 
 def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
@@ -234,7 +227,7 @@ def involutive_cohomology(twist: BundleLabel) -> CohomologyResult:
     single degree.  Anything else has no pinned rule and is refused.
     """
     if twist.space != "Z":
-        raise UnsupportedTwistError(f"involutive cohomology needs a twist on Z, got {twist!r}")
+        raise ArgumentError(f"involutive cohomology needs a twist on Z, got {twist!r}")
     w, n = twist.weight, twist.n
     hyperplane = (1,) + (0,) * n
     if w != (0,) * (n + 1) and w != hyperplane:

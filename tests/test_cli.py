@@ -15,10 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flagcalc import cli
 from flagcalc.bbw import MODES
 from flagcalc.bundles import label_from_string, pieri_tensor
 from flagcalc.cli import FIBRATIONS, FORMATS, MAX_ENTRY, main
 from flagcalc.geometry import MAX_N
+from flagcalc.notation import ArgumentError, ParseError
+from flagcalc.transform import UnsupportedTwistError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -433,22 +436,28 @@ def test_n_above_the_bound_is_a_usage_error(capsys, argv):
     assert err == f"error: n must be in 2..{MAX_N}, got {argv[-1]}\n"
 
 
+def for_another_n(given: int, run_n: int) -> str:
+    return f" is for n={given}, but the run has n={run_n}\n"
+
+
 @pytest.mark.parametrize(
-    "argv, sizes",
-    [(["transform", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
-     (["direct-images", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
-     (["relative-forms", "-n", "3", "--twist", "(1|0|0)"], (2, 3)),
-     (["check", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
-     (["adjoint", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
-     (["involutive", "-n", "2", "--twist", "(1|0,0|0)"], (3, 2)),
-     (["transform", "-n", "3", "--twist", "(0||1|0)"], (2, 3)),
-     (["transform", "--config", "{config}"], (2, 3)),
-     (["corpus", "--fixtures", "{fixtures}"], (2, 3)),
-     (["tensor", "(0||0,0,0)", "--line", "(1||0,0)"], (2, 3))],
+    "argv, tail",
+    [(["transform", "-n", "2", "--twist", "(1|0,0|0)"], for_another_n(3, 2)),
+     (["direct-images", "-n", "2", "--twist", "(1|0,0|0)"], for_another_n(3, 2)),
+     (["relative-forms", "-n", "3", "--twist", "(1|0|0)"], for_another_n(2, 3)),
+     (["check", "-n", "2", "--twist", "(1|0,0|0)"], for_another_n(3, 2)),
+     (["adjoint", "-n", "2", "--twist", "(1|0,0|0)"], for_another_n(3, 2)),
+     (["involutive", "-n", "2", "--twist", "(1|0,0|0)"], for_another_n(3, 2)),
+     (["transform", "-n", "3", "--twist", "(0||1|0)"], for_another_n(2, 3)),
+     (["transform", "--config", "{config}"], for_another_n(2, 3)),
+     (["corpus", "--fixtures", "{fixtures}"], for_another_n(2, 3)),
+     (["tensor", "(0||0,0,0)", "--line", "(1||0,0)"],
+      "error: cannot tensor labels on different spaces or over different n: "
+      "<M (0||0,0,0)> vs <M (1||0,0)>\n")],
     ids=["transform", "direct-images", "relative-forms", "check", "adjoint", "involutive",
          "X twist", "config twist", "fixture twist", "tensor line"],
 )
-def test_a_twist_for_another_n_is_a_usage_error(capsys, tmp_path, argv, sizes):
+def test_a_twist_for_another_n_is_a_usage_error(capsys, tmp_path, argv, tail):
     (tmp_path / "run.json").write_text(json.dumps({"twist": "(1|0|0)"}))
     (tmp_path / "fixtures").mkdir()
     case = {"op": "transform", "n": 3, "twist": "(1|0|0)", "expect": {}}
@@ -456,8 +465,7 @@ def test_a_twist_for_another_n_is_a_usage_error(capsys, tmp_path, argv, sizes):
              "fixtures": write_fixture(tmp_path / "fixtures", {"cases": [case]})}
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.endswith(
-        f" is for n={sizes[0]}, but the run has n={sizes[1]}\n")
+    assert err.startswith("error: ") and err.endswith(tail)
 
 
 def long_label(command: str, entries: int) -> str:
@@ -609,7 +617,78 @@ def test_conormal_on_a_named_z_leg_is_a_usage_error(capsys, tmp_path, leg):
     for argv in (["--fibration", leg], ["--config", str(tmp_path / "leg.json")]):
         code, out, err = run(capsys, "relative-forms", "--conormal", *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: --conormal splits along the M-leg nu, not {leg}\n"
+        assert err == f"error: conormal splitting is defined along the M-leg, not {leg}\n"
+
+
+# Each usage rule the engine raises as an ArgumentError, from every source that can
+# reach it: (flags, or the command and its config, or a one-case fixture) -> error text
+USAGE_RULES = {
+    "twist for another n": (
+        {"flag": ["transform", "--twist", "(1|0|0)"],
+         "config": (["transform"], {"twist": "(1|0|0)"}),
+         "fixture": {"op": "transform", "twist": "(1|0|0)"}},
+        "twist (1|0|0) is for n=2, but the run has n=3"),
+    "twist not on Z or X": (
+        {"flag": ["direct-images", "--twist", "(0||0,0,0)"],
+         "config": (["direct-images"], {"twist": "(0||0,0,0)"}),
+         "fixture": {"op": "direct_images", "p": 1, "twist": "(0||0,0,0)"}},
+        "twists live on Z or X, got <M (0||0,0,0)>"),
+    "conormal off the M-leg": (
+        {"flag": ["relative-forms", "--conormal", "--fibration", "eta"],
+         "config": (["relative-forms", "--conormal"], {"fibration": "eta"}),
+         "fixture": {"op": "conormal", "fibration": "eta"}},
+        "conormal splitting is defined along the M-leg, not eta"),
+    "involutive twist not on Z": (
+        {"flag": ["involutive", "--twist", "(0||1|0|0)"],
+         "config": (["involutive"], {"twist": "(0||1|0|0)"}),
+         "fixture": {"op": "involutive", "twist": "(0||1|0|0)"}},
+        "involutive cohomology needs a twist on Z, got <X (0||1|0|0)>"),
+    "column out of range": (
+        {"flag": ["relative-forms", "-p", "5"],
+         "fixture": {"op": "exterior_power", "p": 5}},
+        "column p=5 is outside 0..4"),
+    "line for another n": (
+        {"flag": ["tensor", "(0||0,0,0)", "--line", "(1||0,0,0,0)"]},
+        "cannot tensor labels on different spaces or over different n: "
+        "<M (0||0,0,0)> vs <M (1||0,0,0,0)>"),
+}
+
+
+@pytest.mark.parametrize("rule, source", [(rule, source) for rule, (sources, _) in
+                                          USAGE_RULES.items() for source in sources])
+def test_each_usage_rule_exits_two_with_its_error_line(capsys, tmp_path, rule, source):
+    sources, text = USAGE_RULES[rule]
+    given = sources[source]
+    if source == "flag":
+        argv, prefix = given, ""
+    elif source == "config":
+        (tmp_path / "run.json").write_text(json.dumps(given[1]))
+        argv, prefix = [*given[0], "--config", str(tmp_path / "run.json")], ""
+    else:
+        doc = {"cases": [{**given, "expect": {}}]}
+        argv, prefix = ["corpus", "--fixtures", write_fixture(tmp_path, doc)], "bad[0]: "
+    assert run(capsys, *argv) == (2, "", f"error: {prefix}{text}\n")
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ArgumentError("refused"), 2), (ParseError("(", 0, "refused"), 2),
+    (ValueError("refused"), 1), (UnsupportedTwistError("refused"), 1)])
+def test_the_exit_code_is_read_off_the_exception_type(capsys, monkeypatch, exc, code):
+    def refuse(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_bbw", refuse)
+    assert run(capsys, "bbw", "(0)") == (code, "", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize("p", ["1", "2", "99"])
+def test_conormal_takes_no_column(capsys, p):
+    assert run(capsys, "relative-forms", "--conormal", "-p", p) == (
+        2, "", f"error: --conormal splits the 1-forms and takes no -p, got -p {p}\n")
+
+
+def test_an_empty_corpus_key_matches_no_fixture(capsys):
+    assert run(capsys, "corpus", "--only", "") == (
+        2, "", "error: no fixtures found: nothing was verified\n")
 
 
 def test_n_from_a_config_file_is_bounded_too(capsys, tmp_path):
