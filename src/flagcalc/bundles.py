@@ -201,11 +201,17 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
     return num // den
 
 
+def _label_rank(b: BundleLabel) -> int:
+    """Rank of a label: the product of the Weyl ranks of its blocks.  Untraced,
+    so a memo's miss path (``geometry._assemble_filtered``) may check ranks."""
+    return prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _shape(b.space, b.n).spans)
+
+
 def rank(b) -> int:
     """Rank of a BundleLabel or a FilteredBundle (sum over factors)."""
     if isinstance(b, FilteredBundle):
         return sum(rank(f) for f in b.factors)
-    return prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _shape(b.space, b.n).spans)
+    return _label_rank(b)
 
 
 def is_line(b: BundleLabel) -> bool:

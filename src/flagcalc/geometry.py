@@ -35,17 +35,17 @@ nilradical joins them by moves between X's fiber blocks, in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 
 from .bundles import (
     BundleLabel,
     FilteredBundle,
+    _label_rank,
     block_shape,
     branch_to_torus,
     is_line,
     m_label,
-    rank,
     trivial_label,
     x_label,
     z_label,
@@ -244,7 +244,7 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
         # sorting (block, entry) pairs sorts each weight inside its blocks
         tops = {tuple(x for _b, x in sorted(zip(block_of, w))) for w in members}
         label = BundleLabel(space.name, min(tops))
-        if len(tops) > 1 or rank(label) != len(members):
+        if len(tops) > 1 or _label_rank(label) != len(members):
             raise ValueError(
                 f"cannot resolve a Levi constituent from weights {sorted(members)}; "
                 "unsupported flag type"
@@ -288,6 +288,7 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
     return FilteredBundle(space.name, space.n, tuple(factors), tuple(components), tuple(levels))
 
 
+@lru_cache
 def relative_cotangent(f: Fibration) -> FilteredBundle:
     """Holomorphic 1-forms along the fibers of f, as a filtered bundle.
 
@@ -295,6 +296,10 @@ def relative_cotangent(f: Fibration) -> FilteredBundle:
     the base (Z's in the sigma frame) that is not an isotropy root of the
     total space; the filtration comes from the total space's nilradical
     as in _assemble_filtered.
+
+    Memoized on the frozen leg: the forms depend on the leg and n only,
+    never on a twist, and the result is frozen too.  The miss path checks
+    ranks through the untraced ``bundles._label_rank``.
     """
     extra = f.base.isotropy - f.total.isotropy
     weights = [_root_weight((j, i), f.total.n) for i, j in sorted(extra)]  # -(e_i - e_j)

@@ -241,7 +241,8 @@ def test_block_sum_grouping_matches_the_search_on_every_reachable_input(monkeypa
     # record every weight set the public functions group: all legs and the
     # conormal part for every n, seeded pullbacks for n <= 8 (most of them
     # refused: not multiplicity-free, too wide, or unsupported), and the
-    # n = 16 Sym^3 pullback refused at a Sym^2 class of the GL(14) block
+    # n = 16 Sym^3 pullback refused at a Sym^2 class of the GL(14) block;
+    # the legs' memo is cleared so that every leg's weight set is grouped
     grouped = []
     real = geometry._assemble_filtered
 
@@ -250,11 +251,16 @@ def test_block_sum_grouping_matches_the_search_on_every_reachable_input(monkeypa
         return real(weights, space)
 
     monkeypatch.setattr(geometry, "_assemble_filtered", recording)
+    relative_cotangent.cache_clear()
+    legs_recorded = 0
     for n in range(2, MAX_N + 1):
         reg = registry(n)
         for leg in ("mu", "nu", "eta"):
+            before = len(grouped)
             relative_cotangent(reg[leg])
+            legs_recorded += len(grouped) == before + 1
         conormal(reg["nu"])
+    assert legs_recorded == 3 * (MAX_N - 1)
     rng = random.Random(4100)
     labels = [m_label((0,) * 16 + (3,))]
     for n in range(2, 9):
