@@ -40,7 +40,7 @@ __all__ = [
 MODES = ("paper", "conservative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CancellationRecord:
     """One connecting-homomorphism candidate (quotient at q, sub at q+1)."""
 
@@ -59,7 +59,7 @@ class CancellationRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectImageTable:
     """Cells (p, q) -> labels on the base, plus the cancellation log."""
 
@@ -130,14 +130,15 @@ def direct_images(
 
     # connecting-homomorphism candidates: quotient directly above sub in
     # one composition series, images in degrees q and q+1, same label
+    comps, levels = f.components, f.levels
     candidates = []
-    for i in images:
-        for j in images:
+    for i, (qi, li) in images.items():
+        for j, (qj, lj) in images.items():
             if (
-                f.components[i] == f.components[j]
-                and f.levels[j] == f.levels[i] + 1
-                and images[j][0] == images[i][0] + 1
-                and images[j][1] == images[i][1]
+                comps[i] == comps[j]
+                and levels[j] == levels[i] + 1
+                and qj == qi + 1
+                and lj == li
             ):
                 candidates.append((i, j))
     candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
@@ -168,7 +169,7 @@ def direct_images(
 
 # ------------------------------------------------- global cohomology
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohomologyResult:
     """Cohomology dimensions by degree; an absent degree means zero."""
 

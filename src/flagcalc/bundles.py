@@ -29,7 +29,7 @@ everything else is a genuine ``(+)`` direct sum.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import prod
@@ -77,11 +77,13 @@ def block_shape(space: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unknown space tag {space!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Shape:
-    """What the label checks read off ``block_shape(space, n)``."""
+    """What the label checks read off ``block_shape(space, n)``, settled once
+    per (space, n): whether the blocks fit a weight at all is ``fits``."""
 
     blocks: tuple[int, ...]
+    fits: bool                          # every block holds at least one entry
     spans: tuple[tuple[int, int], ...]  # block j holds weight[lo:hi]
     links: tuple[int, ...]              # i where entries i and i+1 share a block
 
@@ -92,30 +94,32 @@ def _shape(space: str, n: int) -> _Shape:
     blocks = block_shape(space, n)
     ends = tuple(accumulate(blocks, initial=0))
     spans = tuple(zip(ends, ends[1:]))
-    return _Shape(blocks, spans, tuple(i for lo, hi in spans for i in range(lo, hi - 1)))
+    links = tuple(i for lo, hi in spans for i in range(lo, hi - 1))
+    return _Shape(blocks, min(blocks, default=0) >= 1, spans, links)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class BundleLabel:
     """An irreducible homogeneous bundle, named by its space and weight;
     ``blocks`` is derived, and labels order by (space, blocks, weight)."""
 
     space: str
-    blocks: tuple[int, ...] = field(init=False)
+    blocks: tuple[int, ...]
     weight: tuple[int, ...]
 
-    def __post_init__(self):
-        shape = _shape(self.space, len(self.weight) - 1)
-        if min(shape.blocks, default=0) < 1:
-            raise ValueError(f"blocks {shape.blocks} do not fit weight {self.weight}")
-        object.__setattr__(self, "blocks", shape.blocks)
-        w = self.weight
+    def __init__(self, space: str, weight: tuple[int, ...]):
+        shape = _shape(space, len(weight) - 1)
+        if not shape.fits:
+            raise ValueError(f"blocks {shape.blocks} do not fit weight {weight}")
         for i in shape.links:
-            if w[i] > w[i + 1]:
+            if weight[i] > weight[i + 1]:
                 raise ValueError(
-                    f"entries must be nondecreasing within each block: {w}"
+                    f"entries must be nondecreasing within each block: {weight}"
                     f" with blocks {shape.blocks}"
                 )
+        object.__setattr__(self, "space", space)  # frozen: set once, here
+        object.__setattr__(self, "blocks", shape.blocks)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def n(self) -> int:
@@ -217,7 +221,10 @@ def rank(b) -> int:
 def is_line(b: BundleLabel) -> bool:
     """Rank one <=> the weight is constant on every block."""
     w = b.weight
-    return all(w[i] == w[i + 1] for i in _shape(b.space, b.n).links)
+    for i in _shape(b.space, len(w) - 1).links:
+        if w[i] != w[i + 1]:
+            return False
+    return True
 
 
 def dual(b: BundleLabel) -> BundleLabel:
@@ -308,7 +315,7 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
 
 # ------------------------------------------------------ FilteredBundle
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilteredBundle:
     """Ordered factors of a filtered homogeneous bundle.
 
@@ -368,10 +375,9 @@ class FilteredBundle:
             raise ValueError(
                 f"twist_by needs a line bundle on {self.space} over n={self.n}, got {line!r}"
             )
-        factors = tuple(
-            BundleLabel(self.space, tuple(map(add, f.weight, line.weight))) for f in self.factors
-        )
-        return FilteredBundle(self.space, self.n, factors, self.components, self.levels)
+        space, shift = self.space, line.weight
+        factors = [BundleLabel(space, tuple(map(add, f.weight, shift))) for f in self.factors]
+        return FilteredBundle(space, self.n, tuple(factors), self.components, self.levels)
 
 
 @lru_cache

@@ -79,7 +79,7 @@ FIBRATIONS = ("mu", "nu", "eta")
 MAX_ENTRY = 10**9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """The one reader of run settings: the command's own defaults, then a
     config file, then flags; or a fixture case's fields over its op's

@@ -73,7 +73,7 @@ Root = tuple[int, int]
 MAX_N = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagSpace:
     """A homogeneous space, described by its isotropy root set; labels on
     it have the blocks ``block_shape(name, n)``."""
@@ -93,7 +93,7 @@ class FlagSpace:
         return 2 * self.complex_dim if self.name == "M" else self.complex_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fibration:
     """One leg of the double fibration, with stored fiber topology.
 

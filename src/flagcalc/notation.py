@@ -57,7 +57,7 @@ class ParseError(ArgumentError):
         super().__init__(f"cannot parse {_quoted(text)} at position {pos}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedLabel:
     """Purely syntactic parse result: entries, block sizes, ``||`` present?
 

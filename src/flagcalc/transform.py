@@ -78,7 +78,7 @@ class UnsupportedTwistError(ValueError):
 _ROLE_SUFFIX = {"full": "", "perp": "_perp", "kappa": "_kappa"}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FormType:
     """Name of a summand of the (p,q)-forms: full bundle, primitive
     part ("perp"), or the Kaehler line inside a diagonal bundle."""
@@ -105,7 +105,7 @@ def alternating_sum(ranks) -> int:
     return sum((-1) ** i * r for i, r in enumerate(ranks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexOnM:
     """A complex of direct sums of irreducible bundles on the base.
 
@@ -134,7 +134,7 @@ class ComplexOnM:
         return "0 -> " + " -> ".join(side(t) for t in self.terms) + " -> 0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformResult:
     table: DirectImageTable
     complex_: ComplexOnM | None
@@ -191,19 +191,15 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
     q0 = qs[0]
     terms = tuple(table.labels_at(p, q0) for p in range(ps[0], ps[-1] + 1))
     claims = claim_tags = None
-    if twist_z is not None:
-        try:
-            inv = involutive_cohomology(twist_z)
-        except UnsupportedTwistError:
-            inv = None
-        if inv is not None:
-            claims = tuple(inv.dim_at(ps[0] + i + q0) for i in range(len(terms)))
-            if all(x == 0 for x in twist_z.weight):
-                claim_tags = {
-                    i: ("constants" if ps[0] + i + q0 == 0 else "Kaehler form")
-                    for i in range(len(terms))
-                    if claims[i]
-                }
+    if twist_z is not None and _has_involutive_rule(twist_z):
+        inv = involutive_cohomology(twist_z)
+        claims = tuple(inv.dim_at(ps[0] + i + q0) for i in range(len(terms)))
+        if all(x == 0 for x in twist_z.weight):
+            claim_tags = {
+                i: ("constants" if ps[0] + i + q0 == 0 else "Kaehler form")
+                for i in range(len(terms))
+                if claims[i]
+            }
     cx = ComplexOnM(
         terms,
         q_row=q0,
@@ -217,6 +213,13 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
 
 # ------------------------------------------------ involutive cohomology
 
+def _has_involutive_rule(twist: BundleLabel) -> bool:
+    """The twists whose row cohomology has a pinned rule: the trivial and
+    the hyperplane twist (1|0,...,0) on Z."""
+    n = twist.n
+    return twist.space == "Z" and twist.weight in ((0,) * (n + 1), (1,) + (0,) * n)
+
+
 def involutive_cohomology(twist: BundleLabel) -> CohomologyResult:
     """Cohomology of the involutive complex on the correspondence space.
 
@@ -228,15 +231,13 @@ def involutive_cohomology(twist: BundleLabel) -> CohomologyResult:
     """
     if twist.space != "Z":
         raise ArgumentError(f"involutive cohomology needs a twist on Z, got {twist!r}")
-    w, n = twist.weight, twist.n
-    hyperplane = (1,) + (0,) * n
-    if w != (0,) * (n + 1) and w != hyperplane:
+    if not _has_involutive_rule(twist):
         raise UnsupportedTwistError(
             f"no pinned row-cohomology rule for twist {twist}; "
             "only the trivial and hyperplane twists are known to collapse"
         )
     zcoh = global_cohomology(twist)
-    betti = fiber_betti(registry(n)["eta"])
+    betti = fiber_betti(registry(twist.n)["eta"])
     if zcoh is None:
         return CohomologyResult({})
     q, module = zcoh
@@ -305,13 +306,13 @@ def form_type(b: BundleLabel) -> tuple[FormType, ...]:
     return tuple(sorted(out))
 
 
-def _naming(term, d: int, owner: dict, full, perp) -> tuple[FormType, ...] | None:
-    """The term as a sum of a*full(p,q) + b*perp(p,q) over the L(p,q) of
-    degree d that own its labels, or None.  A label lies in at most one
-    L(p,q) of a degree, and the constituents of one L(p,q) are distinct,
-    so a and b are read off each group: the naming is the only one."""
+def _naming(counts: Counter, d: int, owner: dict, full, perp) -> tuple[FormType, ...] | None:
+    """The term with these label counts as a sum of a*full(p,q) + b*perp(p,q)
+    over the L(p,q) of degree d that own its labels, or None.  A label lies
+    in at most one L(p,q) of a degree, and the constituents of one L(p,q) are
+    distinct, so a and b are read off each group: the naming is the only one."""
     groups: dict[tuple[int, int], Counter] = {}
-    for lab, c in Counter(term).items():
+    for lab, c in counts.items():
         if (d, lab) not in owner:
             return None
         groups.setdefault(owner[d, lab], Counter())[lab] = c
@@ -348,11 +349,16 @@ def annotate_form_types(
     n = _labels_n(terms)
     full, perp = form_dictionary(n)
     owner = {(p + q, lab): (p, q) for (p, q), labs in full.items() for lab in labs}
+    counts = [Counter(t) for t in terms]
     chains = []
     for d0 in range(2 * n + 2 - len(terms)):
-        chain = tuple(_naming(t, d0 + i, owner, full, perp) for i, t in enumerate(terms))
-        if None not in chain:
-            chains.append(chain)
+        chain = []
+        for i, c in enumerate(counts):
+            if (named := _naming(c, d0 + i, owner, full, perp)) is None:
+                break
+            chain.append(named)
+        else:
+            chains.append(tuple(chain))
     return chains[0] if len(chains) == 1 else None
 
 
@@ -367,7 +373,7 @@ def complex_from_form_types(types, n: int = 3) -> ComplexOnM:
 
 # --------------------------------------------------------- ellipticity
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrowCheck:
     index: int
     admissible: tuple[tuple[BundleLabel, BundleLabel], ...]
@@ -378,7 +384,7 @@ class ArrowCheck:
         return bool(self.admissible)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipticityReport:
     ranks: tuple[int, ...]
     alternating_sum: int
@@ -448,7 +454,7 @@ def formal_adjoint(c: ComplexOnM) -> ComplexOnM:
 
 # ---------------------------------------------------------- realization
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizationReport:
     """Kernel presentation of the top cohomology over the flag domain."""
 

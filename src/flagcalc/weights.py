@@ -16,7 +16,8 @@ weight is sorted(w + rho) - rho.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import gt
 
 Weight = tuple[int, ...]
 
@@ -64,7 +65,7 @@ def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
     shifted = tuple(a + i for i, a in enumerate(w))
     if len(set(shifted)) != len(shifted):
         return None
-    q = inversions(shifted)
+    q = sum(starmap(gt, combinations(shifted, 2)))  # inversions(shifted), distinct already
     dominant = tuple(a - i for i, a in enumerate(sorted(shifted)))
     return q, dominant
 

@@ -1,10 +1,22 @@
-"""The public surface: one export list per module, and no assert in the engine."""
+"""The public surface: one export list per module, no assert in the engine,
+and every value class frozen and slotted."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import flagcalc
+from flagcalc import (
+    BundleLabel,
+    assemble_transform,
+    check_ellipticity,
+    parse_label,
+    registry,
+    relative_cotangent,
+    z_label,
+)
 
 SRC = pathlib.Path(flagcalc.__file__).resolve().parent
 # the package re-exports these; the command line stays its own entry point
@@ -60,3 +72,45 @@ def test_no_label_is_built_without_its_checks():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         lines = list(_unchecked_constructions(tree))
         assert not lines, f"{path.name}: unchecked construction at lines {lines}"
+
+
+def _dataclasses():
+    """Every dataclass defined in the package, private ones included."""
+    for name in (*ENGINE, "cli"):
+        module = importlib.import_module(f"flagcalc.{name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ \
+                    and dataclasses.is_dataclass(cls):
+                yield cls
+
+
+def _dataclass_decorators() -> int:
+    return sum(1 for path in SRC.glob("*.py")
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if line.startswith("@dataclass("))
+
+
+def test_every_value_class_is_frozen_and_slotted():
+    classes = list(_dataclasses())
+    assert len(classes) == _dataclass_decorators()
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, cls
+        assert "__slots__" in vars(cls), cls
+        assert not any("__dict__" in vars(k) for k in cls.__mro__), cls
+    res = assemble_transform(z_label((0, 0, 0, 0)), 3)
+    fib = registry(3)["mu"]
+    values = [res, res.table, res.complex_, res.complex_.form_types[0][0], res.twist_x,
+              check_ellipticity(res.complex_), relative_cotangent(fib), fib, fib.total,
+              parse_label("(1|0,0|0)")]
+    for value in values:
+        assert type(value) in classes
+        assert not hasattr(value, "__dict__"), type(value)
+
+
+def test_a_label_is_built_by_keyword_as_by_position():
+    for space, weight in (("Z", (1, 0, 0, -2)), ("M", (0, -1, 0, 1)), ("X", (2, 1, 0)),
+                          ("fiber", (-1, 0, 3))):
+        by_keyword = BundleLabel(space=space, weight=weight)
+        assert by_keyword == BundleLabel(space, weight)
+        assert hash(by_keyword) == hash(BundleLabel(space, weight))
+        assert (by_keyword.space, by_keyword.weight) == (space, weight)

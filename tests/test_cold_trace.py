@@ -8,7 +8,8 @@ differently from a warm one.  Each memo is checked here in process, by
 one traced cold call; and since earlier tests in the full suite warm the
 memos, the benchmark's own tracer test is also run alone in a fresh
 interpreter, to check that the traced call counts of its workload paths
-repeat from a cold start.
+repeat from a cold start.  The traced call counts of a few fixed ops are
+pinned, so that a change which moves any of them shows here.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ import sys
 
 import pytest
 
+import flagcalc
 from flagcalc import bundles, geometry, transform
 from flagcalc.geometry import MAX_N, registry, relative_cotangent
 
@@ -26,9 +28,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TEST = "perfbench/test_perfbench.py::test_tracer_counts_repeat_and_wrappers_come_off"
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+def _perfbench_module(name: str):
+    """A benchmark module loaded from its file, under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while building
     spec.loader.exec_module(module)
     return module
 
@@ -47,7 +52,7 @@ MEMOS = [
 def test_a_memo_miss_calls_no_traced_function(name, module, attr, args):
     args = args()
     getattr(module, attr).cache_clear()
-    tracer = _tracer_module().Tracer()
+    tracer = _perfbench_module("tracer").Tracer()
     tracer.install()
     try:
         tracer.enabled = True
@@ -75,3 +80,53 @@ def test_tracer_counts_repeat_from_a_cold_process():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "1 passed" in proc.stdout
+
+
+# (workload runner, n, box twist, modes) -> nonzero traced calls of those ops.
+# (3|0,0|-3) collapses without an involutive rule, so it asks the rule's
+# predicate and never calls involutive_cohomology.
+PINNED_CALLS = {
+    ("run_sweep", 3, (0, 0, 0, 0), ("paper",)): {
+        "weights.bbw_reduce": 17, "bundles.exterior_power": 5, "bundles.twist_by": 5,
+        "bundles.rank": 14, "geometry.registry": 2, "geometry.relative_cotangent": 1,
+        "bbw.direct_images": 5, "bbw.merge": 1, "transform.assemble_transform": 1,
+        "transform.annotate_form_types": 1, "transform.form_dictionary": 1,
+        "transform.check_ellipticity": 1, "transform.involutive_cohomology": 1},
+    ("run_sweep", 3, (1, 0, 0, -2), ("paper",)): {
+        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "bundles.twist_by": 5,
+        "geometry.registry": 1, "geometry.relative_cotangent": 1, "bbw.direct_images": 5,
+        "bbw.merge": 1, "transform.assemble_transform": 1},
+    ("run_sweep", 3, (3, 0, 0, -3), ("paper",)): {
+        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "bundles.twist_by": 5,
+        "bundles.rank": 12, "geometry.registry": 1, "geometry.relative_cotangent": 1,
+        "bbw.direct_images": 5, "bbw.merge": 1, "transform.assemble_transform": 1,
+        "transform.annotate_form_types": 1, "transform.form_dictionary": 1,
+        "transform.check_ellipticity": 1},
+    ("run_e1", 2, (2, -1, -3), ("paper", "conservative")): {
+        "weights.bbw_reduce": 8, "bundles.exterior_power": 6, "bundles.twist_by": 6,
+        "geometry.registry": 2, "geometry.relative_cotangent": 2, "bbw.direct_images": 6,
+        "bbw.merge": 2},
+    ("run_e1", 3, (-1, 1, 1, 2), ("paper", "conservative")): {
+        "weights.bbw_reduce": 32, "bundles.exterior_power": 10, "bundles.twist_by": 10,
+        "geometry.registry": 2, "geometry.relative_cotangent": 2, "bbw.direct_images": 10,
+        "bbw.merge": 2},
+}
+
+
+@pytest.mark.parametrize("ops", PINNED_CALLS,
+                         ids=lambda ops: f"{ops[0]}-n{ops[1]}-{','.join(map(str, ops[2]))}")
+def test_traced_call_counts_of_fixed_ops_are_pinned(ops):
+    workloads = _perfbench_module("workloads")
+    runner, n, twist, modes = ops
+    tracer = _perfbench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        for mode in modes:
+            op = workloads.Op(n, workloads.BOXES[n].index(twist), mode)
+            getattr(workloads, runner)(flagcalc, op)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    calls = tracer.snapshot()["calls"]
+    assert {name: c for name, c in calls.items() if c} == PINNED_CALLS[ops]
