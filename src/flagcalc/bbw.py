@@ -181,9 +181,6 @@ class CohomologyResult:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.by_degree))
 
-    def __bool__(self) -> bool:
-        return bool(self.by_degree)
-
 
 def global_cohomology(b: BundleLabel) -> tuple[int, BundleLabel] | None:
     """Cohomology of a line bundle over the twistor space: None, or

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import prod
-from operator import add
+from operator import add, index
 
 from .notation import ArgumentError, ParsedLabel, format_entries, parse_label
 from .weights import is_dominant
@@ -108,6 +108,8 @@ class BundleLabel:
     weight: tuple[int, ...]
 
     def __init__(self, space: str, weight: tuple[int, ...]):
+        if type(weight) is not tuple:  # a list would print, but never hash or compare
+            raise TypeError(f"a label's weight is a tuple of ints, got {weight!r}")
         shape = _shape(space, len(weight) - 1)
         if not shape.fits:
             raise ValueError(f"blocks {shape.blocks} do not fit weight {weight}")
@@ -133,20 +135,23 @@ class BundleLabel:
         return f"<{self.space} {self}>"
 
 
+# The constructors by space take any iterable of integers: operator.index
+# reads True as 1 and refuses a str or a float with a TypeError.
+
 def m_label(weight) -> BundleLabel:
-    return BundleLabel("M", tuple(weight))
+    return BundleLabel("M", tuple(map(index, weight)))
 
 
 def x_label(weight) -> BundleLabel:
-    return BundleLabel("X", tuple(weight))
+    return BundleLabel("X", tuple(map(index, weight)))
 
 
 def z_label(weight) -> BundleLabel:
-    return BundleLabel("Z", tuple(weight))
+    return BundleLabel("Z", tuple(map(index, weight)))
 
 
 def fiber_label(weight) -> BundleLabel:
-    return BundleLabel("fiber", tuple(weight))
+    return BundleLabel("fiber", tuple(map(index, weight)))
 
 
 def trivial_label(space: str, n: int) -> BundleLabel:

@@ -3,9 +3,8 @@
 Everything lives inside GL(n+1,C) acting on C^{n+1} with coordinates
 0..n.  Three homogeneous spaces matter:
 
-* ``M``  — projective n-space, carrying the real structure on which
-  the assembled complexes live.  Its quoted dimension is the *real*
-  one, 2n.
+* ``M``  — projective n-space, complex dimension n, carrying the real
+  structure on which the assembled complexes live.
 * ``Z``  — the twistor space of pairs (line, hyperplane containing
   it), complex dimension 2n-1.  Its standard parabolic is conjugated
   by the transposition sigma = (0 1) of the first two coordinates;
@@ -19,8 +18,9 @@ Everything lives inside GL(n+1,C) acting on C^{n+1} with coordinates
 
 A root (i, j) stands for e_i - e_j (the (i,j) matrix position); each
 isotropy is the chain parabolic of the space's ``bundles.block_shape``,
-pinned by requiring the relative cotangent bundle of mu and the
-dimension count (2n-1, 2n, 4n-3) to come out right for n = 2, 3.
+pinned by the relative cotangent bundle of mu and by the complex
+dimensions (2n-1, n, 4n-3) of Z, M and X: n(n+1) minus the isotropy
+roots, a count the tests make for every n up to MAX_N.
 
 Relative forms, the conormal part and pullbacks from M reach X as a
 multiplicity-free set of torus weights, whose constituents are found by
@@ -63,7 +63,6 @@ __all__ = [
     "twist_frames",
     "pullback_factors",
     "fiber_betti",
-    "dimension_summary",
 ]
 
 Root = tuple[int, int]
@@ -82,16 +81,6 @@ class FlagSpace:
     n: int
     isotropy: frozenset[Root]         # roots (i, j) of the isotropy subalgebra
 
-    @property
-    def complex_dim(self) -> int:
-        """Number of ambient roots outside the isotropy."""
-        return self.n * (self.n + 1) - len(self.isotropy)
-
-    @property
-    def dim(self) -> int:
-        """The quoted dimension: real (2x complex) for M, complex otherwise."""
-        return 2 * self.complex_dim if self.name == "M" else self.complex_dim
-
 
 @dataclass(frozen=True, slots=True)
 class Fibration:
@@ -108,18 +97,6 @@ class Fibration:
     total: FlagSpace
     base: FlagSpace
     fiber: tuple[int, ...]
-
-    @property
-    def fiber_contractible(self) -> bool:
-        """The flag manifold is a point: at most one nonzero part."""
-        return sum(1 for k in self.fiber if k) <= 1
-
-    @property
-    def fiber_dim(self) -> int:
-        d = self.total.dim - self.base.dim
-        if d < 0:
-            raise ValueError(f"{self.name}: total space is smaller than its base")
-        return d
 
 
 def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> frozenset[Root]:
@@ -171,12 +148,6 @@ def registry(n: int) -> MappingProxyType:
         # data as mu, but the fiber topology the collapse arguments use
         "eta": Fibration("eta", x_space, z_space, (1, n - 2)),
     })
-
-
-def dimension_summary(n: int) -> tuple[int, int, int]:
-    """(dim Z, dim M, dim X) in the quoted conventions."""
-    r = registry(n)
-    return (r["Z"].dim, r["M"].dim, r["X"].dim)
 
 
 # ----------------------------------------------------- fiber topology

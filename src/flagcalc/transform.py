@@ -61,7 +61,6 @@ __all__ = [
     "check_ellipticity",
     "alternating_sum",
     "formal_adjoint",
-    "form_type",
     "form_dictionary",
     "complex_from_form_types",
     "annotate_form_types",
@@ -123,9 +122,6 @@ class ComplexOnM:
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(rank(b) for b in term) for term in self.terms)
-
-    def alternating_rank_sum(self) -> int:
-        return alternating_sum(self.ranks())
 
     def __str__(self) -> str:
         def side(term):
@@ -284,28 +280,6 @@ def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
     return labs
 
 
-def form_type(b: BundleLabel) -> tuple[FormType, ...]:
-    """All dictionary occurrences of a label over its n; empty tuple = unknown.
-
-    The trivial label inside a diagonal bundle (other than the extreme
-    corners) is the Kaehler line and is reported with role "kappa";
-    primitive constituents are reported with role "perp" rather than
-    doubly as plain members of the full bundle.
-    """
-    full, perp = form_dictionary(b.n)
-    out = []
-    for (p, q), labs in full.items():
-        if b not in labs:
-            continue
-        if b in perp.get((p, q), ()):
-            out.append(FormType(p, q, "perp"))
-        elif p == q and 0 < p < b.n and b == trivial_label("M", b.n):
-            out.append(FormType(p, q, "kappa"))
-        else:
-            out.append(FormType(p, q, "full"))
-    return tuple(sorted(out))
-
-
 def _naming(counts: Counter, d: int, owner: dict, full, perp) -> tuple[FormType, ...] | None:
     """The term with these label counts as a sum of a*full(p,q) + b*perp(p,q)
     over the L(p,q) of degree d that own its labels, or None.  A label lies
@@ -390,9 +364,6 @@ class EllipticityReport:
     alternating_sum: int
     arrows: tuple[ArrowCheck, ...]
     passed: bool
-
-    def inadmissible_pairs(self) -> tuple[tuple[BundleLabel, BundleLabel], ...]:
-        return tuple(p for a in self.arrows for p in a.inadmissible)
 
 
 def check_ellipticity(c: ComplexOnM) -> EllipticityReport:

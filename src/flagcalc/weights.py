@@ -23,29 +23,9 @@ Weight = tuple[int, ...]
 
 __all__ = [
     "Weight",
-    "rho",
-    "inversions",
     "is_dominant",
     "bbw_reduce",
-    "max_degree",
 ]
-
-
-def rho(k: int) -> Weight:
-    """The dominance shift (0, 1, ..., k-1) for GL(k,C)."""
-    return tuple(range(k))
-
-
-def inversions(w: Weight) -> int:
-    """Number of pairs i < j with w[i] > w[j].
-
-    This is the length of the unique permutation sorting ``w`` into
-    nondecreasing order; entries must be pairwise distinct, otherwise
-    "the" sorting permutation is ambiguous and we raise.
-    """
-    if len(set(w)) != len(w):
-        raise ValueError(f"inversions undefined for repeated entries: {w}")
-    return sum(1 for (a, b) in combinations(w, 2) if a > b)
 
 
 def is_dominant(w: Weight) -> bool:
@@ -65,11 +45,6 @@ def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
     shifted = tuple(a + i for i, a in enumerate(w))
     if len(set(shifted)) != len(shifted):
         return None
-    q = sum(starmap(gt, combinations(shifted, 2)))  # inversions(shifted), distinct already
+    q = sum(starmap(gt, combinations(shifted, 2)))  # pairs i < j out of order
     dominant = tuple(a - i for i, a in enumerate(sorted(shifted)))
     return q, dominant
-
-
-def max_degree(k: int) -> int:
-    """Largest cohomology degree bbw_reduce can produce: C(k,2) inversions."""
-    return k * (k - 1) // 2

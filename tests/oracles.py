@@ -17,7 +17,8 @@ rank conservation).  The old grouping of relative forms into a filtered
 bundle, kept verbatim at the end, finds each Levi constituent by a
 breadth-first search over the +-Levi root vectors and levels by a
 fixed-point loop; it reads the package's labels, ``rank`` (checked
-against the pattern count above) and the space's isotropy roots.  The
+against the pattern count above) and the space's isotropy roots, which
+``complex_dim`` counts against the dimensions of the spaces.  The
 old per-block label rules, ``is_dominant`` on each block's slice and one
 distinct value per block for a line, cut the weight by the package's
 ``block_shape``, the one statement of the block sizes.
@@ -117,6 +118,13 @@ def block_dominant(space: str, weight: tuple[int, ...]) -> bool:
 def block_line(label: BundleLabel) -> bool:
     """The old line test: one distinct value in every block."""
     return all(len(set(part)) == 1 for part in block_slices(label.space, label.weight))
+
+
+def complex_dim(space: FlagSpace) -> int:
+    """Complex dimension of a homogeneous space of GL(n+1): the roots
+    (i, j), i != j, outside its isotropy, that is n(n+1) - |isotropy|."""
+    coords = range(space.n + 1)
+    return sum(1 for i in coords for j in coords if i != j and (i, j) not in space.isotropy)
 
 
 def pieri_admissible(source: BundleLabel, target: BundleLabel) -> bool:

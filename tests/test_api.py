@@ -1,5 +1,6 @@
-"""The public surface: one export list per module, no assert in the engine,
-and every value class frozen and slotted."""
+"""The public surface: one export list per module, each exported function
+called by the package or the benchmark, no assert in the engine, and every
+value class frozen and slotted."""
 
 import ast
 import dataclasses
@@ -44,6 +45,46 @@ def test_the_package_exports_the_union_of_the_module_lists():
             assert getattr(flagcalc, x) is getattr(module, x)
     assert sorted(flagcalc.__all__) == sorted([*owner, "__version__"])
     assert len(flagcalc.__all__) == len(set(flagcalc.__all__))
+
+
+# exported functions that nothing in the package or the benchmark calls yet
+UNCALLED = {
+    "dual": "the Serre duality test reads it, and a formal adjoint derived by "
+            "reversing and dualizing will call it",
+}
+
+
+def _references(node: ast.AST, skip: str | None):
+    """Every ast.Name id and ast.Attribute attr under node, outside any
+    function definition named ``skip``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def test_every_exported_function_has_a_caller():
+    # a reference from its own module counts, but not from its own body;
+    # methods are left to review, since their names collide across classes
+    bench = sorted((pathlib.Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert bench, "the benchmark sources are missing"
+    files = [*sorted(SRC.glob("*.py")), *bench]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in files}
+    uncalled = set()
+    for name in (*ENGINE, "cli"):
+        module = importlib.import_module(f"flagcalc.{name}")
+        for x in module.__all__:
+            obj = getattr(module, x)
+            if not callable(obj) or inspect.isclass(obj):
+                continue
+            if not any(x in set(_references(tree, x if path.stem == name else None))
+                       for path, tree in trees.items()):
+                uncalled.add(x)
+    assert uncalled == set(UNCALLED)
 
 
 def test_no_assert_statement_in_the_engine():

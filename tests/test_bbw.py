@@ -154,12 +154,10 @@ def test_merge_keeps_columns_apart(setup):
 
 def test_cohomology_result_helpers():
     empty = CohomologyResult({})
-    assert not empty
     assert empty.dim_at(0) == 0
     assert empty.degrees() == ()
 
     two = CohomologyResult({0: 1, 2: 6})
-    assert two
     assert two.degrees() == (0, 2)
     assert two.dim_at(0) == 1
     assert two.dim_at(2) == 6

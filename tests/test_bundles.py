@@ -57,6 +57,23 @@ def test_labels_and_filtered_bundles_take_no_block_tuple():
         x_label(())  # no shape has no blocks
 
 
+def test_the_label_constructor_is_the_input_boundary():
+    # a weight that is not a tuple would print, but never hash or equal a label
+    for weight in ([0, 1, 2], range(3), (x for x in (0, 1, 2))):
+        with pytest.raises(TypeError, match="tuple of ints"):
+            BundleLabel("M", weight)
+    # the constructors by space read every entry as an integer
+    coerced = m_label((0, True, 2))
+    assert str(coerced) == "(0||1,2)"
+    assert coerced == m_label((0, 1, 2)) == m_label([0, 1, 2])
+    assert hash(coerced) == hash(m_label((0, 1, 2)))
+    assert all(type(x) is int for x in coerced.weight)
+    for make in (m_label, x_label, z_label, fiber_label):
+        for weight in (("a", "b", "c"), (0, 1.0, 2), (0, None, 2)):
+            with pytest.raises(TypeError):
+                make(weight)
+
+
 @pytest.mark.parametrize("space", ["M", "X", "Z", "fiber"])
 def test_label_checks_agree_with_the_per_block_oracles(space):
     # every n the registry builds, and weights of 0 to 2 entries, which fit

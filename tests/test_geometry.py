@@ -21,7 +21,6 @@ from flagcalc.bundles import (
 from flagcalc.geometry import (
     MAX_N,
     conormal,
-    dimension_summary,
     fiber_betti,
     pullback_factors,
     pullback_line,
@@ -31,12 +30,18 @@ from flagcalc.geometry import (
     twist_frames,
 )
 from oracles import assemble_filtered as search_grouping
+from oracles import complex_dim
 
 
 def test_dimension_summary():
-    assert dimension_summary(3) == (5, 6, 9)
-    assert dimension_summary(2) == (3, 4, 5)
-    assert dimension_summary(4) == (7, 8, 13)
+    # the isotropy roots give the complex dimensions of Z, M and X
+    for n in range(2, MAX_N + 1):
+        reg = registry(n)
+        assert [complex_dim(reg[name]) for name in ("Z", "M", "X")] == [2 * n - 1, n, 4 * n - 3]
+        for name in ("Z", "M", "X"):
+            assert n * (n + 1) - len(reg[name].isotropy) == complex_dim(reg[name])
+        # mu's relative forms span its fiber, of dimension dim X - dim Z
+        assert rank(relative_cotangent(reg["mu"])) == 2 * n - 2
 
 
 def test_registry_validates_n():
@@ -67,12 +72,12 @@ def test_sigma_frame_is_an_involution():
 
 def test_fibration_bookkeeping():
     reg = registry(3)
-    assert reg["mu"].fiber_contractible
-    assert not reg["eta"].fiber_contractible
-    assert reg["mu"].fiber_dim == 4
-    assert reg["nu"].fiber_dim == 3
+    assert fiber_betti(reg["mu"]) == [1]  # a point
+    assert fiber_betti(reg["eta"]) == [1, 0, 1]
+    # the fiber of nu is the full flag manifold of C^3, of dimension 2n - 3
+    assert len(fiber_betti(reg["nu"])) == 2 * 3 + 1
     # n=2 degenerates: the second Z-leg has point fibers
-    assert registry(2)["eta"].fiber_contractible
+    assert fiber_betti(registry(2)["eta"]) == [1]
 
 
 @pytest.mark.parametrize(
@@ -102,8 +107,9 @@ def test_fiber_betti_counts_the_cells_of_the_flag_manifold(n):
         assert sum(betti) == factorial(sum(parts)) // prod(factorial(k) for k in parts)
         assert betti == betti[::-1]
         assert not any(betti[1::2])
-    # the fibers of nu are the flag manifold itself, so its top degree is 2 dim
-    assert len(fiber_betti(reg["nu"])) == 2 * reg["nu"].fiber_dim + 1
+    # the fibers of nu are the flag manifold itself, of complex dimension
+    # 2n - 3, so its top Betti degree is 2(2n - 3)
+    assert len(fiber_betti(reg["nu"])) == 2 * (2 * n - 3) + 1
 
 
 def test_relative_cotangent_of_the_holomorphic_leg():
@@ -113,8 +119,8 @@ def test_relative_cotangent_of_the_holomorphic_leg():
     ]
     assert lam.components == (0, 0, 1, 1)
     assert lam.levels == (0, 1, 0, 1)
-    # factor count = fiber dimension of the leg
-    assert len(lam) == registry(3)["mu"].fiber_dim
+    # factor count = rank = fiber dimension of the leg, dim X - dim Z = 2n - 2
+    assert len(lam) == rank(lam) == 4
 
 
 def test_relative_cotangent_n2():

@@ -19,7 +19,7 @@ from flagcalc.bundles import (
 )
 from flagcalc.geometry import pullback_line, registry, relative_cotangent
 from flagcalc.notation import format_entries, parse_label
-from flagcalc.weights import bbw_reduce, max_degree
+from flagcalc.weights import bbw_reduce
 
 from oracles import brute_reduce, count_rank
 
@@ -42,7 +42,7 @@ def test_reduction_lands_dominant_within_the_degree_bound(w):
     if got:
         q, dom = got
         assert list(dom) == sorted(dom)
-        assert 0 <= q <= max_degree(len(w))
+        assert 0 <= q <= comb(len(w), 2)
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4))
