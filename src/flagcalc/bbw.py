@@ -40,6 +40,24 @@ __all__ = [
 MODES = ("paper", "conservative")
 
 
+class FrozenDict(dict):
+    """The mapping field of a frozen result: a dict that refuses writes and
+    hashes by its items, so the result stays immutable and hashable."""
+
+    __slots__ = ()
+
+    def _refuse(self, *_args, **_kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
 @dataclass(frozen=True, slots=True)
 class CancellationRecord:
     """One connecting-homomorphism candidate (quotient at q, sub at q+1)."""
@@ -59,13 +77,19 @@ class CancellationRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DirectImageTable:
     """Cells (p, q) -> labels on the base, plus the cancellation log."""
 
     cells: dict[tuple[int, int], tuple[BundleLabel, ...]]
     mode: str
-    log: tuple[CancellationRecord, ...] = ()
+    log: tuple[CancellationRecord, ...]
+
+    # built once per first-page column: a plain __init__ costs less than __post_init__
+    def __init__(self, cells, mode: str, log: tuple[CancellationRecord, ...] = ()):
+        object.__setattr__(self, "cells", FrozenDict(cells))
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "log", log)
 
     def labels_at(self, p: int, q: int) -> tuple[BundleLabel, ...]:
         return self.cells.get((p, q), ())
@@ -174,6 +198,9 @@ class CohomologyResult:
     """Cohomology dimensions by degree; an absent degree means zero."""
 
     by_degree: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_degree", FrozenDict(self.by_degree))
 
     def dim_at(self, r: int) -> int:
         return self.by_degree.get(r, 0)

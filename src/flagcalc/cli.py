@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Every subcommand prints either human-readable text (``--format
-markdown``, the default) or deterministic JSON (``--format json``,
-sorted keys, stable ordering).  Exit codes: 0 for success, 1 for a
-mathematical failure (corpus mismatch, failed ellipticity check,
-table that does not collapse to a complex, unsupported twist), 2 for
-usage errors.  The exception alone picks the code: an ``ArgumentError``
-exits 2 and any other ``ValueError`` exits 1.  The engine raises
+``main`` reads the run settings once (``RunConfig.from_args``) and passes
+them to the command.  A command computes its result, builds one JSON
+document and a lazy markdown renderer, and ``_show`` prints one of the two
+by ``--format``: human-readable text (``markdown``, the default) or
+deterministic JSON (sorted keys, stable ordering); a JSON run renders no
+markdown.  A command fails only by raising.  A mathematical failure (a
+table that does not collapse to a complex, a failed ellipticity check,
+failed corpus cases) prints its report first; an unsupported twist prints
+nothing.  ``main`` reads the exit code off the exception: 2 for an
+``ArgumentError``, 1 for any other ``ValueError``, 0 when nothing was
+raised; every nonzero exit writes an ``error:`` line.  The engine raises
 ``ArgumentError`` for what it cannot take as given: a label that does not
 parse, a wedge column out of range, a twist not on Z or X or for another
 n, ``--conormal`` on a Z-leg, an involutive twist not on Z, a ``--line``
@@ -14,13 +18,15 @@ for another n.  This module raises it for its own input checks: bad flags
 or config values, labels that do not fit their space, of more than
 MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, n
 outside 2..MAX_N, ``--conormal`` with ``-p``, an empty fixture directory,
-a malformed fixture file or case (named as ``file[index]``).  Every
-nonzero exit writes an ``error:`` line.
+a malformed fixture file or case (named as ``file[index]``).
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
-A fixture case's ``n``, ``twist``, ``mode`` and ``fibration`` go through the
-same ``RunConfig``, and an op that mirrors a command runs its compute function.
+With no ``fibration``, ``_forms`` takes the leg the op works on: ``nu``
+for the conormal part, ``mu`` otherwise.  A fixture case's ``n``,
+``twist``, ``mode`` and ``fibration`` go through the same ``RunConfig``,
+and an op that mirrors a command runs that command's compute function and
+projects its JSON document.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import argparse
 import json
 import pathlib
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -54,6 +61,7 @@ from .geometry import (
 from .notation import ArgumentError, _quoted, format_weight, parse_label
 from .transform import (
     ComplexOnM,
+    EllipticityReport,
     FormType,
     TransformResult,
     alternating_sum,
@@ -70,8 +78,6 @@ from .weights import bbw_reduce
 
 __all__ = ["main", "RunConfig"]
 
-USAGE_ERROR = 2
-MATH_ERROR = 1
 FORMATS = ("markdown", "json")
 FIBRATIONS = ("mu", "nu", "eta")
 # Largest |entry| of a label from outside: with MAX_N + 1 entries every printed
@@ -81,15 +87,14 @@ MAX_ENTRY = 10**9
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """The one reader of run settings: the command's own defaults, then a
-    config file, then flags; or a fixture case's fields over its op's
-    defaults.  ``n`` is an integer in 2..MAX_N."""
+    """The one reader of run settings: a config file, then flags; or a
+    fixture case's fields.  ``n`` is an integer in 2..MAX_N."""
 
     n: int = 3
     twist: str | None = None
     mode: str = "paper"
     format: str = "markdown"
-    fibration: str = "mu"
+    fibration: str | None = None  # the leg the op works on (_forms)
 
     def __post_init__(self):
         if type(self.n) is not int:
@@ -100,13 +105,13 @@ class RunConfig:
             raise ArgumentError(f"twist must be a label string, got {self.twist!r}")
         for key, allowed in (("mode", MODES), ("format", FORMATS), ("fibration", FIBRATIONS)):
             value = getattr(self, key)
-            if value not in allowed:
+            if value not in allowed and (key, value) != ("fibration", None):
                 raise ArgumentError(f"{key} must be one of {allowed}, got {value!r}")
 
     @staticmethod
-    def from_args(args: argparse.Namespace, **defaults) -> "RunConfig":
-        """The command's own ``defaults``, then the config file, then flags."""
-        base: dict = dict(defaults)
+    def from_args(args: argparse.Namespace) -> "RunConfig":
+        """The config file, then flags."""
+        base: dict = {}
         if getattr(args, "config", None):
             try:  # ValueError covers bad UTF-8 and bad JSON
                 with open(args.config, encoding="utf-8") as fh:
@@ -166,10 +171,6 @@ def _twist_label(cfg: RunConfig) -> BundleLabel:
 
 # -------------------------------------------------------- serialization
 
-def _j(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 def filtered_to_json(f: FilteredBundle) -> dict:
     return {
         "factors": [str(b) for b in f.factors],
@@ -219,6 +220,34 @@ def complex_to_json(c: ComplexOnM) -> dict:
     }
 
 
+def transform_to_json(res: TransformResult) -> dict:
+    table = table_to_json(res.table)
+    return {
+        "E1": table["cells"],
+        "cancellations": table["cancellations"],
+        "complex": None if res.complex_ is None else complex_to_json(res.complex_),
+        "reason": res.reason,
+        "mode": res.mode,
+    }
+
+
+def check_to_json(report: EllipticityReport) -> dict:
+    return {
+        "ranks": list(report.ranks),
+        "alternating_sum": report.alternating_sum,
+        "arrows": [
+            {
+                "index": a.index,
+                "ok": a.ok,
+                "admissible": [[str(s), str(t)] for s, t in a.admissible],
+                "inadmissible": [[str(s), str(t)] for s, t in a.inadmissible],
+            }
+            for a in report.arrows
+        ],
+        "passed": report.passed,
+    }
+
+
 def _table_markdown(t: DirectImageTable) -> str:
     if not t.cells:
         return "(all direct images vanish)"
@@ -226,17 +255,9 @@ def _table_markdown(t: DirectImageTable) -> str:
     qs = sorted({q for _, q in t.cells}, reverse=True)
     head = "| q \\ p | " + " | ".join(str(p) for p in ps) + " |"
     sep = "|---" * (len(ps) + 1) + "|"
-    rows = []
-    for q in qs:
-        cells = []
-        for p in ps:
-            labs = t.cells.get((p, q), ())
-            cells.append(" (+) ".join(str(b) for b in labs) if labs else "-")
-        rows.append(f"| {q} | " + " | ".join(cells) + " |")
-    lines = [head, sep, *rows]
-    for r in t.log:
-        lines.append(r.describe())
-    return "\n".join(lines)
+    rows = [f"| {q} | " + " | ".join(" (+) ".join(map(str, t.labels_at(p, q))) or "-"
+                                     for p in ps) + " |" for q in qs]
+    return "\n".join([head, sep, *rows, *(r.describe() for r in t.log)])
 
 
 def _complex_markdown(c: ComplexOnM) -> str:
@@ -246,69 +267,51 @@ def _complex_markdown(c: ComplexOnM) -> str:
         named = ["+".join(str(ft) for ft in t) for t in c.form_types]
         lines.append("form types: " + " -> ".join(named))
     if c.claims is not None:
-        shown = []
-        for i, d in enumerate(c.claims):
-            tag = (c.claim_tags or {}).get(i)
-            shown.append(f"{i}:{d}" + (f" ({tag})" if tag else ""))
-        lines.append("cohomology claims: " + ", ".join(shown))
+        tags = c.claim_tags or {}
+        lines.append("cohomology claims: " + ", ".join(
+            f"{i}:{d}" + (f" ({tags[i]})" if tags.get(i) else "") for i, d in enumerate(c.claims)))
     return "\n".join(lines)
 
 
 # ----------------------------------------------------------- commands
 
-def _fail(message: str) -> int:
-    """A mathematical failure whose report is already printed: say so."""
-    print(f"error: {message}", file=sys.stderr)
-    return MATH_ERROR
+def _show(cfg: RunConfig, doc: dict, markdown: Callable[[], str]) -> None:
+    """The one print path: the command's JSON document, or its markdown
+    report, which is rendered only when asked for."""
+    print(json.dumps(doc, sort_keys=True, indent=2) if cfg.format == "json" else markdown())
 
 
-def cmd_bbw(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_bbw(cfg: RunConfig, args) -> None:
     weight = _parse_or_usage(args.weight).weight
     result = bbw_reduce(weight)
-    if cfg.format == "json":
-        out = {"weight": list(weight), "k": len(weight), "singular": result is None}
-        if result is not None:
-            out["q"], out["dominant"] = result[0], list(result[1])
-        print(_j(out))
-    else:
-        if result is None:
-            print("singular")
-        else:
-            print(f"q={result[0]} -> {format_weight(result[1])}")
-    return 0
+    doc = {"weight": list(weight), "k": len(weight), "singular": result is None}
+    if result is not None:
+        doc["q"], doc["dominant"] = result[0], list(result[1])
+    _show(cfg, doc, lambda: "singular" if result is None
+          else f"q={result[0]} -> {format_weight(result[1])}")
 
 
-def cmd_rank(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_rank(cfg: RunConfig, args) -> None:
     label = _label(args.label, args.space)
-    r = rank(label)
-    if cfg.format == "json":
-        print(_j({"label": str(label), "space": label.space, "rank": r}))
-    else:
-        print(f"rank {label} = {r}")
-    return 0
+    doc = {"label": str(label), "space": label.space, "rank": rank(label)}
+    _show(cfg, doc, lambda: f"rank {doc['label']} = {doc['rank']}")
 
 
-def cmd_tensor(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_tensor(cfg: RunConfig, args) -> None:
     label = _label(args.label, "M")
     if args.line is not None:
         terms = [tensor_line(label, _label(args.line, "M"))]
     else:
-        terms = list(pieri_tensor(label))
-    if cfg.format == "json":
-        print(_j({"input": str(label), "terms": [str(t) for t in terms]}))
-    else:
-        for t in terms:
-            print(str(t))
-    return 0
+        terms = pieri_tensor(label)
+    doc = {"input": str(label), "terms": [str(t) for t in terms]}
+    _show(cfg, doc, lambda: "\n".join(doc["terms"]))
 
 
 def _forms(cfg: RunConfig, p: int, conormal_part: bool) -> FilteredBundle:
     """Lambda^p of the relative forms along the run's leg, or the conormal
-    part of the relative cotangent bundle, tensored with the twist."""
-    fib = registry(cfg.n)[cfg.fibration]
+    part of the relative cotangent bundle, tensored with the twist.  With no
+    leg given, the conormal part splits along the M-leg nu, the forms along mu."""
+    fib = registry(cfg.n)[cfg.fibration or ("nu" if conormal_part else "mu")]
     twist_x = twist_frames(_twist_label(cfg), cfg.n)[1]
     if conormal_part:
         return conormal(fib).twist_by(twist_x)
@@ -316,19 +319,13 @@ def _forms(cfg: RunConfig, p: int, conormal_part: bool) -> FilteredBundle:
     return bundle
 
 
-def cmd_relative_forms(args) -> int:
+def cmd_relative_forms(cfg: RunConfig, args) -> None:
     if args.conormal and args.p is not None:
         raise ArgumentError(f"--conormal splits the 1-forms and takes no -p, got -p {args.p}")
-    # the conormal splitting lives on the M-leg, so --conormal defaults to nu
-    cfg = RunConfig.from_args(args, fibration="nu" if args.conormal else "mu")
-    bundle = _forms(cfg, 1 if args.p is None else args.p, args.conormal)
-    if cfg.format == "json":
-        print(_j(filtered_to_json(bundle)))
-    else:
-        print(str(bundle))
-        for b, c, v in zip(bundle.factors, bundle.components, bundle.levels):
-            print(f"  {b}  component={c} level={v}")
-    return 0
+    doc = filtered_to_json(_forms(cfg, 1 if args.p is None else args.p, args.conormal))
+    _show(cfg, doc, lambda: "\n".join([doc["display"], *(
+        f"  {b}  component={c} level={v}"
+        for b, c, v in zip(doc["factors"], doc["components"], doc["levels"]))]))
 
 
 def _e1(cfg: RunConfig, p: int | None) -> DirectImageTable:
@@ -336,14 +333,9 @@ def _e1(cfg: RunConfig, p: int | None) -> DirectImageTable:
     return e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.mode, p)
 
 
-def cmd_direct_images(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_direct_images(cfg: RunConfig, args) -> None:
     table = _e1(cfg, args.p)
-    if cfg.format == "json":
-        print(_j(table_to_json(table)))
-    else:
-        print(_table_markdown(table))
-    return 0
+    _show(cfg, table_to_json(table), lambda: _table_markdown(table))
 
 
 def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
@@ -355,26 +347,13 @@ def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
     return res
 
 
-def cmd_transform(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_transform(cfg: RunConfig, args) -> None:
     res = _transform(cfg)
-    if cfg.format == "json":
-        table = table_to_json(res.table)
-        out = {
-            "E1": table["cells"],
-            "cancellations": table["cancellations"],
-            "complex": None if res.complex_ is None else complex_to_json(res.complex_),
-            "reason": res.reason,
-            "mode": res.mode,
-        }
-        print(_j(out))
-    else:
-        print(_table_markdown(res.table))
-        if res.complex_ is not None:
-            print(_complex_markdown(res.complex_))
-        else:
-            print(res.reason)
-    return 0 if res.complex_ is not None else _fail(f"no complex: {res.reason}")
+    _show(cfg, transform_to_json(res), lambda: "\n".join([
+        _table_markdown(res.table),
+        res.reason if res.complex_ is None else _complex_markdown(res.complex_)]))
+    if res.complex_ is None:
+        raise ValueError(f"no complex: {res.reason}")
 
 
 def _involutive(cfg: RunConfig) -> CohomologyResult:
@@ -382,104 +361,78 @@ def _involutive(cfg: RunConfig) -> CohomologyResult:
     return involutive_cohomology(_twist_label(cfg))
 
 
-def cmd_involutive(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_involutive(cfg: RunConfig, args) -> None:
     coh = _involutive(cfg)
-    if cfg.format == "json":
-        print(_j(cohomology_to_json(coh)))
-    else:
-        if not coh.degrees():
-            print("H^r = 0 for all r")
-        for r in coh.degrees():
-            print(f"H^{r} = C^{coh.dim_at(r)}")
-    return 0
+    _show(cfg, cohomology_to_json(coh), lambda: "\n".join(
+        [f"H^{r} = C^{coh.dim_at(r)}" for r in coh.degrees()] or ["H^r = 0 for all r"]))
 
 
-def cmd_adjoint(args) -> int:
-    cfg = RunConfig.from_args(args)
-    res = _transform(cfg, "no complex to dualize")
-    adj = formal_adjoint(res.complex_)
-    if cfg.format == "json":
-        print(_j({"adjoint": complex_to_json(adj)}))
-    else:
-        print(_complex_markdown(adj))
-    return 0
+def _adjoint(cfg: RunConfig) -> ComplexOnM:
+    return formal_adjoint(_transform(cfg, "no complex to dualize").complex_)
 
 
-def cmd_check(args) -> int:
-    cfg = RunConfig.from_args(args)
-    res = _transform(cfg, "nothing to check")
-    report = check_ellipticity(res.complex_)
-    if cfg.format == "json":
-        print(_j({
-            "ranks": list(report.ranks),
-            "alternating_sum": report.alternating_sum,
-            "arrows": [
-                {
-                    "index": a.index,
-                    "ok": a.ok,
-                    "admissible": [[str(s), str(t)] for s, t in a.admissible],
-                    "inadmissible": [[str(s), str(t)] for s, t in a.inadmissible],
-                }
-                for a in report.arrows
-            ],
-            "passed": report.passed,
-        }))
-    else:
-        print(f"ranks {list(report.ranks)}, alternating sum {report.alternating_sum}")
-        for a in report.arrows:
-            status = "ok" if a.ok else "NO ADMISSIBLE COMPONENT"
-            print(f"arrow {a.index}: {len(a.admissible)} admissible, "
-                  f"{len(a.inadmissible)} inadmissible ({status})")
-            for s, t in a.inadmissible:
-                print(f"  forbidden: {s} -> {t}")
-        print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else _fail("the symbol check failed")
+def cmd_adjoint(cfg: RunConfig, args) -> None:
+    adj = _adjoint(cfg)
+    _show(cfg, {"adjoint": complex_to_json(adj)}, lambda: _complex_markdown(adj))
+
+
+def _check(cfg: RunConfig) -> EllipticityReport:
+    return check_ellipticity(_transform(cfg, "nothing to check").complex_)
+
+
+def _check_markdown(report: EllipticityReport) -> str:
+    lines = [f"ranks {list(report.ranks)}, alternating sum {report.alternating_sum}"]
+    for a in report.arrows:
+        status = "ok" if a.ok else "NO ADMISSIBLE COMPONENT"
+        lines.append(f"arrow {a.index}: {len(a.admissible)} admissible, "
+                     f"{len(a.inadmissible)} inadmissible ({status})")
+        lines += [f"  forbidden: {s} -> {t}" for s, t in a.inadmissible]
+    lines.append("PASS" if report.passed else "FAIL")
+    return "\n".join(lines)
+
+
+def cmd_check(cfg: RunConfig, args) -> None:
+    report = _check(cfg)
+    _show(cfg, check_to_json(report), lambda: _check_markdown(report))
+    if not report.passed:
+        raise ValueError("the symbol check failed")
 
 
 # ------------------------------------------------------- corpus runner
 
 def _run_case(case: dict) -> dict:
-    """Execute one fixture case and return the actual outcome."""
+    """Execute one fixture case and return the actual outcome; an op that
+    mirrors a command projects that command's document."""
     op = case["op"]
-    # the case's settings over the op's defaults (a case has no output format);
-    # the conormal op splits along the M-leg, like relative-forms --conormal
-    given = {k: case[k] for k in ("n", "twist", "mode", "fibration") if k in case}
-    cfg = RunConfig(**{"fibration": "nu" if op == "conormal" else "mu", **given})
+    # the case's settings (a case has no output format)
+    cfg = RunConfig(**{k: case[k] for k in ("n", "twist", "mode", "fibration") if k in case})
     if op in ("exterior_power", "relative_cotangent", "conormal"):
         p = case["p"] if op == "exterior_power" else 1
         return filtered_to_json(_forms(cfg, p, op == "conormal"))
     if op == "direct_images":
-        col = _e1(cfg, case["p"])
+        doc = table_to_json(_e1(cfg, case["p"]))
         return {
-            "cells": table_to_json(col)["cells"],
-            "applied": sum(r.applied for r in col.log),
-            "candidates": len(col.log),
+            "cells": doc["cells"],
+            "applied": sum(c["applied"] for c in doc["cancellations"]),
+            "candidates": len(doc["cancellations"]),
         }
-    if op in ("transform", "adjoint", "check"):
-        res = _transform(cfg)
-        if op == "transform":
-            return {
-                "cells": table_to_json(res.table)["cells"],
-                "applied": sum(r.applied for r in res.table.log),
-                "complex": None if res.complex_ is None else complex_to_json(res.complex_),
-            }
-        if res.complex_ is None:
-            return {"error": res.reason}
-        if op == "adjoint":
-            return {"adjoint": complex_to_json(formal_adjoint(res.complex_))}
-        report = check_ellipticity(res.complex_)
-        unreachable = []
-        for a in report.arrows:
-            hit = {t for _s, t in a.admissible}
-            missing = sorted(str(t) for t in set(res.complex_.terms[a.index + 1]) - hit)
-            if missing:
-                unreachable.append({"arrow": a.index, "targets": missing})
+    if op == "transform":
+        doc = transform_to_json(_transform(cfg))
+        return {
+            "cells": doc["E1"],
+            "applied": sum(c["applied"] for c in doc["cancellations"]),
+            "complex": doc["complex"],
+        }
+    if op == "adjoint":
+        return {"adjoint": complex_to_json(_adjoint(cfg))}
+    if op == "check":
+        report = _check(cfg)
         return {
             "ranks": list(report.ranks),
             "alternating_sum": report.alternating_sum,
             "passed": report.passed,
-            "unreachable": unreachable,
+            "unreachable": [{"arrow": a.index, "targets": sorted(str(t) for t in missing)}
+                            for a in report.arrows if (missing := a.unreachable)],
         }
     if op == "pullback_factors":
         return filtered_to_json(pullback_factors(_label(case["label"], "M")))
@@ -529,8 +482,7 @@ def _replay(case, where: str) -> tuple:
         raise ArgumentError(f"{where}: malformed case: {exc!r}")
 
 
-def cmd_corpus(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_corpus(cfg: RunConfig, args) -> None:
     root = resources.files("flagcalc") / "fixtures"
     if args.fixtures is not None:
         root = pathlib.Path(args.fixtures)
@@ -552,23 +504,26 @@ def cmd_corpus(args) -> int:
         for idx, case in enumerate(cases):
             expect, actual = _replay(case, f"{key}[{idx}]")
             results.append((key, idx, actual == expect, expect, actual))
-    failed = [r for r in results if not r[2]]
-    if cfg.format == "json":
-        print(_j({
-            "results": [
-                {"key": k, "case": i, "ok": ok} for k, i, ok, _, _ in results
-            ],
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        }))
-    else:
+    failed = sum(not ok for _, _, ok, _, _ in results)
+    doc = {
+        "results": [{"key": k, "case": i, "ok": ok} for k, i, ok, _, _ in results],
+        "passed": len(results) - failed,
+        "failed": failed,
+    }
+
+    def markdown() -> str:
+        lines = []
         for k, i, ok, expect, actual in results:
-            print(f"{k}[{i}] {'PASS' if ok else 'FAIL'}")
+            lines.append(f"{k}[{i}] {'PASS' if ok else 'FAIL'}")
             if not ok:
-                print(f"  expected: {json.dumps(expect, sort_keys=True)}")
-                print(f"  actual:   {json.dumps(actual, sort_keys=True)}")
-        print(f"{len(results) - len(failed)} passed, {len(failed)} failed")
-    return _fail(f"{len(failed)} corpus case(s) failed") if failed else 0
+                lines.append(f"  expected: {json.dumps(expect, sort_keys=True)}")
+                lines.append(f"  actual:   {json.dumps(actual, sort_keys=True)}")
+        lines.append(f"{doc['passed']} passed, {doc['failed']} failed")
+        return "\n".join(lines)
+
+    _show(cfg, doc, markdown)
+    if failed:
+        raise ValueError(f"{failed} corpus case(s) failed")
 
 
 # --------------------------------------------------------------- main
@@ -647,12 +602,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(RunConfig.from_args(args), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, ArgumentError) else MATH_ERROR
+        return 2 if isinstance(exc, ArgumentError) else 1
     except BrokenPipeError:
-        return 0
+        pass
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
-from .bbw import CohomologyResult, DirectImageTable, direct_images, global_cohomology
+from .bbw import CohomologyResult, DirectImageTable, FrozenDict, direct_images, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
@@ -119,6 +119,10 @@ class ComplexOnM:
     form_types: tuple[tuple[FormType, ...], ...] | None = None
     claims: tuple[int, ...] | None = None
     claim_tags: dict[int, str] | None = None
+
+    def __post_init__(self):
+        if self.claim_tags is not None:
+            object.__setattr__(self, "claim_tags", FrozenDict(self.claim_tags))
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(rank(b) for b in term) for term in self.terms)
@@ -356,6 +360,13 @@ class ArrowCheck:
     @property
     def ok(self) -> bool:
         return bool(self.admissible)
+
+    @property
+    def unreachable(self) -> tuple[BundleLabel, ...]:
+        """The targets no admissible pair reaches, in label order; every
+        target is in some pair, since every source meets every target."""
+        hit = {t for _s, t in self.admissible}
+        return tuple(sorted({t for _s, t in self.inadmissible} - hit))
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,13 +9,10 @@ reproducible.
 import random
 from math import comb
 
-import pytest
-
-from flagcalc.bbw import direct_images, global_cohomology
+from flagcalc.bbw import direct_images
 from flagcalc.bundles import (
     BundleLabel,
     exterior_power,
-    label_from_string,
     pieri_tensor,
     rank,
     x_label,

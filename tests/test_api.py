@@ -7,12 +7,16 @@ import dataclasses
 import importlib
 import inspect
 import pathlib
+import pickle
+
+import pytest
 
 import flagcalc
 from flagcalc import (
     BundleLabel,
     assemble_transform,
     check_ellipticity,
+    involutive_cohomology,
     parse_label,
     registry,
     relative_cotangent,
@@ -146,6 +150,31 @@ def test_every_value_class_is_frozen_and_slotted():
     for value in values:
         assert type(value) in classes
         assert not hasattr(value, "__dict__"), type(value)
+
+
+def test_frozen_results_are_hashable_and_read_only():
+    # their mapping fields were plain dicts: hash() raised TypeError, and
+    # res.table.cells[(9, 9)] = () changed a frozen result in place
+    res = assemble_transform(None, 3)
+    coh = involutive_cohomology(z_label((0, 0, 0, 0)))
+    for value in (res, res.table, res.complex_, coh):
+        assert hash(value) == hash(value)
+    again = assemble_transform(None, 3)
+    assert again == res and hash(again) == hash(res)
+    assert involutive_cohomology(z_label((0, 0, 0, 0))) == coh
+    for mapping in (res.table.cells, res.complex_.claim_tags, coh.by_degree):
+        assert mapping == dict(mapping) and mapping  # equality with a dict is unchanged
+        key = next(iter(mapping))
+        for write in (lambda: mapping.__setitem__((9, 9), ()), lambda: mapping.__delitem__(key),
+                      lambda: mapping.update({}), lambda: mapping.pop(key),
+                      lambda: mapping.setdefault(key), mapping.popitem, mapping.clear):
+            with pytest.raises(TypeError):
+                write()
+        with pytest.raises(TypeError):
+            mapping |= {}
+        assert pickle.loads(pickle.dumps(mapping)) == mapping
+        assert type(pickle.loads(pickle.dumps(mapping))) is type(mapping)
+    assert again == res and (9, 9) not in res.table.cells
 
 
 def test_a_label_is_built_by_keyword_as_by_position():

@@ -416,6 +416,52 @@ def test_every_failure_exit_writes_an_error_line(capsys, tmp_path):
     assert code == 1 and err == "error: 1 corpus case(s) failed\n"
 
 
+# (1|0,0|-2) spreads its first page over two rows, so it does not collapse
+NO_COLLAPSE = "(1|0,0|-2)"
+NO_COLLAPSE_REASON = "no collapse: columns p=[1, 3] spread over degrees q=[1, 2]"
+
+
+@pytest.mark.parametrize("argv, error, prints", [
+    (["transform", "--twist", NO_COLLAPSE], f"no complex: {NO_COLLAPSE_REASON}", True),
+    (["adjoint", "--twist", NO_COLLAPSE], f"no complex to dualize: {NO_COLLAPSE_REASON}", False),
+    (["check", "--twist", NO_COLLAPSE], f"nothing to check: {NO_COLLAPSE_REASON}", False),
+    (["corpus", "--fixtures", "{planted}"], "1 corpus case(s) failed", True),
+], ids=["transform", "adjoint", "check", "corpus"])
+def test_a_failure_exits_alike_in_both_formats(capsys, tmp_path, argv, error, prints):
+    # a failure with a report prints it, then raises; a refusal prints nothing
+    planted = write_fixture(tmp_path, {"cases": [{**PIERI_CASE, "expect": {"terms": []}}]})
+    argv = [a.format(planted=planted) for a in argv]
+    for fmt in FORMATS:
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (1, f"error: {error}\n"), fmt
+        assert bool(out) == prints, fmt
+        if fmt == "json" and prints:
+            json.loads(out)
+
+
+@pytest.mark.parametrize("op, refusal", [("adjoint", "no complex to dualize"),
+                                         ("check", "nothing to check")])
+def test_a_fixture_op_refuses_a_page_that_does_not_collapse_like_its_command(
+        capsys, tmp_path, op, refusal):
+    # such a case used to come back as the outcome {"error": reason}
+    case = {"op": op, "n": 3, "twist": NO_COLLAPSE, "expect": {}}
+    code, out, err = run(capsys, "corpus", "--fixtures", write_fixture(tmp_path, {"cases": [case]}))
+    assert (code, out) == (1, "")
+    assert err == f"error: bad[0]: {refusal}: {NO_COLLAPSE_REASON}\n"
+    assert err == run(capsys, op, "--twist", NO_COLLAPSE)[2].replace("error: ", "error: bad[0]: ")
+
+
+def test_a_json_run_renders_no_markdown(capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a JSON run rendered markdown")
+    for name in ("_table_markdown", "_complex_markdown", "_check_markdown"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (["transform"], ["transform", "--twist", NO_COLLAPSE], ["adjoint"], ["check"],
+                 ["direct-images"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code in (0, 1) and json.loads(out)
+
+
 def test_wide_torus_branching_is_refused_at_once(capsys, tmp_path):
     doc = {"cases": [{"op": "pullback_factors", "n": 3, "label": "(0||-400,0,400)",
                       "expect": {}}]}
@@ -674,7 +720,7 @@ def test_each_usage_rule_exits_two_with_its_error_line(capsys, tmp_path, rule, s
     (ArgumentError("refused"), 2), (ParseError("(", 0, "refused"), 2),
     (ValueError("refused"), 1), (UnsupportedTwistError("refused"), 1)])
 def test_the_exit_code_is_read_off_the_exception_type(capsys, monkeypatch, exc, code):
-    def refuse(args):
+    def refuse(cfg, args):
         raise exc
     monkeypatch.setattr(cli, "cmd_bbw", refuse)
     assert run(capsys, "bbw", "(0)") == (code, "", f"error: {exc}\n")

@@ -224,7 +224,6 @@ def test_an_unsupported_flag_type_is_refused_at_its_first_bad_orbit():
 
 
 def test_large_n_flag_fibers_are_refused():
-    from flagcalc.bbw import direct_images
     from flagcalc.bundles import exterior_power
 
     reg = registry(4)

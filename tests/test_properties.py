@@ -1,6 +1,5 @@
 """Structural invariants checked over randomized inputs."""
 
-from fractions import Fraction
 from math import comb
 
 from hypothesis import given
@@ -14,7 +13,6 @@ from flagcalc.bundles import (
     exterior_power,
     pieri_tensor,
     rank,
-    x_label,
     z_label,
 )
 from flagcalc.geometry import pullback_line, registry, relative_cotangent

@@ -11,7 +11,6 @@ from flagcalc.bundles import (
     dual,
     fiber_label,
     m_label,
-    rank,
     tensor_line,
     trivial_label,
     x_label,
@@ -434,6 +433,15 @@ def test_symbol_check_flags_the_unreachable_target():
     pairs = [(str(a), str(b)) for arrow in rep.arrows for a, b in arrow.inadmissible]
     assert ("(-2||1,1,1)", "(1||0,0,0)") in pairs
     assert all(arrow.ok for arrow in rep.arrows)
+    assert [[str(t) for t in arrow.unreachable] for arrow in rep.arrows] == [["(1||0,0,0)"], []]
+
+
+def test_the_unreachable_targets_are_the_next_term_less_the_admissible_ones():
+    for twist in ((0, 0, 0, 0), (1, 0, 0, 0), (3, 0, 0, -3), (-1, 1, 1, 2)):
+        cx = assemble_transform(z_label(twist), 3, "paper").complex_
+        for arrow in check_ellipticity(cx).arrows:
+            hit = {t for _s, t in arrow.admissible}
+            assert arrow.unreachable == tuple(sorted(set(cx.terms[arrow.index + 1]) - hit))
 
 
 def test_symbol_check_failure_modes():
