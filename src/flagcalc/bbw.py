@@ -21,10 +21,9 @@ modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .bundles import BundleLabel, FilteredBundle, fiber_label, is_line, rank
+from .bundles import BundleLabel, FilteredBundle, fiber_label, is_line
 from .geometry import Fibration, sigma_swap
+from .notation import Value
 from .weights import bbw_reduce
 
 __all__ = [
@@ -58,8 +57,7 @@ class FrozenDict(dict):
         return FrozenDict, (dict(self),)
 
 
-@dataclass(frozen=True, slots=True)
-class CancellationRecord:
+class CancellationRecord(Value):
     """One connecting-homomorphism candidate (quotient at q, sub at q+1)."""
 
     p: int
@@ -77,8 +75,7 @@ class CancellationRecord:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DirectImageTable:
+class DirectImageTable(Value):
     """Cells (p, q) -> labels on the base, plus the cancellation log."""
 
     cells: dict[tuple[int, int], tuple[BundleLabel, ...]]
@@ -96,13 +93,6 @@ class DirectImageTable:
 
     def qs_for_column(self, p: int) -> tuple[int, ...]:
         return tuple(sorted({q for (pp, q) in self.cells if pp == p}))
-
-    def euler_rank(self, p: int) -> int:
-        return sum(
-            (-1) ** q * sum(rank(b) for b in labs)
-            for (pp, q), labs in self.cells.items()
-            if pp == p
-        )
 
     @staticmethod
     def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
@@ -193,11 +183,10 @@ def direct_images(
 
 # ------------------------------------------------- global cohomology
 
-@dataclass(frozen=True, slots=True)
-class CohomologyResult:
+class CohomologyResult(Value):
     """Cohomology dimensions by degree; an absent degree means zero."""
 
-    by_degree: dict[int, int] = field(default_factory=dict)
+    by_degree: dict[int, int] = FrozenDict()
 
     def __post_init__(self):
         object.__setattr__(self, "by_degree", FrozenDict(self.by_degree))

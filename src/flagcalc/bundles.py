@@ -29,13 +29,12 @@ everything else is a genuine ``(+)`` direct sum.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import prod
 from operator import add, index
 
-from .notation import ArgumentError, ParsedLabel, format_entries, parse_label
+from .notation import ArgumentError, ParsedLabel, Value, format_entries, parse_label
 from .weights import is_dominant
 
 __all__ = [
@@ -77,8 +76,7 @@ def block_shape(space: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unknown space tag {space!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class _Shape:
+class _Shape(Value):
     """What the label checks read off ``block_shape(space, n)``, settled once
     per (space, n): whether the blocks fit a weight at all is ``fits``."""
 
@@ -98,8 +96,7 @@ def _shape(space: str, n: int) -> _Shape:
     return _Shape(blocks, min(blocks, default=0) >= 1, spans, links)
 
 
-@dataclass(frozen=True, order=True, slots=True, init=False)
-class BundleLabel:
+class BundleLabel(Value, order=True):
     """An irreducible homogeneous bundle, named by its space and weight;
     ``blocks`` is derived, and labels order by (space, blocks, weight)."""
 
@@ -133,6 +130,9 @@ class BundleLabel:
 
     def __repr__(self) -> str:
         return f"<{self.space} {self}>"
+
+    def __reduce__(self):  # unpickling and copying go through the checks above
+        return BundleLabel, (self.space, self.weight)
 
 
 # The constructors by space take any iterable of integers: operator.index
@@ -320,8 +320,7 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
 
 # ------------------------------------------------------ FilteredBundle
 
-@dataclass(frozen=True, slots=True)
-class FilteredBundle:
+class FilteredBundle(Value):
     """Ordered factors of a filtered homogeneous bundle.
 
     ``components[i]`` is the direct-summand index of factor i (0-based,

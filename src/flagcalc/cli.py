@@ -5,7 +5,7 @@ them to the command.  A command computes its result, builds one JSON
 document and a lazy markdown renderer, and ``_show`` prints one of the two
 by ``--format``: human-readable text (``markdown``, the default) or
 deterministic JSON (sorted keys, stable ordering); a JSON run renders no
-markdown.  A command fails only by raising.  A mathematical failure (a
+markdown, and the complex and check reports read the document.  A command fails only by raising.  A mathematical failure (a
 table that does not collapse to a complex, a failed ellipticity check,
 failed corpus cases) prints its report first; an unsupported twist prints
 nothing.  ``main`` reads the exit code off the exception: 2 for an
@@ -33,11 +33,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import pathlib
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields
-from importlib import resources
 
 from .bbw import MODES, CohomologyResult, DirectImageTable, global_cohomology
 from .bundles import (
@@ -58,7 +55,7 @@ from .geometry import (
     registry,
     twist_frames,
 )
-from .notation import ArgumentError, _quoted, format_weight, parse_label
+from .notation import ArgumentError, Value, _quoted, format_weight, parse_label
 from .transform import (
     ComplexOnM,
     EllipticityReport,
@@ -85,8 +82,7 @@ FIBRATIONS = ("mu", "nu", "eta")
 MAX_ENTRY = 10**9
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+class RunConfig(Value):
     """The one reader of run settings: a config file, then flags; or a
     fixture case's fields.  ``n`` is an integer in 2..MAX_N."""
 
@@ -121,7 +117,7 @@ class RunConfig:
             if not isinstance(loaded, dict):
                 raise ArgumentError("config file must hold a JSON object")
             base.update(loaded)
-        keys = {f.name for f in fields(RunConfig)}
+        keys = set(RunConfig.__slots__)  # the fields
         for key in keys:
             value = getattr(args, key, None)
             if value is not None:
@@ -260,16 +256,18 @@ def _table_markdown(t: DirectImageTable) -> str:
     return "\n".join([head, sep, *rows, *(r.describe() for r in t.log)])
 
 
-def _complex_markdown(c: ComplexOnM) -> str:
-    ranks = c.ranks()
-    lines = [str(c), f"ranks: {list(ranks)}  (alternating sum {alternating_sum(ranks)})"]
-    if c.form_types is not None:
-        named = ["+".join(str(ft) for ft in t) for t in c.form_types]
-        lines.append("form types: " + " -> ".join(named))
-    if c.claims is not None:
-        tags = c.claim_tags or {}
+def _complex_markdown(doc: dict) -> str:
+    """A complex's report, read off its JSON document."""
+    ranks = doc["ranks"]
+    lines = ["0 -> " + " -> ".join(" (+) ".join(term) or "0" for term in doc["terms"]) + " -> 0",
+             f"ranks: {ranks}  (alternating sum {alternating_sum(ranks)})"]
+    if doc["form_types"] is not None:
+        lines.append("form types: " + " -> ".join("+".join(t) for t in doc["form_types"]))
+    if doc["claims"] is not None:
+        tags = doc["claim_tags"] or {}
         lines.append("cohomology claims: " + ", ".join(
-            f"{i}:{d}" + (f" ({tags[i]})" if tags.get(i) else "") for i, d in enumerate(c.claims)))
+            f"{i}:{d}" + (f" ({tags[str(i)]})" if tags.get(str(i)) else "")
+            for i, d in enumerate(doc["claims"])))
     return "\n".join(lines)
 
 
@@ -349,9 +347,10 @@ def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
 
 def cmd_transform(cfg: RunConfig, args) -> None:
     res = _transform(cfg)
-    _show(cfg, transform_to_json(res), lambda: "\n".join([
-        _table_markdown(res.table),
-        res.reason if res.complex_ is None else _complex_markdown(res.complex_)]))
+    doc = transform_to_json(res)
+    _show(cfg, doc, lambda: "\n".join([
+        _table_markdown(res.table), doc["reason"] if doc["complex"] is None
+        else _complex_markdown(doc["complex"])]))
     if res.complex_ is None:
         raise ValueError(f"no complex: {res.reason}")
 
@@ -372,29 +371,30 @@ def _adjoint(cfg: RunConfig) -> ComplexOnM:
 
 
 def cmd_adjoint(cfg: RunConfig, args) -> None:
-    adj = _adjoint(cfg)
-    _show(cfg, {"adjoint": complex_to_json(adj)}, lambda: _complex_markdown(adj))
+    doc = complex_to_json(_adjoint(cfg))
+    _show(cfg, {"adjoint": doc}, lambda: _complex_markdown(doc))
 
 
 def _check(cfg: RunConfig) -> EllipticityReport:
     return check_ellipticity(_transform(cfg, "nothing to check").complex_)
 
 
-def _check_markdown(report: EllipticityReport) -> str:
-    lines = [f"ranks {list(report.ranks)}, alternating sum {report.alternating_sum}"]
-    for a in report.arrows:
-        status = "ok" if a.ok else "NO ADMISSIBLE COMPONENT"
-        lines.append(f"arrow {a.index}: {len(a.admissible)} admissible, "
-                     f"{len(a.inadmissible)} inadmissible ({status})")
-        lines += [f"  forbidden: {s} -> {t}" for s, t in a.inadmissible]
-    lines.append("PASS" if report.passed else "FAIL")
+def _check_markdown(doc: dict) -> str:
+    """The symbol check's report, read off its JSON document."""
+    lines = [f"ranks {doc['ranks']}, alternating sum {doc['alternating_sum']}"]
+    for a in doc["arrows"]:
+        status = "ok" if a["ok"] else "NO ADMISSIBLE COMPONENT"
+        lines.append(f"arrow {a['index']}: {len(a['admissible'])} admissible, "
+                     f"{len(a['inadmissible'])} inadmissible ({status})")
+        lines += [f"  forbidden: {s} -> {t}" for s, t in a["inadmissible"]]
+    lines.append("PASS" if doc["passed"] else "FAIL")
     return "\n".join(lines)
 
 
 def cmd_check(cfg: RunConfig, args) -> None:
-    report = _check(cfg)
-    _show(cfg, check_to_json(report), lambda: _check_markdown(report))
-    if not report.passed:
+    doc = check_to_json(_check(cfg))
+    _show(cfg, doc, lambda: _check_markdown(doc))
+    if not doc["passed"]:
         raise ValueError("the symbol check failed")
 
 
@@ -483,6 +483,9 @@ def _replay(case, where: str) -> tuple:
 
 
 def cmd_corpus(cfg: RunConfig, args) -> None:
+    import pathlib  # only this command reads files; importlib.resources loads inspect on 3.12+
+    from importlib import resources
+
     root = resources.files("flagcalc") / "fixtures"
     if args.fixtures is not None:
         root = pathlib.Path(args.fixtures)

@@ -34,7 +34,6 @@ nilradical joins them by moves between X's fiber blocks, in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from types import MappingProxyType
 
@@ -50,7 +49,7 @@ from .bundles import (
     x_label,
     z_label,
 )
-from .notation import ArgumentError
+from .notation import ArgumentError, Value
 
 __all__ = [
     "FlagSpace",
@@ -72,8 +71,7 @@ Root = tuple[int, int]
 MAX_N = 16
 
 
-@dataclass(frozen=True, slots=True)
-class FlagSpace:
+class FlagSpace(Value):
     """A homogeneous space, described by its isotropy root set; labels on
     it have the blocks ``block_shape(name, n)``."""
 
@@ -82,8 +80,7 @@ class FlagSpace:
     isotropy: frozenset[Root]         # roots (i, j) of the isotropy subalgebra
 
 
-@dataclass(frozen=True, slots=True)
-class Fibration:
+class Fibration(Value):
     """One leg of the double fibration, with stored fiber topology.
 
     ``fiber`` is the flag type (k_1, ..., k_r) of the flag manifold of

@@ -17,8 +17,6 @@ are diff-stable and always re-parseable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "ParsedLabel", "ArgumentError", "ParseError", "parse_label", "format_entries", "format_weight",
 ]
@@ -57,8 +55,55 @@ class ParseError(ArgumentError):
         super().__init__(f"cannot parse {_quoted(text)} at position {pos}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedLabel:
+# ----------------------------------------------------------- value base
+
+class _ValueType(type):
+    """Builds each value class once, as it is created, from its annotated
+    fields: ``__slots__``, an ``__init__`` by position or keyword that ends in
+    ``__post_init__`` where the class has one, ``__eq__`` and ``__hash__`` over
+    the field tuple, and with ``order=True`` the four comparisons.  A method
+    the class writes itself is kept.  The methods are compiled per class and
+    read each field directly, since labels are hashed and sorted on the hot path."""
+
+    def __new__(mcls, name, bases, ns, order=False):
+        fields = ns["__slots__"] = tuple(ns.get("__annotations__", ()))
+        if fields:
+            scope = {"_set": object.__setattr__, **{f"_d_{f}": ns.pop(f) for f in fields if f in ns}}
+            params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in scope else f for f in fields)
+            mine, theirs = (f"({''.join(f'{who}.{f},' for f in fields)})" for who in ("self", "other"))
+            ops = {"eq": "==", **(dict(lt="<", le="<=", gt=">", ge=">=") if order else {})}
+            made: dict = {}
+            exec("\n".join([
+                f"def __init__(self, {params}):", *(f"    _set(self, {f!r}, {f})" for f in fields),
+                "    self.__post_init__()" if "__post_init__" in ns else "",
+                f"def __hash__(self):\n    return hash({mine})",
+                *(f"def __{op}__(self, other):\n    if other.__class__ is self.__class__:\n"
+                  f"        return {mine} {sign} {theirs}\n    return NotImplemented"
+                  for op, sign in ops.items())]), scope, made)
+            for method, fn in made.items():
+                ns.setdefault(method, fn)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Value(metaclass=_ValueType):
+    """The frozen value base: no ``__dict__``, no assignment or deletion
+    (``AttributeError``), a ``Name(field=value, ...)`` repr, and pickling
+    and copying through ``__init__``."""
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def _refuse(self, name, *_value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _refuse
+
+
+class ParsedLabel(Value):
     """Purely syntactic parse result: entries, block sizes, ``||`` present?
 
     Which space such a label lives on is not a syntactic question; the

@@ -28,7 +28,6 @@ term splits by owner and each part is a*full + b*perp in at most one way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
@@ -44,7 +43,7 @@ from .bundles import (
     z_label,
 )
 from .geometry import MAX_N, Fibration, fiber_betti, registry, relative_cotangent, twist_frames
-from .notation import ArgumentError
+from .notation import ArgumentError, Value
 
 __all__ = [
     "FormType",
@@ -77,8 +76,7 @@ class UnsupportedTwistError(ValueError):
 _ROLE_SUFFIX = {"full": "", "perp": "_perp", "kappa": "_kappa"}
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class FormType:
+class FormType(Value, order=True):
     """Name of a summand of the (p,q)-forms: full bundle, primitive
     part ("perp"), or the Kaehler line inside a diagonal bundle."""
 
@@ -104,8 +102,7 @@ def alternating_sum(ranks) -> int:
     return sum((-1) ** i * r for i, r in enumerate(ranks))
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexOnM:
+class ComplexOnM(Value):
     """A complex of direct sums of irreducible bundles on the base.
 
     ``claims[i]`` is the asserted cohomology dimension at position i
@@ -134,8 +131,7 @@ class ComplexOnM:
         return "0 -> " + " -> ".join(side(t) for t in self.terms) + " -> 0"
 
 
-@dataclass(frozen=True, slots=True)
-class TransformResult:
+class TransformResult(Value):
     table: DirectImageTable
     complex_: ComplexOnM | None
     reason: str            # empty when a complex was emitted
@@ -351,8 +347,7 @@ def complex_from_form_types(types, n: int = 3) -> ComplexOnM:
 
 # --------------------------------------------------------- ellipticity
 
-@dataclass(frozen=True, slots=True)
-class ArrowCheck:
+class ArrowCheck(Value):
     index: int
     admissible: tuple[tuple[BundleLabel, BundleLabel], ...]
     inadmissible: tuple[tuple[BundleLabel, BundleLabel], ...]
@@ -369,8 +364,7 @@ class ArrowCheck:
         return tuple(sorted({t for _s, t in self.inadmissible} - hit))
 
 
-@dataclass(frozen=True, slots=True)
-class EllipticityReport:
+class EllipticityReport(Value):
     ranks: tuple[int, ...]
     alternating_sum: int
     arrows: tuple[ArrowCheck, ...]
@@ -436,8 +430,7 @@ def formal_adjoint(c: ComplexOnM) -> ComplexOnM:
 
 # ---------------------------------------------------------- realization
 
-@dataclass(frozen=True, slots=True)
-class RealizationReport:
+class RealizationReport(Value):
     """Kernel presentation of the top cohomology over the flag domain."""
 
     degree: int

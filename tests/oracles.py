@@ -21,7 +21,8 @@ against the pattern count above) and the space's isotropy roots, which
 ``complex_dim`` counts against the dimensions of the spaces.  The
 old per-block label rules, ``is_dominant`` on each block's slice and one
 distinct value per block for a line, cut the weight by the package's
-``block_shape``, the one statement of the block sizes.
+``block_shape``, the one statement of the block sizes.  The Euler rank
+of a direct-image column sums the package's ``rank`` over its cells.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def weyl_euler(weight: tuple[int, ...]) -> int:
         num *= weight[j] - weight[i] + j - i
         den *= j - i
     return num // den
+
+
+def euler_rank(table, p: int) -> int:
+    """The alternating rank sum of column p of a direct-image table, by the
+    package's ``rank``: the Euler characteristic that ``weyl_euler`` counts
+    per factor, read off the cells the table lists."""
+    return sum((-1) ** q * sum(rank(b) for b in labs)
+               for (pp, q), labs in table.cells.items() if pp == p)
 
 
 def block_slices(space: str, weight: tuple[int, ...]) -> list[tuple[int, ...]] | None:

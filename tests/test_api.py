@@ -3,7 +3,7 @@ called by the package or the benchmark, no assert in the engine, and every
 value class frozen and slotted."""
 
 import ast
-import dataclasses
+import copy
 import importlib
 import inspect
 import pathlib
@@ -14,14 +14,22 @@ import pytest
 import flagcalc
 from flagcalc import (
     BundleLabel,
+    FormType,
     assemble_transform,
     check_ellipticity,
+    direct_images,
+    emit_realization,
+    exterior_power,
     involutive_cohomology,
     parse_label,
     registry,
     relative_cotangent,
+    x_label,
     z_label,
 )
+from flagcalc import bundles
+from flagcalc.cli import RunConfig
+from flagcalc.notation import Value
 
 SRC = pathlib.Path(flagcalc.__file__).resolve().parent
 # the package re-exports these; the command line stays its own entry point
@@ -119,37 +127,74 @@ def test_no_label_is_built_without_its_checks():
         assert not lines, f"{path.name}: unchecked construction at lines {lines}"
 
 
-def _dataclasses():
-    """Every dataclass defined in the package, private ones included."""
+def _value_classes():
+    """Every class built on the value base, private ones included."""
     for name in (*ENGINE, "cli"):
         module = importlib.import_module(f"flagcalc.{name}")
         for cls in vars(module).values():
             if inspect.isclass(cls) and cls.__module__ == module.__name__ \
-                    and dataclasses.is_dataclass(cls):
+                    and issubclass(cls, Value) and cls is not Value:
                 yield cls
 
 
-def _dataclass_decorators() -> int:
+def _value_definitions() -> int:
+    """The class statements in the package source that name the base."""
     return sum(1 for path in SRC.glob("*.py")
-               for line in path.read_text(encoding="utf-8").splitlines()
-               if line.startswith("@dataclass("))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "Value" for b in node.bases))
 
 
 def test_every_value_class_is_frozen_and_slotted():
-    classes = list(_dataclasses())
-    assert len(classes) == _dataclass_decorators()
+    classes = list(_value_classes())
+    assert len(classes) == _value_definitions()
     for cls in classes:
-        assert cls.__dataclass_params__.frozen, cls
         assert "__slots__" in vars(cls), cls
         assert not any("__dict__" in vars(k) for k in cls.__mro__), cls
     res = assemble_transform(z_label((0, 0, 0, 0)), 3)
     fib = registry(3)["mu"]
+    report = check_ellipticity(res.complex_)
+    hyperplane = exterior_power(relative_cotangent(fib), 1).twist_by(x_label((0, 1, 0, 0)))
     values = [res, res.table, res.complex_, res.complex_.form_types[0][0], res.twist_x,
-              check_ellipticity(res.complex_), relative_cotangent(fib), fib, fib.total,
-              parse_label("(1|0,0|0)")]
+              report, report.arrows[0], relative_cotangent(fib), fib, fib.total,
+              parse_label("(1|0,0|0)"), direct_images(hyperplane, registry(3)["nu"], p=1).log[0],
+              involutive_cohomology(res.twist_z), emit_realization(), RunConfig(),
+              bundles._shape("Z", 3)]
+    assert {type(value) for value in values} == set(classes)
     for value in values:
-        assert type(value) in classes
         assert not hasattr(value, "__dict__"), type(value)
+        field = type(value).__slots__[0]
+        for write in (lambda: setattr(value, field, None), lambda: delattr(value, field),
+                      lambda: setattr(value, "extra", None)):
+            with pytest.raises(AttributeError):
+                write()
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(again) is type(value) and again == value and hash(again) == hash(value)
+            assert repr(again) == repr(value)
+
+
+def test_a_label_is_unpickled_and_copied_through_its_checks():
+    label = z_label((1, 0, 0, -2))
+    assert label.__reduce__() == (BundleLabel, ("Z", (1, 0, 0, -2)))
+
+    class Forged:  # pickles as a label whose weight breaks the block rule
+        def __reduce__(self):
+            return BundleLabel, ("Z", (1, 2, 0, -2))
+
+    for rebuild in (lambda: pickle.loads(pickle.dumps(Forged())), lambda: copy.deepcopy(Forged())):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            rebuild()
+
+
+def test_value_reprs_name_every_field():
+    assert repr(FormType(1, 1)) == "FormType(p=1, q=1, role='full')"
+    assert repr(parse_label("(1|0,0|0)")) == \
+        "ParsedLabel(weight=(1, 0, 0, 0), blocks=(1, 2, 1), double_bar=False)"
+    assert repr(RunConfig()) == \
+        "RunConfig(n=3, twist=None, mode='paper', format='markdown', fibration=None)"
+    assert repr(involutive_cohomology(z_label((0, 0, 0, 0)))) == \
+        "CohomologyResult(by_degree={0: 1, 2: 1})"
+    assert repr(z_label((1, 0, 0, -2))) == "<Z (1|0,0|-2)>"  # the label writes its own
 
 
 def test_frozen_results_are_hashable_and_read_only():

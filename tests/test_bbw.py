@@ -12,6 +12,8 @@ from flagcalc.bbw import (
 from flagcalc.bundles import exterior_power, label_from_string, rank, x_label, z_label
 from flagcalc.geometry import pullback_line, registry, relative_cotangent
 
+from oracles import euler_rank
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -125,7 +127,7 @@ def test_euler_characteristic_survives_cancellation(setup, p, twist):
         fb = fb.twist_by(x_label(twist))
     loud = direct_images(fb, reg["nu"], mode="conservative", p=p)
     quiet = direct_images(fb, reg["nu"], mode="paper", p=p)
-    assert loud.euler_rank(p) == quiet.euler_rank(p)
+    assert euler_rank(loud, p) == euler_rank(quiet, p)
     # paper mode never invents cells, it only removes them
     assert set(quiet.cells) <= set(loud.cells)
 

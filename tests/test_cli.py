@@ -326,6 +326,25 @@ def test_checks_survive_python_optimize():
     assert "ValueError: factors, components and levels differ in length" in bad.stderr
 
 
+def _fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each flagcalc process pays for what its import loads: dataclasses pulls
+    # in inspect, ast, dis and tokenize.  Modules the interpreter loads before
+    # any user code (a site .pth, say) are in the baseline and do not count.
+    baseline = _fresh_modules("pass")
+    loaded = _fresh_modules("import flagcalc.cli") - baseline
+    assert "flagcalc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
 def write_fixture(directory, doc):
     (directory / "bad.json").write_text(json.dumps(doc))
     return str(directory)
