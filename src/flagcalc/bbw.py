@@ -29,7 +29,6 @@ from .weights import bbw_reduce
 __all__ = [
     "CancellationRecord",
     "DirectImageTable",
-    "CohomologyResult",
     "direct_images",
     "reduce_factor",
     "global_cohomology",
@@ -67,13 +66,6 @@ class CancellationRecord(Value):
     base_label: BundleLabel     # the shared direct-image label on M
     applied: bool               # True when paper mode removed the pair
 
-    def describe(self) -> str:
-        verb = "cancelled" if self.applied else "candidate"
-        return (
-            f"p={self.p}: {verb} {self.quotient} (q={self.q}) against "
-            f"{self.sub} (q={self.q + 1}), both imaging to {self.base_label}"
-        )
-
 
 class DirectImageTable(Value):
     """Cells (p, q) -> labels on the base, plus the cancellation log."""
@@ -87,12 +79,6 @@ class DirectImageTable(Value):
         object.__setattr__(self, "cells", FrozenDict(cells))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "log", log)
-
-    def labels_at(self, p: int, q: int) -> tuple[BundleLabel, ...]:
-        return self.cells.get((p, q), ())
-
-    def qs_for_column(self, p: int) -> tuple[int, ...]:
-        return tuple(sorted({q for (pp, q) in self.cells if pp == p}))
 
     @staticmethod
     def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
@@ -182,21 +168,6 @@ def direct_images(
 
 
 # ------------------------------------------------- global cohomology
-
-class CohomologyResult(Value):
-    """Cohomology dimensions by degree; an absent degree means zero."""
-
-    by_degree: dict[int, int] = FrozenDict()
-
-    def __post_init__(self):
-        object.__setattr__(self, "by_degree", FrozenDict(self.by_degree))
-
-    def dim_at(self, r: int) -> int:
-        return self.by_degree.get(r, 0)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_degree))
-
 
 def global_cohomology(b: BundleLabel) -> tuple[int, BundleLabel] | None:
     """Cohomology of a line bundle over the twistor space: None, or

@@ -5,12 +5,13 @@ them to the command.  A command computes its result, builds one JSON
 document and a lazy markdown renderer, and ``_show`` prints one of the two
 by ``--format``: human-readable text (``markdown``, the default) or
 deterministic JSON (sorted keys, stable ordering); a JSON run renders no
-markdown, and the complex and check reports read the document.  A command fails only by raising.  A mathematical failure (a
-table that does not collapse to a complex, a failed ellipticity check,
-failed corpus cases) prints its report first; an unsupported twist prints
-nothing.  ``main`` reads the exit code off the exception: 2 for an
-``ArgumentError``, 1 for any other ``ValueError``, 0 when nothing was
-raised; every nonzero exit writes an ``error:`` line.  The engine raises
+markdown, and every markdown report reads the document, so the engine's
+results are rendered in one place.  A command fails only by raising.  A
+mathematical failure (a table that does not collapse to a complex, a failed
+ellipticity check, failed corpus cases) prints its report first; an
+unsupported twist prints nothing.  ``main`` reads the exit code off the
+exception: 2 for an ``ArgumentError``, 1 for any other ``ValueError``, 0
+when nothing was raised; every nonzero exit writes an ``error:`` line.  The engine raises
 ``ArgumentError`` for what it cannot take as given: a label that does not
 parse, a wedge column out of range, a twist not on Z or X or for another
 n, ``--conormal`` on a Z-leg, an involutive twist not on Z, a ``--line``
@@ -36,7 +37,7 @@ import json
 import sys
 from collections.abc import Callable
 
-from .bbw import MODES, CohomologyResult, DirectImageTable, global_cohomology
+from .bbw import MODES, DirectImageTable, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
@@ -194,8 +195,8 @@ def table_to_json(t: DirectImageTable) -> dict:
     }
 
 
-def cohomology_to_json(coh: CohomologyResult) -> dict:
-    return {"by_degree": {str(r): coh.dim_at(r) for r in coh.degrees()}}
+def cohomology_to_json(coh: dict[int, int]) -> dict:
+    return {"by_degree": {str(r): coh[r] for r in sorted(coh)}}
 
 
 def complex_to_json(c: ComplexOnM) -> dict:
@@ -244,16 +245,22 @@ def check_to_json(report: EllipticityReport) -> dict:
     }
 
 
-def _table_markdown(t: DirectImageTable) -> str:
-    if not t.cells:
+def _table_markdown(cells: dict, cancellations: list) -> str:
+    """A first page's report, read off the ``cells`` ("p,q" -> labels) and
+    ``cancellations`` of its JSON document."""
+    if not cells:
         return "(all direct images vanish)"
-    ps = sorted({p for p, _ in t.cells})
-    qs = sorted({q for _, q in t.cells}, reverse=True)
+    pqs = [tuple(map(int, key.split(","))) for key in cells]
+    ps = sorted({p for p, _ in pqs})
+    qs = sorted({q for _, q in pqs}, reverse=True)
     head = "| q \\ p | " + " | ".join(str(p) for p in ps) + " |"
     sep = "|---" * (len(ps) + 1) + "|"
-    rows = [f"| {q} | " + " | ".join(" (+) ".join(map(str, t.labels_at(p, q))) or "-"
+    rows = [f"| {q} | " + " | ".join(" (+) ".join(cells.get(f"{p},{q}", ())) or "-"
                                      for p in ps) + " |" for q in qs]
-    return "\n".join([head, sep, *rows, *(r.describe() for r in t.log)])
+    log = [f"p={c['p']}: {'cancelled' if c['applied'] else 'candidate'} {c['quotient']} "
+           f"(q={c['q']}) against {c['sub']} (q={c['q'] + 1}), both imaging to {c['image']}"
+           for c in cancellations]
+    return "\n".join([head, sep, *rows, *log])
 
 
 def _complex_markdown(doc: dict) -> str:
@@ -332,8 +339,8 @@ def _e1(cfg: RunConfig, p: int | None) -> DirectImageTable:
 
 
 def cmd_direct_images(cfg: RunConfig, args) -> None:
-    table = _e1(cfg, args.p)
-    _show(cfg, table_to_json(table), lambda: _table_markdown(table))
+    doc = table_to_json(_e1(cfg, args.p))
+    _show(cfg, doc, lambda: _table_markdown(doc["cells"], doc["cancellations"]))
 
 
 def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
@@ -346,24 +353,23 @@ def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
 
 
 def cmd_transform(cfg: RunConfig, args) -> None:
-    res = _transform(cfg)
-    doc = transform_to_json(res)
+    doc = transform_to_json(_transform(cfg))
     _show(cfg, doc, lambda: "\n".join([
-        _table_markdown(res.table), doc["reason"] if doc["complex"] is None
+        _table_markdown(doc["E1"], doc["cancellations"]), doc["reason"] if doc["complex"] is None
         else _complex_markdown(doc["complex"])]))
-    if res.complex_ is None:
-        raise ValueError(f"no complex: {res.reason}")
+    if doc["complex"] is None:
+        raise ValueError(f"no complex: {doc['reason']}")
 
 
-def _involutive(cfg: RunConfig) -> CohomologyResult:
+def _involutive(cfg: RunConfig) -> dict[int, int]:
     """Involutive cohomology of the run's twist, the trivial one by default."""
     return involutive_cohomology(_twist_label(cfg))
 
 
 def cmd_involutive(cfg: RunConfig, args) -> None:
-    coh = _involutive(cfg)
-    _show(cfg, cohomology_to_json(coh), lambda: "\n".join(
-        [f"H^{r} = C^{coh.dim_at(r)}" for r in coh.degrees()] or ["H^r = 0 for all r"]))
+    doc = cohomology_to_json(_involutive(cfg))
+    _show(cfg, doc, lambda: "\n".join(
+        [f"H^{r} = C^{d}" for r, d in doc["by_degree"].items()] or ["H^r = 0 for all r"]))
 
 
 def _adjoint(cfg: RunConfig) -> ComplexOnM:

@@ -31,7 +31,7 @@ from collections import Counter
 from functools import cache
 from types import MappingProxyType
 
-from .bbw import CohomologyResult, DirectImageTable, FrozenDict, direct_images, global_cohomology
+from .bbw import DirectImageTable, FrozenDict, direct_images, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
@@ -92,10 +92,6 @@ class FormType(Value, order=True):
     def __str__(self) -> str:
         return f"L({self.p},{self.q}){_ROLE_SUFFIX[self.role]}"
 
-    @property
-    def degree(self) -> int:
-        return self.p + self.q
-
 
 def alternating_sum(ranks) -> int:
     """r0 - r1 + r2 - ...: the Euler characteristic of a complex of ranks."""
@@ -124,19 +120,11 @@ class ComplexOnM(Value):
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(rank(b) for b in term) for term in self.terms)
 
-    def __str__(self) -> str:
-        def side(term):
-            return " (+) ".join(str(b) for b in term) if term else "0"
-
-        return "0 -> " + " -> ".join(side(t) for t in self.terms) + " -> 0"
-
 
 class TransformResult(Value):
     table: DirectImageTable
     complex_: ComplexOnM | None
     reason: str            # empty when a complex was emitted
-    twist_z: BundleLabel | None
-    twist_x: BundleLabel
     mode: str
 
 
@@ -177,19 +165,19 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
     if not table.cells:
         reason = "every direct image vanishes"
     elif len(qs) != 1:
-        bad = [p for p in ps if len(table.qs_for_column(p)) > 1]
+        bad = [p for p in ps if sum(pp == p for pp, _q in table.cells) > 1]
         reason = f"no collapse: columns p={bad or ps} spread over degrees q={qs}"
     elif ps != list(range(ps[0], ps[-1] + 1)):
         reason = f"no collapse: nonempty columns {ps} are not contiguous"
     if reason:
-        return TransformResult(table, None, reason, twist_z, twist_x, mode)
+        return TransformResult(table, None, reason, mode)
 
     q0 = qs[0]
-    terms = tuple(table.labels_at(p, q0) for p in range(ps[0], ps[-1] + 1))
+    terms = tuple(table.cells.get((p, q0), ()) for p in range(ps[0], ps[-1] + 1))
     claims = claim_tags = None
     if twist_z is not None and _has_involutive_rule(twist_z):
         inv = involutive_cohomology(twist_z)
-        claims = tuple(inv.dim_at(ps[0] + i + q0) for i in range(len(terms)))
+        claims = tuple(inv.get(ps[0] + i + q0, 0) for i in range(len(terms)))
         if all(x == 0 for x in twist_z.weight):
             claim_tags = {
                 i: ("constants" if ps[0] + i + q0 == 0 else "Kaehler form")
@@ -204,7 +192,7 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
         claims=claims,
         claim_tags=claim_tags,
     )
-    return TransformResult(table, cx, "", twist_z, twist_x, mode)
+    return TransformResult(table, cx, "", mode)
 
 
 # ------------------------------------------------ involutive cohomology
@@ -216,8 +204,9 @@ def _has_involutive_rule(twist: BundleLabel) -> bool:
     return twist.space == "Z" and twist.weight in ((0,) * (n + 1), (1,) + (0,) * n)
 
 
-def involutive_cohomology(twist: BundleLabel) -> CohomologyResult:
-    """Cohomology of the involutive complex on the correspondence space.
+def involutive_cohomology(twist: BundleLabel) -> FrozenDict:
+    """Cohomology of the involutive complex on the correspondence space,
+    as a read-only mapping degree -> dimension; an absent degree means 0.
 
     The topology spectral sequence of the Z-leg collapses for exactly
     two twists — the trivial one and the hyperplane twist (1|0,...,0) —
@@ -235,9 +224,9 @@ def involutive_cohomology(twist: BundleLabel) -> CohomologyResult:
     zcoh = global_cohomology(twist)
     betti = fiber_betti(registry(twist.n)["eta"])
     if zcoh is None:
-        return CohomologyResult({})
+        return FrozenDict()
     q, module = zcoh
-    return CohomologyResult({q + i: b * rank(module) for i, b in enumerate(betti) if b})
+    return FrozenDict({q + i: b * rank(module) for i, b in enumerate(betti) if b})
 
 
 # ------------------------------------------------------- form dictionary

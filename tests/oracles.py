@@ -217,7 +217,7 @@ def _catalog(n: int) -> _Catalog:
     cat += [(FormType(p, q, "perp"), labs) for (p, q), labs in perp.items()]
     by_degree: _Catalog = {}
     for ft, labs in sorted(cat, key=lambda e: e[0]):
-        by_degree.setdefault(ft.degree, []).append((ft, Counter(labs)))
+        by_degree.setdefault(ft.p + ft.q, []).append((ft, Counter(labs)))
     return dict(sorted(by_degree.items()))
 
 

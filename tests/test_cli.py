@@ -15,12 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flagcalc import cli
+from flagcalc import bundles, cli
 from flagcalc.bbw import MODES
 from flagcalc.bundles import label_from_string, pieri_tensor
 from flagcalc.cli import FIBRATIONS, FORMATS, MAX_ENTRY, main
 from flagcalc.geometry import MAX_N
-from flagcalc.notation import ArgumentError, ParseError
+from flagcalc.notation import ArgumentError, ParseError, format_entries
 from flagcalc.transform import UnsupportedTwistError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -204,6 +204,74 @@ def test_direct_images_markdown_table(capsys):
     assert code == 0
     assert "|" in out  # a pipe table
     assert "cancelled" in out  # the log lines ride along
+
+
+# (argv, exit code, stdout) of markdown reports: paper-mode cancellation lines,
+# conservative tables without and with candidate lines, a table that does not
+# collapse with its reason, a collapsed complex, and involutive cohomology.
+MARKDOWN_REPORTS = [
+    (("direct-images", "--twist", "(1|0,0|0)"), 0,
+     "| q \\ p | 2 | 3 | 4 |\n"
+     "|---|---|---|---|\n"
+     "| 0 | (-2||1,1,1) | (-1||0,1,1) (+) (1||0,0,0) | (0||0,0,1) |\n"
+     "p=1: cancelled (1||0|0|0) (q=0) against (1||1|-1|0) (q=1), both imaging to (1||0,0,0)\n"
+     "p=2: cancelled (0||0|0|1) (q=0) against (0||1|-1|1) (q=1), both imaging to (0||0,0,1)\n"),
+    (("direct-images", "--mode", "conservative", "--twist", "(1|0,0|-2)"), 0,
+     "| q \\ p | 1 | 3 |\n"
+     "|---|---|---|\n"
+     "| 2 | (-1||0,0,0) | - |\n"
+     "| 1 | - | (-1||0,0,0) |\n"),
+    (("direct-images", "--mode", "conservative", "--twist", "(1|0,0|0)"), 0,
+     "| q \\ p | 1 | 2 | 3 | 4 |\n"
+     "|---|---|---|---|---|\n"
+     "| 1 | (1||0,0,0) | (0||0,0,1) | - | - |\n"
+     "| 0 | (1||0,0,0) | (-2||1,1,1) (+) (0||0,0,1) | (-1||0,1,1) (+) (1||0,0,0) | (0||0,0,1) |\n"
+     "p=1: candidate (1||0|0|0) (q=0) against (1||1|-1|0) (q=1), both imaging to (1||0,0,0)\n"
+     "p=2: candidate (0||0|0|1) (q=0) against (0||1|-1|1) (q=1), both imaging to (0||0,0,1)\n"),
+    (("transform", "--twist", "(1|0,0|-2)"), 1,
+     "| q \\ p | 1 | 3 |\n"
+     "|---|---|---|\n"
+     "| 2 | (-1||0,0,0) | - |\n"
+     "| 1 | - | (-1||0,0,0) |\n"
+     "no collapse: columns p=[1, 3] spread over degrees q=[1, 2]\n"),
+    (("transform", "--twist", "(1|0,0|0)"), 0,
+     "| q \\ p | 2 | 3 | 4 |\n"
+     "|---|---|---|---|\n"
+     "| 0 | (-2||1,1,1) | (-1||0,1,1) (+) (1||0,0,0) | (0||0,0,1) |\n"
+     "p=1: cancelled (1||0|0|0) (q=0) against (1||1|-1|0) (q=1), both imaging to (1||0,0,0)\n"
+     "p=2: cancelled (0||0|0|1) (q=0) against (0||1|-1|1) (q=1), both imaging to (0||0,0,1)\n"
+     "0 -> (-2||1,1,1) -> (-1||0,1,1) (+) (1||0,0,0) -> (0||0,0,1) -> 0\n"
+     "ranks: [1, 4, 3]  (alternating sum 0)\n"
+     "cohomology claims: 0:0, 1:0, 2:0\n"),
+    (("involutive",), 0,
+     "H^0 = C^1\n"
+     "H^2 = C^1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", MARKDOWN_REPORTS)
+def test_markdown_reports_are_pinned_byte_for_byte(capsys, argv, code, out):
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("argv", [["direct-images", "--twist", "(1|0,0|0)"],
+                                  ["transform", "--twist", "(1|0,0|0)"]])
+def test_markdown_formats_each_label_once_like_json(capsys, monkeypatch, argv):
+    # the markdown table and its cancellation lines read the JSON document,
+    # so a markdown run formats no label the JSON run does not
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return format_entries(*args)
+
+    monkeypatch.setattr(bundles, "format_entries", counted)
+    counts = {}
+    for fmt in ("json", "markdown"):
+        calls.clear()
+        assert run(capsys, *argv, "--format", fmt)[0] == 0
+        counts[fmt] = len(calls)
+    assert counts["markdown"] == counts["json"] > 0
 
 
 def test_relative_forms_json(capsys):
