@@ -38,24 +38,6 @@ __all__ = [
 MODES = ("paper", "conservative")
 
 
-class FrozenDict(dict):
-    """The mapping field of a frozen result: a dict that refuses writes and
-    hashes by its items, so the result stays immutable and hashable."""
-
-    __slots__ = ()
-
-    def _refuse(self, *_args, **_kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.items()))
-
-    def __reduce__(self):
-        return FrozenDict, (dict(self),)
-
-
 class CancellationRecord(Value):
     """One connecting-homomorphism candidate (quotient at q, sub at q+1)."""
 
@@ -72,13 +54,7 @@ class DirectImageTable(Value):
 
     cells: dict[tuple[int, int], tuple[BundleLabel, ...]]
     mode: str
-    log: tuple[CancellationRecord, ...]
-
-    # built once per first-page column: a plain __init__ costs less than __post_init__
-    def __init__(self, cells, mode: str, log: tuple[CancellationRecord, ...] = ()):
-        object.__setattr__(self, "cells", FrozenDict(cells))
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "log", log)
+    log: tuple[CancellationRecord, ...] = ()
 
     @staticmethod
     def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":

@@ -35,7 +35,6 @@ nilradical joins them by moves between X's fiber blocks, in one pass.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from types import MappingProxyType
 
 from .bundles import (
     BundleLabel,
@@ -44,12 +43,11 @@ from .bundles import (
     block_shape,
     branch_to_torus,
     is_line,
-    m_label,
     trivial_label,
     x_label,
     z_label,
 )
-from .notation import ArgumentError, Value
+from .notation import ArgumentError, FrozenDict, Value
 
 __all__ = [
     "FlagSpace",
@@ -114,7 +112,7 @@ def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> froze
 
 
 @cache
-def registry(n: int) -> MappingProxyType:
+def registry(n: int) -> FrozenDict:
     """Named spaces and fibrations for ambient rank n+1 (2 <= n <= MAX_N).
 
     Built once per n and returned read-only: every caller shares it.
@@ -134,7 +132,7 @@ def registry(n: int) -> MappingProxyType:
     x_fiber = block_shape("X", n)[1:]
     x_space = FlagSpace("X", n, _chain_roots(x_fiber, coords[1:]))
 
-    return MappingProxyType({
+    return FrozenDict({
         "M": m_space,
         "Z": z_space,
         "X": x_space,
@@ -256,44 +254,44 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
     return FilteredBundle(space.name, space.n, tuple(factors), tuple(components), tuple(levels))
 
 
+def _form_roots(f: Fibration) -> frozenset[Root]:
+    """The roots -alpha, alpha an isotropy root of f's base (Z's in the sigma
+    frame) but not of its total space: the weights of f's relative 1-forms."""
+    return frozenset((j, i) for i, j in f.base.isotropy - f.total.isotropy)
+
+
+def _root_forms(roots, space: FlagSpace) -> FilteredBundle:
+    """The lines of a root set on space, grouped as in _assemble_filtered."""
+    return _assemble_filtered([_root_weight(a, space.n) for a in sorted(roots)], space)
+
+
 @lru_cache
 def relative_cotangent(f: Fibration) -> FilteredBundle:
     """Holomorphic 1-forms along the fibers of f, as a filtered bundle.
 
-    The factors are the lines -alpha for each isotropy root alpha of
-    the base (Z's in the sigma frame) that is not an isotropy root of the
-    total space; the filtration comes from the total space's nilradical
-    as in _assemble_filtered.
+    The factors are the lines of _form_roots(f); the filtration comes from
+    the total space's nilradical as in _assemble_filtered.
 
     Memoized on the frozen leg: the forms depend on the leg and n only,
     never on a twist, and the result is frozen too.  The miss path checks
     ranks through the untraced ``bundles._label_rank``.
     """
-    extra = f.base.isotropy - f.total.isotropy
-    weights = [_root_weight((j, i), f.total.n) for i, j in sorted(extra)]  # -(e_i - e_j)
-    return _assemble_filtered(weights, f.total)
+    return _root_forms(_form_roots(f), f.total)
 
 
 def conormal(f: Fibration) -> FilteredBundle:
     """The conormal complement on the correspondence space.
 
     For the M-leg this is the kernel of restricting the pulled-back
-    1-forms of the base to the fiber directions of the Z-leg: weights
-    of both cotangent generators of the base minus the weights of the
-    Z-leg's relative cotangent bundle.
+    1-forms of the base to the fiber directions of the Z-leg.  The two
+    cotangent generators of the base pull back to the lines of the roots
+    +-(e_0 - e_i), i = 1..n; the Z-leg's relative forms are some of them.
     """
     if f.base.name != "M":
         raise ArgumentError(f"conormal splitting is defined along the M-leg, not {f.name}")
     n = f.total.n
-    mu_fib = registry(n)["mu"]
-    used = set(relative_cotangent(mu_fib).factors)
-    base_forms = [m_label((1, -1) + (0,) * (n - 1)), m_label((-1,) + (0,) * (n - 1) + (1,))]
-    weights = []
-    for gen in base_forms:
-        for w in pullback_factors(gen).factors:
-            if w not in used:
-                weights.append(w.weight)
-    return _assemble_filtered(weights, f.total)
+    roots = {r for i in range(1, n + 1) for r in ((0, i), (i, 0))}
+    return _root_forms(roots - _form_roots(registry(n)["mu"]), f.total)
 
 
 # ---------------------------------------------------------- pullbacks

@@ -57,24 +57,48 @@ class ParseError(ArgumentError):
 
 # ----------------------------------------------------------- value base
 
+class FrozenDict(dict):
+    """The package's read-only mapping: a dict that refuses writes and hashes
+    by its items, so a value that holds one stays immutable and hashable."""
+
+    __slots__ = ()
+
+    def _refuse(self, *_args, **_kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
 class _ValueType(type):
     """Builds each value class once, as it is created, from its annotated
     fields: ``__slots__``, an ``__init__`` by position or keyword that ends in
     ``__post_init__`` where the class has one, ``__eq__`` and ``__hash__`` over
     the field tuple, and with ``order=True`` the four comparisons.  A method
-    the class writes itself is kept.  The methods are compiled per class and
-    read each field directly, since labels are hashed and sorted on the hot path."""
+    the class writes itself is kept.  A field annotated ``dict[...]`` is
+    stored as a ``FrozenDict`` (``None`` stays ``None``).  The methods are
+    compiled per class and read each field directly, since labels are hashed
+    and sorted on the hot path."""
 
     def __new__(mcls, name, bases, ns, order=False):
-        fields = ns["__slots__"] = tuple(ns.get("__annotations__", ()))
+        annotations = ns.get("__annotations__", {})
+        fields = ns["__slots__"] = tuple(annotations)
         if fields:
-            scope = {"_set": object.__setattr__, **{f"_d_{f}": ns.pop(f) for f in fields if f in ns}}
+            scope = {"_set": object.__setattr__, "_frozen": FrozenDict,
+                     **{f"_d_{f}": ns.pop(f) for f in fields if f in ns}}
             params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in scope else f for f in fields)
+            stored = {f: (f"{f} if {f} is None else _frozen({f})"
+                          if str(annotations[f]).startswith("dict[") else f) for f in fields}
             mine, theirs = (f"({''.join(f'{who}.{f},' for f in fields)})" for who in ("self", "other"))
             ops = {"eq": "==", **(dict(lt="<", le="<=", gt=">", ge=">=") if order else {})}
             made: dict = {}
             exec("\n".join([
-                f"def __init__(self, {params}):", *(f"    _set(self, {f!r}, {f})" for f in fields),
+                f"def __init__(self, {params}):", *(f"    _set(self, {f!r}, {stored[f]})" for f in fields),
                 "    self.__post_init__()" if "__post_init__" in ns else "",
                 f"def __hash__(self):\n    return hash({mine})",
                 *(f"def __{op}__(self, other):\n    if other.__class__ is self.__class__:\n"

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from types import MappingProxyType
 
-from .bbw import DirectImageTable, FrozenDict, direct_images, global_cohomology
+from .bbw import DirectImageTable, direct_images, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
@@ -43,7 +42,7 @@ from .bundles import (
     z_label,
 )
 from .geometry import MAX_N, Fibration, fiber_betti, registry, relative_cotangent, twist_frames
-from .notation import ArgumentError, Value
+from .notation import ArgumentError, FrozenDict, Value
 
 __all__ = [
     "FormType",
@@ -82,7 +81,7 @@ class FormType(Value, order=True):
 
     p: int
     q: int
-    role: str = "full"
+    role: str
 
     def __post_init__(self):
         if self.role not in _ROLE_SUFFIX:
@@ -112,10 +111,6 @@ class ComplexOnM(Value):
     form_types: tuple[tuple[FormType, ...], ...] | None = None
     claims: tuple[int, ...] | None = None
     claim_tags: dict[int, str] | None = None
-
-    def __post_init__(self):
-        if self.claim_tags is not None:
-            object.__setattr__(self, "claim_tags", FrozenDict(self.claim_tags))
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(rank(b) for b in term) for term in self.terms)
@@ -232,7 +227,7 @@ def involutive_cohomology(twist: BundleLabel) -> FrozenDict:
 # ------------------------------------------------------- form dictionary
 
 @cache
-def form_dictionary(n: int) -> tuple[MappingProxyType, MappingProxyType]:
+def form_dictionary(n: int) -> tuple[FrozenDict, FrozenDict]:
     """(full, perp): the irreducible constituents of the (p,q)-form bundles.
 
     By Pieri, L(p,q) = (p-q || Lambda^p V* (x) Lambda^q V) over the GL(n)
@@ -253,7 +248,7 @@ def form_dictionary(n: int) -> tuple[MappingProxyType, MappingProxyType]:
         for q in range(n + 1)
     }
     perp = {pq: labs[:1] for pq, labs in full.items() if len(labs) > 1}
-    return MappingProxyType(full), MappingProxyType(perp)
+    return FrozenDict(full), FrozenDict(perp)
 
 
 def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:

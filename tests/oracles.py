@@ -18,8 +18,11 @@ bundle, kept verbatim at the end, finds each Levi constituent by a
 breadth-first search over the +-Levi root vectors and levels by a
 fixed-point loop; it reads the package's labels, ``rank`` (checked
 against the pattern count above) and the space's isotropy roots, which
-``complex_dim`` counts against the dimensions of the spaces.  The
-old per-block label rules, ``is_dominant`` on each block's slice and one
+``complex_dim`` counts against the dimensions of the spaces.  The old
+conormal part, kept at the end, pulls the base's two cotangent generators
+back through the package's ``pullback_factors``, drops the factors of the
+package's relative forms of the Z-leg, and groups the rest by that search.
+The old per-block label rules, ``is_dominant`` on each block's slice and one
 distinct value per block for a line, cut the weight by the package's
 ``block_shape``, the one statement of the block sizes.  The Euler rank
 of a direct-image column sums the package's ``rank`` over its cells.
@@ -31,8 +34,14 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from flagcalc.bundles import BundleLabel, FilteredBundle, block_shape, pieri_tensor, rank
-from flagcalc.geometry import FlagSpace, _root_weight
+from flagcalc.bundles import BundleLabel, FilteredBundle, block_shape, m_label, pieri_tensor, rank
+from flagcalc.geometry import (
+    FlagSpace,
+    _root_weight,
+    pullback_factors,
+    registry,
+    relative_cotangent,
+)
 from flagcalc.transform import FormType, form_dictionary
 from flagcalc.weights import is_dominant
 
@@ -394,3 +403,15 @@ def assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filte
     return FilteredBundle(
         space.name, space.n, tuple(factors), tuple(components), tuple(levels)
     )
+
+
+def conormal(n: int) -> FilteredBundle:
+    """The conormal part of the M-leg as the weights of the pulled-back
+    cotangent generators (1||-1,0,...,0) and (-1||0,...,0,1) of the base,
+    less the factors of the Z-leg's relative forms."""
+    reg = registry(n)
+    used = set(relative_cotangent(reg["mu"]).factors)
+    base_forms = [m_label((1, -1) + (0,) * (n - 1)), m_label((-1,) + (0,) * (n - 1) + (1,))]
+    weights = [w.weight for gen in base_forms for w in pullback_factors(gen).factors
+               if w not in used]
+    return assemble_filtered(weights, reg["X"])

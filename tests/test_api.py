@@ -29,9 +29,9 @@ from flagcalc import (
     z_label,
 )
 from flagcalc import bundles
-from flagcalc.bbw import FrozenDict
 from flagcalc.cli import RunConfig
-from flagcalc.notation import Value
+from flagcalc.notation import FrozenDict, Value
+from flagcalc.transform import form_dictionary
 
 SRC = pathlib.Path(flagcalc.__file__).resolve().parent
 # the package re-exports these; the command line stays its own entry point
@@ -109,25 +109,50 @@ def test_every_exported_function_has_a_caller():
 # package or the benchmark reads yet
 UNREAD_MEMBERS: dict[str, str] = {}
 
+# properties named like a field of some value class: a read of the name may
+# be a read of the field, so each is listed here with a reader
+SHARED_NAME_PROPERTIES = {
+    "BundleLabel.n": "transform._labels_n and geometry.twist_frames read the n of a label",
+}
+
+
+def _attribute_uses(node: ast.AST, skip: str):
+    """(attr, called) for every ast.Attribute under node, outside any
+    function definition named ``skip``; called when it is a call's function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == skip:
+        return
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        yield node.func.attr, True
+    if isinstance(node, ast.Attribute):
+        yield node.attr, False
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_uses(child, skip)
+
 
 def test_every_public_member_of_an_exported_class_has_a_reader():
-    # as for functions: a reference outside the member's own body counts;
-    # a name shared by two members is read for both, so this under-reports
+    # a method is read only by a call x.m(...), a property by any x.m, each
+    # outside the member's own body; a property that shares its name with a
+    # field cannot be told from it by name, so it is listed with its reader
     trees = _source_trees().values()
-    unread = set()
+    fields = {f for cls in _value_classes() for f in cls.__slots__}
+    unread, shared = set(), set()
     for name in (*ENGINE, "cli"):
         module = importlib.import_module(f"flagcalc.{name}")
         for cls in (getattr(module, x) for x in module.__all__):
             if not inspect.isclass(cls):
                 continue
             for member, obj in vars(cls).items():
-                method = inspect.isfunction(obj) or isinstance(
-                    obj, (property, staticmethod, classmethod))
-                if member.startswith("_") or not method:
+                prop = isinstance(obj, property)
+                method = inspect.isfunction(obj) or isinstance(obj, (staticmethod, classmethod))
+                if member.startswith("_") or not (prop or method):
                     continue
-                if not any(member in set(_references(tree, member)) for tree in trees):
+                if prop and member in fields:
+                    shared.add(f"{cls.__name__}.{member}")
+                elif not any((member, True) in uses or (prop and (member, False) in uses)
+                             for uses in (set(_attribute_uses(tree, member)) for tree in trees)):
                     unread.add(f"{cls.__name__}.{member}")
     assert unread == set(UNREAD_MEMBERS)
+    assert shared == set(SHARED_NAME_PROPERTIES)
 
 
 def test_no_assert_statement_in_the_engine():
@@ -156,6 +181,32 @@ def test_no_label_is_built_without_its_checks():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         lines = list(_unchecked_constructions(tree))
         assert not lines, f"{path.name}: unchecked construction at lines {lines}"
+
+
+def _object_setattr_lines(node: ast.AST, where: tuple = ()):
+    """Lines that read ``object.__setattr__``, with the class and function
+    names around each: ``where`` is the path of definitions to node."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = (*where, node.name)
+    if isinstance(node, ast.Attribute) and node.attr == "__setattr__" \
+            and isinstance(node.value, ast.Name) and node.value.id == "object":
+        yield where, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _object_setattr_lines(child, where)
+
+
+def test_only_the_value_base_and_the_label_constructor_set_fields():
+    # every other value, a mapping field included, is stored by the __init__
+    # that the value base generates
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "notation.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            lines = [line for where, line in _object_setattr_lines(tree)
+                     if where != ("BundleLabel", "__init__")]
+            if lines:
+                found[path.name] = lines
+    assert not found, f"object.__setattr__ outside the value base: {found}"
 
 
 def _value_classes():
@@ -218,7 +269,7 @@ def test_a_label_is_unpickled_and_copied_through_its_checks():
 
 
 def test_value_reprs_name_every_field():
-    assert repr(FormType(1, 1)) == "FormType(p=1, q=1, role='full')"
+    assert repr(FormType(1, 1, "full")) == "FormType(p=1, q=1, role='full')"
     assert repr(parse_label("(1|0,0|0)")) == \
         "ParsedLabel(weight=(1, 0, 0, 0), blocks=(1, 2, 1), double_bar=False)"
     assert repr(RunConfig()) == \
@@ -229,7 +280,8 @@ def test_value_reprs_name_every_field():
 
 def test_frozen_results_are_hashable_and_read_only():
     # their mapping fields were plain dicts: hash() raised TypeError, and
-    # res.table.cells[(9, 9)] = () changed a frozen result in place
+    # res.table.cells[(9, 9)] = () changed a frozen result in place; the
+    # shared registry and form dictionary are the same read-only mapping
     res = assemble_transform(None, 3)
     coh = involutive_cohomology(z_label((0, 0, 0, 0)))
     assert type(coh) is FrozenDict
@@ -238,7 +290,9 @@ def test_frozen_results_are_hashable_and_read_only():
     again = assemble_transform(None, 3)
     assert again == res and hash(again) == hash(res)
     assert involutive_cohomology(z_label((0, 0, 0, 0))) == coh
-    for mapping in (res.table.cells, res.complex_.claim_tags, coh):
+    for mapping in (res.table.cells, res.complex_.claim_tags, coh, registry(3),
+                    *form_dictionary(3)):
+        assert type(mapping) is FrozenDict and hash(mapping) == hash(FrozenDict(mapping))
         assert mapping == dict(mapping) and mapping  # equality with a dict is unchanged
         key = next(iter(mapping))
         for write in (lambda: mapping.__setitem__((9, 9), ()), lambda: mapping.__delitem__(key),

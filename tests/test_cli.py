@@ -432,13 +432,15 @@ PIERI_CASE = {"op": "pieri", "n": 3, "label": "(0||0,0,0)",
                      "expect": {}}]}, "bad[0]"),
         ({"cases": [{"op": "form_complex", "n": 3, "types": [[[1]]], "expect": {}}]},
          "bad[0]"),
+        ({"cases": [{"op": "form_complex", "n": 3, "types": [[[0, 0]]], "expect": {}}]},
+         "bad[0]"),
         ({"cases": [{**PIERI_CASE, "n": MAX_N + 1}]}, "bad[0]"),
         ({"cases": ["pieri"]}, "bad[0]"),
         ({"key": "bad"}, "bad:"),
         ({"cases": {"op": "pieri"}}, "bad:"),
         ([1, 2], "bad:"),
     ],
-    ids=["no op", "no expect", "label not a string", "type of four", "type of one",
+    ids=["no op", "no expect", "label not a string", "type of four", "type of one", "type of two",
          "n over the bound", "case not an object", "no cases", "cases not a list",
          "file not an object"],
 )

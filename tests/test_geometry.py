@@ -31,6 +31,7 @@ from flagcalc.geometry import (
 )
 from oracles import assemble_filtered as search_grouping
 from oracles import complex_dim
+from oracles import conormal as pullback_conormal
 
 
 def test_dimension_summary():
@@ -135,6 +136,11 @@ def test_conormal_of_the_projection_leg():
     assert cn.components == (0, 1)
     with pytest.raises(ValueError):
         conormal(registry(3)["mu"])  # base is not the projective base
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_conormal_from_roots_matches_the_pulled_back_generators(n):
+    assert conormal(registry(n)["nu"]) == pullback_conormal(n)
 
 
 def test_pullback_line_swaps_the_frame():
@@ -243,11 +249,13 @@ def _grouping(assemble, weights, space):
 
 
 def test_block_sum_grouping_matches_the_search_on_every_reachable_input(monkeypatch):
-    # record every weight set the public functions group: all legs and the
-    # conormal part for every n, seeded pullbacks for n <= 8 (most of them
-    # refused: not multiplicity-free, too wide, or unsupported), and the
-    # n = 16 Sym^3 pullback refused at a Sym^2 class of the GL(14) block;
-    # the legs' memo is cleared so that every leg's weight set is grouped
+    # record every weight set the public functions group: all legs, the
+    # conormal part and the pullbacks of the base's two cotangent generators
+    # (the conormal part's old inputs) for every n, seeded pullbacks for
+    # n <= 8 (most of them refused: not multiplicity-free, too wide, or
+    # unsupported), and the n = 16 Sym^3 pullback refused at a Sym^2 class
+    # of the GL(14) block; the legs' memo is cleared so that every leg's
+    # weight set is grouped
     grouped = []
     real = geometry._assemble_filtered
 
@@ -265,6 +273,8 @@ def test_block_sum_grouping_matches_the_search_on_every_reachable_input(monkeypa
             relative_cotangent(reg[leg])
             legs_recorded += len(grouped) == before + 1
         conormal(reg["nu"])
+        pullback_factors(m_label((1, -1) + (0,) * (n - 1)))
+        pullback_factors(m_label((-1,) + (0,) * (n - 1) + (1,)))
     assert legs_recorded == 3 * (MAX_N - 1)
     rng = random.Random(4100)
     labels = [m_label((0,) * 16 + (3,))]

@@ -98,10 +98,11 @@ def test_form_dictionary_is_built_once_and_read_only():
 
 def test_form_naming_and_adjoint_work_at_n4():
     types = (
-        (FormType(0, 0),),
-        (FormType(0, 1), FormType(1, 0)),
-        (FormType(0, 2), FormType(1, 1, "perp"), FormType(1, 1, "kappa"), FormType(2, 0)),
-        (FormType(1, 2, "perp"), FormType(2, 1)),
+        (FormType(0, 0, "full"),),
+        (FormType(0, 1, "full"), FormType(1, 0, "full")),
+        (FormType(0, 2, "full"), FormType(1, 1, "perp"), FormType(1, 1, "kappa"),
+         FormType(2, 0, "full")),
+        (FormType(1, 2, "perp"), FormType(2, 1, "full")),
     )
     c = complex_from_form_types(types, 4)
     assert c.ranks() == (1, 8, 28, 44)
@@ -121,9 +122,9 @@ def test_form_naming_and_adjoint_work_at_n4():
     "make",
     [
         lambda: FormType(1, 0, "bogus"),
-        lambda: complex_from_form_types([[FormType(9, 9)]], 3),
-        lambda: complex_from_form_types([[FormType(-1, 0)]], 3),
-        lambda: complex_from_form_types([[FormType(0, 4)]], 3),
+        lambda: complex_from_form_types([[FormType(9, 9, "full")]], 3),
+        lambda: complex_from_form_types([[FormType(-1, 0, "full")]], 3),
+        lambda: complex_from_form_types([[FormType(0, 4, "full")]], 3),
         lambda: complex_from_form_types([[FormType(1, 0, "perp")]], 3),
         lambda: complex_from_form_types([[FormType(3, 3, "perp")]], 3),
         lambda: complex_from_form_types([[FormType(0, 0, "kappa")]], 3),
@@ -211,7 +212,7 @@ def test_two_copies_of_every_degree_n_bundle_are_named_at_the_largest_n():
     degree_n = [(p, n - p) for p in range(n + 1)]
     term = tuple(lab for pq in degree_n for lab in full[pq] * 2)
     [names] = annotate_form_types((term,))
-    assert Counter(names) == {FormType(p, q): 2 for p, q in degree_n}
+    assert Counter(names) == {FormType(p, q, "full"): 2 for p, q in degree_n}
 
 
 def test_untwisted_assembly_fields(capsys):
