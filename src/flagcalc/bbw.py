@@ -21,7 +21,7 @@ modes:
 
 from __future__ import annotations
 
-from .bundles import BundleLabel, FilteredBundle, fiber_label, is_line
+from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line
 from .geometry import Fibration, sigma_swap
 from .notation import Value
 from .weights import bbw_reduce
@@ -30,7 +30,6 @@ __all__ = [
     "CancellationRecord",
     "DirectImageTable",
     "direct_images",
-    "reduce_factor",
     "global_cohomology",
     "MODES",
 ]
@@ -78,31 +77,26 @@ def _fiber_entries(f: Fibration) -> tuple[int, int]:
     return 1, f.total.n + 1  # fiber coordinates: everything past the spectator
 
 
-def reduce_factor(b: BundleLabel, fib: Fibration):
-    """Fiberwise cohomology of one line-bundle factor: None or (q, label)."""
-    if b.space != "X":
-        raise ValueError(f"factors live on the correspondence space, got {b!r}")
-    if not is_line(b):
-        raise ValueError(f"not a line bundle along the fibers: {b}")
-    lo, hi = _fiber_entries(fib)
-    reduced = bbw_reduce(b.weight[lo:hi])
-    if reduced is None:
-        return None
-    q, dom = reduced
-    return q, BundleLabel("M", (b.weight[0], *dom))
-
-
 def direct_images(
     f: FilteredBundle, fib: Fibration, mode: str = "paper", p: int = 0
 ) -> DirectImageTable:
     """Direct images of a filtered bundle: one p-column of the E1 page."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if f.space != "X":  # every factor lives on f.space
+        raise ValueError(f"factors live on the correspondence space, got {f.space!r}")
+    lo, hi = _fiber_entries(fib)
+    links = _shape(f.space, f.n).links  # is_line, read once per column
     images: dict[int, tuple[int, BundleLabel]] = {}  # factor index -> (q, label)
     for i, factor in enumerate(f.factors):
-        res = reduce_factor(factor, fib)
-        if res is not None:
-            images[i] = res
+        w = factor.weight
+        for k in links:
+            if w[k] != w[k + 1]:
+                raise ValueError(f"not a line bundle along the fibers: {factor}")
+        reduced = bbw_reduce(w[lo:hi])
+        if reduced is not None:
+            q, dom = reduced
+            images[i] = q, BundleLabel("M", (w[0], *dom))
 
     # connecting-homomorphism candidates: quotient directly above sub in
     # one composition series, images in degrees q and q+1, same label

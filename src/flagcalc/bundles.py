@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from math import prod
 from operator import add, index
 
 from .notation import ArgumentError, ParsedLabel, Value, format_entries, parse_label
@@ -211,9 +210,13 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
 
 
 def _label_rank(b: BundleLabel) -> int:
-    """Rank of a label: the product of the Weyl ranks of its blocks.  Untraced,
-    so a memo's miss path (``geometry._assemble_filtered``) may check ranks."""
-    return prod(_weyl_rank(b.weight[lo:hi]) for lo, hi in _shape(b.space, b.n).spans)
+    """Rank of a label: the product of the Weyl ranks of its blocks (1 for a one-entry
+    block).  Untraced, so a memo's miss path (``geometry._assemble_filtered``) may check ranks."""
+    r, w = 1, b.weight
+    for lo, hi in _shape(b.space, len(w) - 1).spans:
+        if hi - lo > 1:
+            r *= _weyl_rank(w[lo:hi])
+    return r
 
 
 def rank(b) -> int:

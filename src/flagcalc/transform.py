@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from operator import ne
 
 from .bbw import DirectImageTable, direct_images, global_cohomology
 from .bundles import (
@@ -264,16 +265,30 @@ def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
     return labs
 
 
-def _naming(counts: Counter, d: int, owner: dict, full, perp) -> tuple[FormType, ...] | None:
+def _owner(lab: BundleLabel, d: int) -> tuple[int, int] | None:
+    """The L(p,q) of degree d = p+q that holds the label, or None.  Read the
+    Pieri rule backwards: (p-q || -1^i, 0^(n-i-l), 1^l) lies in L(i+k, l+k)
+    for k = 0..n-i-l, so d fixes k; a label not of that shape has no owner."""
+    if lab.space != "M":
+        return None
+    a, mu = lab.weight[0], lab.weight[1:]
+    i, l = mu.count(-1), mu.count(1)
+    k, odd = divmod(d - i - l, 2)
+    if odd or a != i - l or not 0 <= k <= len(mu) - i - l or i + l + mu.count(0) != len(mu):
+        return None
+    return i + k, l + k
+
+
+def _naming(counts: Counter, d: int, full, perp) -> tuple[FormType, ...] | None:
     """The term with these label counts as a sum of a*full(p,q) + b*perp(p,q)
     over the L(p,q) of degree d that own its labels, or None.  A label lies
     in at most one L(p,q) of a degree, and the constituents of one L(p,q) are
     distinct, so a and b are read off each group: the naming is the only one."""
     groups: dict[tuple[int, int], Counter] = {}
     for lab, c in counts.items():
-        if (d, lab) not in owner:
+        if (pq := _owner(lab, d)) is None:
             return None
-        groups.setdefault(owner[d, lab], Counter())[lab] = c
+        groups.setdefault(pq, Counter())[lab] = c
     out: list[FormType] = []
     for (p, q), got in groups.items():
         labs, prim = full[p, q], perp.get((p, q), ())
@@ -306,13 +321,12 @@ def annotate_form_types(
     """
     n = _labels_n(terms)
     full, perp = form_dictionary(n)
-    owner = {(p + q, lab): (p, q) for (p, q), labs in full.items() for lab in labs}
     counts = [Counter(t) for t in terms]
     chains = []
     for d0 in range(2 * n + 2 - len(terms)):
         chain = []
         for i, c in enumerate(counts):
-            if (named := _naming(c, d0 + i, owner, full, perp)) is None:
+            if (named := _naming(c, d0 + i, full, perp)) is None:
                 break
             chain.append(named)
         else:
@@ -365,21 +379,24 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
     every inadmissible component is reported.  The complex passes when
     all arrows do and the alternating rank sum vanishes.  The Pieri tensor
     of s reaches the dominant labels s + (+-1, -+e_i), so an M-label t (dominant
-    already) is admissible when t - s = (+-1, -+e_i) for exactly one i.
+    already) is admissible when t - s = (+-1, -+e_i) for exactly one i: when the first
+    entries differ by one, the entry sums agree and the GL(n) parts differ in one place.
     """
     if not c.terms or any(not t for t in c.terms):
         raise ValueError("malformed complex: empty terms")
     arrows = []
     for i in range(len(c.terms) - 1):
+        # each target's space, n, first entry, GL(n) part and entry sum, read once per arrow
+        targets = [(t, t.space == "M", t.n, t.weight[0], t.weight[1:], sum(t.weight))
+                   for t in c.terms[i + 1]]
         adm, bad = [], []
         for s in c.terms[i]:
             if s.space != "M":
                 raise ValueError(f"the symbol check expects base-space labels, got {s!r}")
-            a, mu, n = s.weight[0], s.weight[1:], s.n
-            for t in c.terms[i + 1]:
-                step = t.weight[0] - a
-                ok = (t.space == "M" and t.n == n and step in (1, -1)
-                      and [y - x for x, y in zip(mu, t.weight[1:]) if x != y] == [-step])
+            a, mu, n, total = s.weight[0], s.weight[1:], s.n, sum(s.weight)
+            for t, on_m, tn, ta, tmu, t_total in targets:
+                ok = (on_m and tn == n and ta - a in (1, -1) and t_total == total
+                      and sum(map(ne, mu, tmu)) == 1)
                 (adm if ok else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
     ranks = c.ranks()

@@ -17,7 +17,7 @@ weight is sorted(w + rho) - rho.
 from __future__ import annotations
 
 from itertools import combinations, starmap
-from operator import gt
+from operator import add, gt, sub
 
 Weight = tuple[int, ...]
 
@@ -42,9 +42,9 @@ def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
     ``dominant`` is the unique dominant weight in the affine Weyl orbit:
     sorted(w + rho) - rho.
     """
-    shifted = tuple(a + i for i, a in enumerate(w))
+    shifted = tuple(map(add, w, range(len(w))))
     if len(set(shifted)) != len(shifted):
         return None
     q = sum(starmap(gt, combinations(shifted, 2)))  # pairs i < j out of order
-    dominant = tuple(a - i for i, a in enumerate(sorted(shifted)))
+    dominant = tuple(map(sub, sorted(shifted), range(len(w))))
     return q, dominant

@@ -2,13 +2,15 @@
 
 import pytest
 
-from flagcalc.bbw import (
-    DirectImageTable,
-    direct_images,
-    global_cohomology,
-    reduce_factor,
+from flagcalc.bbw import DirectImageTable, direct_images, global_cohomology
+from flagcalc.bundles import (
+    FilteredBundle,
+    exterior_power,
+    label_from_string,
+    rank,
+    x_label,
+    z_label,
 )
-from flagcalc.bundles import exterior_power, label_from_string, rank, x_label, z_label
 from flagcalc.geometry import pullback_line, registry, relative_cotangent
 
 from oracles import euler_rank
@@ -19,6 +21,17 @@ def setup():
     reg = registry(3)
     lam = relative_cotangent(reg["mu"])
     return reg, lam
+
+
+def _one_factor_image(factor, fib):
+    """The column of a one-factor bundle, read back as None or (q, label)."""
+    table = direct_images(FilteredBundle(factor.space, factor.n, (factor,), (0,), (0,)), fib)
+    assert table.log == ()
+    if not table.cells:
+        return None
+    ((p, q), labels), = table.cells.items()
+    assert p == 0 and len(labels) == 1
+    return q, labels[0]
 
 
 @pytest.mark.parametrize(
@@ -36,7 +49,7 @@ def setup():
 )
 def test_single_factor_images(setup, factor, expected):
     reg, _ = setup
-    got = reduce_factor(label_from_string(factor, "X"), reg["nu"])
+    got = _one_factor_image(label_from_string(factor, "X"), reg["nu"])
     if expected is None:
         assert got is None
     else:
@@ -44,25 +57,25 @@ def test_single_factor_images(setup, factor, expected):
         assert (q, str(label)) == expected
 
 
-def test_reduce_factor_first_entry_is_a_spectator(setup):
+def test_one_factor_column_first_entry_is_a_spectator(setup):
     # shifting the spectator entry shifts the image label, never the degree
     reg, _ = setup
-    q0, lab0 = reduce_factor(x_label((0, 0, 0, -3)), reg["nu"])
-    q7, lab7 = reduce_factor(x_label((7, 0, 0, -3)), reg["nu"])
+    q0, lab0 = _one_factor_image(x_label((0, 0, 0, -3)), reg["nu"])
+    q7, lab7 = _one_factor_image(x_label((7, 0, 0, -3)), reg["nu"])
     assert q0 == q7 == 2
     assert lab0.weight[1:] == lab7.weight[1:]
     assert (lab0.weight[0], lab7.weight[0]) == (0, 7)
 
 
-def test_reduce_factor_rejects_wrong_inputs(setup):
+def test_one_factor_column_rejects_wrong_inputs(setup):
     reg, _ = setup
-    with pytest.raises(ValueError):
-        reduce_factor(label_from_string("(1||0,0,0)", "M"), reg["nu"])
-    with pytest.raises(ValueError):
-        reduce_factor(x_label((0, 0, 0, 0)), reg["mu"])  # wrong leg
+    with pytest.raises(ValueError, match="correspondence space"):
+        _one_factor_image(label_from_string("(1||0,0,0)", "M"), reg["nu"])
+    with pytest.raises(ValueError, match="M-leg"):
+        _one_factor_image(x_label((0, 0, 0, 0)), reg["mu"])  # wrong leg
     big = registry(4)
-    with pytest.raises(ValueError):
-        reduce_factor(label_from_string("(0||0|0,1|0)", "X"), big["nu"])  # rank 2
+    with pytest.raises(ValueError, match="not a line bundle"):
+        _one_factor_image(label_from_string("(0||0|0,1|0)", "X"), big["nu"])  # rank 2
 
 
 UNTWISTED_COLUMNS = {

@@ -22,6 +22,7 @@ from flagcalc.transform import (
     ComplexOnM,
     FormType,
     UnsupportedTwistError,
+    _owner,
     alternating_sum,
     annotate_form_types,
     assemble_transform,
@@ -94,6 +95,33 @@ def test_form_dictionary_is_built_once_and_read_only():
         full[(0, 0)] = ()
     with pytest.raises(TypeError):
         perp[(1, 1)] = ()
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_the_derived_owner_equals_the_dictionary_index(n):
+    # the owner read off a label equals the (degree, label) -> (p, q) index
+    # of the dictionary, and is None wherever that index has no entry
+    full, _perp = form_dictionary(n)
+    index = {(p + q, lab): (p, q) for (p, q), labs in full.items() for lab in labs}
+    for d in range(2 * n + 1):
+        for lab in {lab for labs in full.values() for lab in labs}:
+            assert _owner(lab, d) == index.get((d, lab)), (d, lab)
+
+
+def test_the_derived_owner_refuses_labels_off_the_dictionary():
+    lab = m_label((0, -1, 0, 1))  # L(1,1) in degree 2, L(2,2) in degree 4
+    assert [_owner(lab, d) for d in range(7)] == [None, None, (1, 1), None, (2, 2), None, None]
+    refused = [
+        x_label((0, -1, 0, 1)),      # off M
+        z_label((0, -1, 0, 1)),      # off M
+        m_label((0, -2, 0, 2)),      # entries outside {-1, 0, 1}
+        m_label((0, -1, 1, 2)),
+        m_label((1, -1, 0, 1)),      # first entry not p - q
+        m_label((-2, -1, 0, 1)),
+    ]
+    for other in refused:
+        assert [_owner(other, d) for d in range(7)] == [None] * 7, other
+    assert all(_owner(lab, d) is None for d in (1, 3, 5))  # degree of the wrong parity
 
 
 def test_form_naming_and_adjoint_work_at_n4():
@@ -288,6 +316,32 @@ def test_labels_built_unchecked_pass_full_validation(n):
         for p, bundle in untwisted:
             expected = tuple(tensor_line(f, twist_x) for f in bundle.factors)
             assert bundle.twist_by(twist_x).factors == expected, (w, p)
+
+
+def _shifted(lab: BundleLabel, b: int) -> BundleLabel:
+    return BundleLabel(lab.space, tuple(x + b for x in lab.weight))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_e1_page_is_equivariant_under_characters(n):
+    # tensoring by det^b, the Z-line (b|b,...,b|b), shifts every label on M by
+    # (b||b,...,b): the page of (a|b^(n-1)|c) is the page of (a-b|0^(n-1)|c-b)
+    # with every label shifted, cancels the same pairs and collapses alike
+    shifted = {mode: 0 for mode in MODES}
+    for w in TWIST_BOXES[n]:
+        b = w[1]
+        base = (w[0] - b, *(0,) * (n - 1), w[-1] - b)
+        for mode in MODES:
+            res, base_res = (assemble_transform(z_label(t), n, mode) for t in (w, base))
+            assert res.table.cells == {
+                pq: tuple(_shifted(lab, b) for lab in labs)
+                for pq, labs in base_res.table.cells.items()
+            }, (w, mode)
+            assert [r.applied for r in res.table.log] == \
+                [r.applied for r in base_res.table.log], (w, mode)
+            assert (res.complex_ is None) == (base_res.complex_ is None), (w, mode)
+            shifted[mode] += b != 0 and bool(res.table.cells)
+    assert all(count > len(TWIST_BOXES[n]) // 2 for count in shifted.values()), shifted
 
 
 def _canonical(n: int) -> BundleLabel:
