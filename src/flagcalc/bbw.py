@@ -21,6 +21,8 @@ modes:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line
 from .geometry import Fibration, sigma_swap
 from .notation import Value
@@ -100,41 +102,51 @@ def direct_images(
 
     # connecting-homomorphism candidates: quotient directly above sub in
     # one composition series, images in degrees q and q+1, same label
-    comps, levels = f.components, f.levels
     candidates = []
-    for i, (qi, li) in images.items():
-        for j, (qj, lj) in images.items():
-            if (
-                comps[i] == comps[j]
-                and levels[j] == levels[i] + 1
-                and qj == qi + 1
-                and lj == li
-            ):
+    for i, j in _adjacent_pairs(f.components, f.levels):
+        if i in images and j in images:
+            (qi, li), (qj, lj) = images[i], images[j]
+            if qj == qi + 1 and lj == li:
                 candidates.append((i, j))
-    candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
-                                    f.factors[ij[0]].weight, f.factors[ij[1]].weight))
 
     removed: set[int] = set()
     log = []
-    for i, j in candidates:
-        apply = mode == "paper" and i not in removed and j not in removed
-        if apply:
-            removed.update((i, j))
-        log.append(
-            CancellationRecord(
-                p, f.factors[i], f.factors[j], images[i][0], images[i][1], apply
+    if candidates:
+        candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
+                                        f.factors[ij[0]].weight, f.factors[ij[1]].weight))
+        for i, j in candidates:
+            apply = mode == "paper" and i not in removed and j not in removed
+            if apply:
+                removed.update((i, j))
+            log.append(
+                CancellationRecord(
+                    p, f.factors[i], f.factors[j], images[i][0], images[i][1], apply
+                )
             )
-        )
 
-    cells: dict[tuple[int, int], list[BundleLabel]] = {}
+    by_q: dict[int, list[BundleLabel]] = {}
     for i, (q, label) in images.items():
         if i not in removed:
-            cells.setdefault((p, q), []).append(label)
+            by_q.setdefault(q, []).append(label)
     return DirectImageTable(
-        {pq: tuple(sorted(labs)) for pq, labs in sorted(cells.items())},
+        {(p, q): tuple(sorted(by_q[q])) for q in sorted(by_q)},
         mode,
         tuple(log),
     )
+
+
+@lru_cache
+def _adjacent_pairs(components: tuple[int, ...],
+                    levels: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j) with factor j directly below factor i in one composition
+    series, in (i, j) order: the only places a connecting homomorphism can sit.
+    They depend on the filtration alone, never on the twist, so they are built
+    once per (components, levels) and shared by every twist of one wedge."""
+    at: dict[tuple[int, int], list[int]] = {}  # (component, level) -> factors
+    for j, place in enumerate(zip(components, levels)):
+        at.setdefault(place, []).append(j)
+    return tuple((i, j) for i, (c, level) in enumerate(zip(components, levels))
+                 for j in at.get((c, level + 1), ()))
 
 
 # ------------------------------------------------- global cohomology

@@ -115,9 +115,10 @@ class BundleLabel(Value, order=True):
                     f"entries must be nondecreasing within each block: {weight}"
                     f" with blocks {shape.blocks}"
                 )
-        object.__setattr__(self, "space", space)  # frozen: set once, here
-        object.__setattr__(self, "blocks", shape.blocks)
-        object.__setattr__(self, "weight", weight)
+        set_space, set_blocks, set_weight = BundleLabel._setters  # frozen: set once, here
+        set_space(self, space)
+        set_blocks(self, shape.blocks)
+        set_weight(self, weight)
 
     @property
     def n(self) -> int:

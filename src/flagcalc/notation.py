@@ -83,14 +83,15 @@ class _ValueType(type):
     the class writes itself is kept.  A field annotated ``dict[...]`` is
     stored as a ``FrozenDict`` (``None`` stays ``None``).  The methods are
     compiled per class and read each field directly, since labels are hashed
-    and sorted on the hot path."""
+    and sorted on the hot path.  Each field is stored through its slot's own
+    setter, bound once here and kept in field order as ``_setters``; only the
+    generated ``__init__`` and ``BundleLabel.__init__`` call them."""
 
     def __new__(mcls, name, bases, ns, order=False):
         annotations = ns.get("__annotations__", {})
         fields = ns["__slots__"] = tuple(annotations)
         if fields:
-            scope = {"_set": object.__setattr__, "_frozen": FrozenDict,
-                     **{f"_d_{f}": ns.pop(f) for f in fields if f in ns}}
+            scope = {"_frozen": FrozenDict, **{f"_d_{f}": ns.pop(f) for f in fields if f in ns}}
             params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in scope else f for f in fields)
             stored = {f: (f"{f} if {f} is None else _frozen({f})"
                           if str(annotations[f]).startswith("dict[") else f) for f in fields}
@@ -98,7 +99,7 @@ class _ValueType(type):
             ops = {"eq": "==", **(dict(lt="<", le="<=", gt=">", ge=">=") if order else {})}
             made: dict = {}
             exec("\n".join([
-                f"def __init__(self, {params}):", *(f"    _set(self, {f!r}, {stored[f]})" for f in fields),
+                f"def __init__(self, {params}):", *(f"    _set_{f}(self, {stored[f]})" for f in fields),
                 "    self.__post_init__()" if "__post_init__" in ns else "",
                 f"def __hash__(self):\n    return hash({mine})",
                 *(f"def __{op}__(self, other):\n    if other.__class__ is self.__class__:\n"
@@ -106,7 +107,11 @@ class _ValueType(type):
                   for op, sign in ops.items())]), scope, made)
             for method, fn in made.items():
                 ns.setdefault(method, fn)
-        return super().__new__(mcls, name, bases, ns)
+        cls = super().__new__(mcls, name, bases, ns)
+        if fields:  # the compiled methods find each setter in their scope
+            cls._setters = tuple(vars(cls)[f].__set__ for f in fields)
+            scope.update(zip((f"_set_{f}" for f in fields), cls._setters))
+        return cls
 
 
 class Value(metaclass=_ValueType):

@@ -25,7 +25,10 @@ package's relative forms of the Z-leg, and groups the rest by that search.
 The old per-block label rules, ``is_dominant`` on each block's slice and one
 distinct value per block for a line, cut the weight by the package's
 ``block_shape``, the one statement of the block sizes.  The Euler rank
-of a direct-image column sums the package's ``rank`` over its cells.
+of a direct-image column sums the package's ``rank`` over its cells.  The
+old cancellation scan of a direct-image column, kept at the end, tries
+every pair of the column's images against the filtration; it reduces each
+fiber weight by ``brute_reduce`` and builds the package's M-labels.
 """
 
 from __future__ import annotations
@@ -415,3 +418,43 @@ def conormal(n: int) -> FilteredBundle:
     weights = [w.weight for gen in base_forms for w in pullback_factors(gen).factors
                if w not in used]
     return assemble_filtered(weights, reg["X"])
+
+
+def direct_image_column(f: FilteredBundle, mode: str, p: int):
+    """(cells, log) of column p pushed down the M-leg, by the quadratic scan
+    over image pairs: each log entry is (p, quotient, sub, q, base label,
+    applied), in the order the engine must log them."""
+    images = {}
+    for i, factor in enumerate(f.factors):
+        reduced = brute_reduce(factor.weight[1:])
+        if reduced is not None:
+            q, dom = reduced
+            images[i] = q, m_label((factor.weight[0], *dom))
+
+    comps, levels = f.components, f.levels
+    candidates = []
+    for i, (qi, li) in images.items():
+        for j, (qj, lj) in images.items():
+            if (
+                comps[i] == comps[j]
+                and levels[j] == levels[i] + 1
+                and qj == qi + 1
+                and lj == li
+            ):
+                candidates.append((i, j))
+    candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
+                                    f.factors[ij[0]].weight, f.factors[ij[1]].weight))
+
+    removed: set[int] = set()
+    log = []
+    for i, j in candidates:
+        apply = mode == "paper" and i not in removed and j not in removed
+        if apply:
+            removed.update((i, j))
+        log.append((p, f.factors[i], f.factors[j], images[i][0], images[i][1], apply))
+
+    cells: dict[tuple[int, int], list[BundleLabel]] = {}
+    for i, (q, label) in images.items():
+        if i not in removed:
+            cells.setdefault((p, q), []).append(label)
+    return {pq: tuple(sorted(labs)) for pq, labs in sorted(cells.items())}, log

@@ -183,30 +183,59 @@ def test_no_label_is_built_without_its_checks():
         assert not lines, f"{path.name}: unchecked construction at lines {lines}"
 
 
-def _object_setattr_lines(node: ast.AST, where: tuple = ()):
-    """Lines that read ``object.__setattr__``, with the class and function
-    names around each: ``where`` is the path of definitions to node."""
+_SETTER_NAMES = ("__set__", "_setters")
+
+
+def _field_write_lines(node: ast.AST, where: tuple = ()):
+    """Lines that reach a field's slot: ``object.__setattr__``, a slot
+    descriptor's ``__set__`` or the base's ``_setters``, read as an attribute
+    or named in a string, each with what it reads and the class and function
+    names around it: ``where`` is the path of definitions to node."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         where = (*where, node.name)
     if isinstance(node, ast.Attribute) and node.attr == "__setattr__" \
             and isinstance(node.value, ast.Name) and node.value.id == "object":
-        yield where, node.lineno
+        yield where, node.lineno, "object.__setattr__"
+    elif isinstance(node, ast.Attribute) and node.attr in _SETTER_NAMES:
+        yield where, node.lineno, node.attr
+    elif isinstance(node, ast.Constant) and node.value in _SETTER_NAMES:
+        yield where, node.lineno, node.value
     for child in ast.iter_child_nodes(node):
-        yield from _object_setattr_lines(child, where)
+        yield from _field_write_lines(child, where)
+
+
+def _holds_a_slot_setter(value) -> bool:
+    """A slot descriptor's bound ``__set__``, or a container that holds one."""
+    items = value.values() if isinstance(value, dict) else \
+        value if isinstance(value, (tuple, list, set, frozenset)) else (value,)
+    return any(getattr(item, "__name__", None) == "__set__"
+               and inspect.ismemberdescriptor(getattr(item, "__self__", None)) for item in items)
 
 
 def test_only_the_value_base_and_the_label_constructor_set_fields():
     # every other value, a mapping field included, is stored by the __init__
-    # that the value base generates
+    # that the value base generates through the setters it binds; the label
+    # constructor takes the same setters from the base, and nothing else
+    # reads a slot's setter, so no write can go around the label checks
     found = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name != "notation.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-            lines = [line for where, line in _object_setattr_lines(tree)
-                     if where != ("BundleLabel", "__init__")]
+            lines = [(line, what) for where, line, what in _field_write_lines(tree)
+                     if (where, what) != (("BundleLabel", "__init__"), "_setters")]
             if lines:
                 found[path.name] = lines
-    assert not found, f"object.__setattr__ outside the value base: {found}"
+    assert not found, f"a field write outside the value base: {found}"
+    modules = [flagcalc, *(importlib.import_module(f"flagcalc.{name}")
+                           for name in (*ENGINE, "cli"))]
+    bound = [f"{module.__name__}.{name}" for module in modules
+             for name, value in vars(module).items() if _holds_a_slot_setter(value)]
+    bound += [f"{cls.__qualname__}.{name}" for cls in _value_classes()
+              for name, value in vars(cls).items()
+              if name != "_setters" and _holds_a_slot_setter(value)]
+    assert not bound, f"a slot setter bound outside the value base: {bound}"
+    for cls in _value_classes():  # each class's own slots, in field order
+        assert [setter.__self__ for setter in cls._setters] == [vars(cls)[f] for f in cls.__slots__]
 
 
 def _value_classes():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from flagcalc.bbw import DirectImageTable, direct_images, global_cohomology
+from flagcalc.bbw import MODES, DirectImageTable, direct_images, global_cohomology
 from flagcalc.bundles import (
     FilteredBundle,
     exterior_power,
@@ -13,7 +13,8 @@ from flagcalc.bundles import (
 )
 from flagcalc.geometry import pullback_line, registry, relative_cotangent
 
-from oracles import euler_rank
+from oracles import direct_image_column, euler_rank
+from test_transform import TWIST_BOXES
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +194,30 @@ def test_global_cohomology_rejects_wrong_inputs():
         global_cohomology(label_from_string("(1||0,0,0)", "M"))
     with pytest.raises(ValueError):
         global_cohomology(z_label((0, -1, 1, 0)))  # rank 3, not a line
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
+    # every column of both legs' twisted wedges, pushed down the M-leg in both
+    # modes, logs the candidates of the quadratic scan over image pairs in the
+    # same order with the same applied flags, and keeps the same cells
+    reg = registry(n)
+    seen = dict.fromkeys(("columns", "candidates", "applied"), 0)
+    for leg in ("mu", "nu"):
+        lam = relative_cotangent(reg[leg])
+        wedges = [(p, exterior_power(lam, p)) for p in range(len(lam) + 1)]
+        for w in TWIST_BOXES[n]:
+            twist_x = pullback_line(z_label(w))
+            for p, wedge in wedges:
+                bundle = wedge.twist_by(twist_x)
+                for mode in MODES:
+                    table = direct_images(bundle, reg["nu"], mode, p)
+                    cells, log = direct_image_column(bundle, mode, p)
+                    assert [(r.p, r.quotient, r.sub, r.q, r.base_label, r.applied)
+                            for r in table.log] == log, (leg, w, p, mode)
+                    assert table.cells == cells, (leg, w, p, mode)
+                    seen["columns"] += 1
+                    seen["candidates"] += len(log)
+                    seen["applied"] += sum(r[-1] for r in log)
+    assert seen["columns"] == {2: 2 * 1183 * (3 + 4), 3: 2 * 405 * (5 + 7)}[n]
+    assert seen["applied"] > 0 and seen["candidates"] > seen["applied"], seen

@@ -1,15 +1,17 @@
 """The memo rule, checked against the benchmark's tracer.
 
 The engine memoizes its twist-independent layers (registry, relative
-forms, exterior powers, form dictionary) and, below them, the untraced
-record of each label shape (``bundles._shape``).  A memo's miss path
+forms, exterior powers, form dictionary) and, below them, two untraced
+records: the shape of each label (``bundles._shape``) and the adjacent
+pairs of each filtration (``bbw._adjacent_pairs``).  A memo's miss path
 must call no other traced function, or the first traced run would count
 differently from a warm one.  Each memo is checked here in process, by
-one traced cold call; and since earlier tests in the full suite warm the
-memos, the benchmark's own tracer test is also run alone in a fresh
-interpreter, to check that the traced call counts of its workload paths
-repeat from a cold start.  The traced call counts of a few fixed ops are
-pinned, so that a change which moves any of them shows here.
+one cold call under an enabled tracer; and since earlier tests in the
+full suite warm the memos, the benchmark's own tracer test is also run
+alone in a fresh interpreter, to check that the traced call counts of
+its workload paths repeat from a cold start.  The traced call counts of
+a few fixed ops are pinned, so that a change which moves any of them
+shows here.
 """
 
 import importlib.util
@@ -21,7 +23,8 @@ import sys
 import pytest
 
 import flagcalc
-from flagcalc import bundles, geometry, transform
+from flagcalc import bbw, bundles, geometry, transform
+from flagcalc.bundles import exterior_power
 from flagcalc.geometry import MAX_N, registry, relative_cotangent
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -38,13 +41,21 @@ def _perfbench_module(name: str):
     return module
 
 
-# (traced name, module, attribute, arguments of one call)
+def _filtration(n: int, p: int) -> tuple:
+    wedge = exterior_power(relative_cotangent(registry(n)["mu"]), p)
+    return wedge.components, wedge.levels
+
+
+# (name, module, attribute, arguments of one call); an untraced memo's name
+# is not in the tracer's table, and its cold call must count nothing at all
 MEMOS = [
     ("geometry.registry", geometry, "registry", lambda: (4,)),
     ("geometry.relative_cotangent", geometry, "relative_cotangent", lambda: (registry(4)["nu"],)),
     ("bundles.exterior_power", bundles, "exterior_power",
      lambda: (relative_cotangent(registry(3)["mu"]), 2)),
     ("transform.form_dictionary", transform, "form_dictionary", lambda: (4,)),
+    ("bundles._shape", bundles, "_shape", lambda: ("X", 3)),
+    ("bbw._adjacent_pairs", bbw, "_adjacent_pairs", lambda: _filtration(3, 2)),
 ]
 
 
@@ -61,7 +72,8 @@ def test_a_memo_miss_calls_no_traced_function(name, module, attr, args):
         tracer.enabled = False
         tracer.uninstall()
     snap = tracer.snapshot()
-    assert snap["calls"][name] == 1
+    traced = {name: 1} if name in snap["calls"] else {}
+    assert {called: c for called, c in snap["calls"].items() if c} == traced
     assert [edge for edge in snap["edges"] if edge.startswith(f"{name} -> ")] == []
 
 
