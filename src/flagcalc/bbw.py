@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line
 from .geometry import Fibration, sigma_swap
-from .notation import Value
+from .notation import ArgumentError, Value
 from .weights import bbw_reduce
 
 __all__ = [
@@ -65,11 +65,11 @@ class DirectImageTable(Value):
         if len(modes) != 1:
             raise ValueError(f"cannot merge tables from modes {sorted(modes)}")
         for t in tables:
-            overlap = cells.keys() & t.cells.keys()
-            if overlap:
-                raise ValueError(f"duplicate cells {sorted(overlap)}")
             cells.update(t.cells)
             log.extend(t.log)
+        if len(cells) != sum(len(t.cells) for t in tables):  # some cell came twice
+            keys = [cell for t in tables for cell in t.cells]
+            raise ValueError(f"duplicate cells {sorted({c for c in keys if keys.count(c) > 1})}")
         return DirectImageTable(cells, modes.pop(), tuple(log))
 
 
@@ -82,57 +82,54 @@ def _fiber_entries(f: Fibration) -> tuple[int, int]:
 def direct_images(
     f: FilteredBundle, fib: Fibration, mode: str = "paper", p: int = 0
 ) -> DirectImageTable:
-    """Direct images of a filtered bundle: one p-column of the E1 page."""
+    """Direct images of a filtered bundle: one p-column of the E1 page.  Each
+    image is an M-label over f.n, named and ordered by its weight alone, so the
+    column is reduced on weights and each surviving label is built once."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if f.space != "X":  # every factor lives on f.space
         raise ValueError(f"factors live on the correspondence space, got {f.space!r}")
     lo, hi = _fiber_entries(fib)
+    if fib.total.n != f.n:
+        raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
     links = _shape(f.space, f.n).links  # is_line, read once per column
-    images: dict[int, tuple[int, BundleLabel]] = {}  # factor index -> (q, label)
+    images: dict[int, tuple[int, tuple[int, ...]]] = {}  # factor index -> (q, M-weight)
     for i, factor in enumerate(f.factors):
         w = factor.weight
-        for k in links:
-            if w[k] != w[k + 1]:
-                raise ValueError(f"not a line bundle along the fibers: {factor}")
+        if links and any(w[k] != w[k + 1] for k in links):
+            raise ValueError(f"not a line bundle along the fibers: {factor}")
         reduced = bbw_reduce(w[lo:hi])
         if reduced is not None:
             q, dom = reduced
-            images[i] = q, BundleLabel("M", (w[0], *dom))
+            images[i] = q, (w[0], *dom)
 
     # connecting-homomorphism candidates: quotient directly above sub in
     # one composition series, images in degrees q and q+1, same label
     candidates = []
     for i, j in _adjacent_pairs(f.components, f.levels):
         if i in images and j in images:
-            (qi, li), (qj, lj) = images[i], images[j]
-            if qj == qi + 1 and lj == li:
+            (qi, wi), (qj, wj) = images[i], images[j]
+            if qj == qi + 1 and wj == wi:
                 candidates.append((i, j))
 
-    removed: set[int] = set()
     log = []
     if candidates:
+        removed: set[int] = set()
         candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
                                         f.factors[ij[0]].weight, f.factors[ij[1]].weight))
         for i, j in candidates:
             apply = mode == "paper" and i not in removed and j not in removed
             if apply:
                 removed.update((i, j))
-            log.append(
-                CancellationRecord(
-                    p, f.factors[i], f.factors[j], images[i][0], images[i][1], apply
-                )
-            )
+            log.append(CancellationRecord(p, f.factors[i], f.factors[j], images[i][0],
+                                          BundleLabel("M", images[i][1]), apply))
+        for i in removed:
+            del images[i]
 
-    by_q: dict[int, list[BundleLabel]] = {}
-    for i, (q, label) in images.items():
-        if i not in removed:
-            by_q.setdefault(q, []).append(label)
-    return DirectImageTable(
-        {(p, q): tuple(sorted(by_q[q])) for q in sorted(by_q)},
-        mode,
-        tuple(log),
-    )
+    cells: dict[tuple[int, int], list[BundleLabel]] = {}
+    for q, weight in sorted(images.values()):  # cell order: by q, then by weight
+        cells.setdefault((p, q), []).append(BundleLabel("M", weight))
+    return DirectImageTable({pq: tuple(labels) for pq, labels in cells.items()}, mode, tuple(log))
 
 
 @lru_cache

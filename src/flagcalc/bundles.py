@@ -344,12 +344,15 @@ class FilteredBundle(Value):
             raise TypeError(f"a filtered bundle is named by its space and n, got n={self.n!r}")
         if not len(self.factors) == len(self.components) == len(self.levels):
             raise ValueError("factors, components and levels differ in length")
-        shape = _shape(self.space, self.n).blocks  # refuses an unknown space too
+        space, blocks = self.space, _shape(self.space, self.n).blocks  # refuses unknown spaces
         for f in self.factors:
-            if (f.space, f.blocks) != (self.space, shape):
+            if f.space != space or f.blocks != blocks:
                 raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
         if self.components and list(self.components) != sorted(self.components):
             raise ValueError("components must be listed contiguously")
+
+    def __hash__(self) -> int:  # equal bundles share a filtration: a memo hit hashes no label
+        return hash((self.space, self.n, self.components, self.levels))
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -379,7 +382,7 @@ class FilteredBundle(Value):
         """Tensor every factor by a line bundle on this space and n (filtration
         unchanged).  A line is constant on each block, so every shifted factor
         stays dominant; anything else is refused."""
-        if (line.space, line.n) != (self.space, self.n) or not is_line(line):
+        if line.space != self.space or len(line.weight) != self.n + 1 or not is_line(line):
             raise ValueError(
                 f"twist_by needs a line bundle on {self.space} over n={self.n}, got {line!r}"
             )

@@ -42,9 +42,10 @@ def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
     ``dominant`` is the unique dominant weight in the affine Weyl orbit:
     sorted(w + rho) - rho.
     """
-    shifted = tuple(map(add, w, range(len(w))))
+    rho = range(len(w))
+    shifted = list(map(add, w, rho))
     if len(set(shifted)) != len(shifted):
         return None
     q = sum(starmap(gt, combinations(shifted, 2)))  # pairs i < j out of order
-    dominant = tuple(map(sub, sorted(shifted), range(len(w))))
-    return q, dominant
+    shifted.sort()
+    return q, tuple(map(sub, shifted, rho))

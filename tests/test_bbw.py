@@ -12,6 +12,7 @@ from flagcalc.bundles import (
     z_label,
 )
 from flagcalc.geometry import pullback_line, registry, relative_cotangent
+from flagcalc.notation import ArgumentError
 
 from oracles import direct_image_column, euler_rank
 from test_transform import TWIST_BOXES
@@ -158,8 +159,8 @@ def test_merge_keeps_columns_apart(setup):
     merged = DirectImageTable.merge(cols)
     assert set(merged.cells) == {(p, 0) for p in range(5)}
     assert merged.mode == "paper"
-    with pytest.raises(ValueError, match="duplicate cells"):
-        DirectImageTable.merge([cols[1], cols[1]])  # duplicate cells
+    with pytest.raises(ValueError, match=r"duplicate cells \[\(1, 0\)\]$"):
+        DirectImageTable.merge([cols[0], cols[1], cols[1]])  # duplicate cells
     loud = direct_images(exterior_power(lam, 2), reg["nu"], mode="conservative", p=2)
     with pytest.raises(ValueError, match="modes"):
         DirectImageTable.merge([cols[1], loud])  # mixed modes
@@ -196,6 +197,16 @@ def test_global_cohomology_rejects_wrong_inputs():
         global_cohomology(z_label((0, -1, 1, 0)))  # rank 3, not a line
 
 
+@pytest.mark.parametrize("bundle_n, leg_n", [(3, 2), (2, 3)])
+def test_direct_images_refuses_a_leg_over_another_n(bundle_n, leg_n):
+    # the fiber entries are read off the leg, so a leg over another n would
+    # cut the weights short or run past them and name labels over the wrong n
+    for p in range(3):
+        bundle = exterior_power(relative_cotangent(registry(bundle_n)["mu"]), p)
+        with pytest.raises(ArgumentError, match=f"over n={leg_n}, the bundle over n={bundle_n}"):
+            direct_images(bundle, registry(leg_n)["nu"], p=p)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
     # every column of both legs' twisted wedges, pushed down the M-leg in both
@@ -216,6 +227,7 @@ def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
                     assert [(r.p, r.quotient, r.sub, r.q, r.base_label, r.applied)
                             for r in table.log] == log, (leg, w, p, mode)
                     assert table.cells == cells, (leg, w, p, mode)
+                    assert list(table.cells) == list(cells), (leg, w, p, mode)  # cell order
                     seen["columns"] += 1
                     seen["candidates"] += len(log)
                     seen["applied"] += sum(r[-1] for r in log)

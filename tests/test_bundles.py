@@ -349,3 +349,20 @@ def test_exterior_power_of_an_equal_bundle_is_equal():
     for p in range(len(lam) + 1):
         assert exterior_power(copy, p) == exterior_power(lam, p)
     assert exterior_power(lam, 2) is exterior_power(lam, 2)
+
+
+def test_a_memo_hit_on_a_wedge_hashes_no_label(monkeypatch):
+    # a filtered bundle hashes by its filtration, which equal bundles share,
+    # so a warm exterior_power call never hashes a factor label
+    from flagcalc.geometry import registry, relative_cotangent
+
+    lams = [relative_cotangent(registry(n)["mu"]) for n in (2, 3)]
+    warm = [exterior_power(lam, p) for lam in lams for p in range(len(lam) + 1)]
+    hashed = []
+    label_hash = BundleLabel.__hash__
+    monkeypatch.setattr(BundleLabel, "__hash__",
+                        lambda label: hashed.append(label) or label_hash(label))
+    assert [exterior_power(lam, p) for lam in lams for p in range(len(lam) + 1)] == warm
+    assert hashed == []
+    hash(lams[0].factors[0])  # the count sees a label's hash
+    assert hashed == [lams[0].factors[0]]

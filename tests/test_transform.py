@@ -38,6 +38,7 @@ from flagcalc.transform import (
 
 from oracles import (
     FORM_TABLES,
+    brute_reduce,
     euler_rank,
     pieri_admissible,
     torus_character,
@@ -342,6 +343,30 @@ def test_the_e1_page_is_equivariant_under_characters(n):
             assert (res.complex_ is None) == (base_res.complex_ is None), (w, mode)
             shifted[mode] += b != 0 and bool(res.table.cells)
     assert all(count > len(TWIST_BOXES[n]) // 2 for count in shifted.values()), shifted
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_collapse_locus_on_the_twist_plane(n):
+    # the twists (x|0,...,0|y), |x|, |y| <= 14, regular when weight + rho has
+    # no repeated entry: every regular line collapses in both modes, and the
+    # lines that do not are the wall x - y = n (where the first and last
+    # entries of weight + rho meet), with two more points at n = 3 in paper
+    # mode and every singular line at n = 3 in conservative mode
+    window = range(-14, 15)
+    singular = {(x, y) for x in window for y in window
+                if brute_reduce((x, *(0,) * (n - 1), y)) is None}
+    assert len(window) ** 2 - len(singular) == {2: 758, 3: 705}[n]
+    wall = {(x, y) for x in window for y in window if x - y == n}
+    expected = {
+        (2, "paper"): wall, (2, "conservative"): wall,
+        (3, "paper"): wall | {(1, -1), (2, -2)}, (3, "conservative"): singular,
+    }
+    for mode in MODES:
+        stuck = {(x, y) for x in window for y in window
+                 if assemble_transform(z_label((x, *(0,) * (n - 1), y)), n, mode).complex_ is None}
+        assert stuck <= singular, (mode, sorted(stuck - singular))
+        assert stuck == expected[n, mode], (mode, sorted(stuck ^ expected[n, mode]))
+    assert len(wall) == {2: 27, 3: 26}[n] and wall <= singular
 
 
 def _canonical(n: int) -> BundleLabel:
