@@ -14,12 +14,13 @@ exception: 2 for an ``ArgumentError``, 1 for any other ``ValueError``, 0
 when nothing was raised; every nonzero exit writes an ``error:`` line.  The engine raises
 ``ArgumentError`` for what it cannot take as given: a label that does not
 parse, a wedge column out of range, a twist not on Z or X or for another
-n, ``--conormal`` on a Z-leg, an involutive twist not on Z, a ``--line``
-for another n.  This module raises it for its own input checks: bad flags
-or config values, labels that do not fit their space, of more than
-MAX_N + 1 entries or with an entry over MAX_ENTRY in absolute value, n
-outside 2..MAX_N, ``--conormal`` with ``-p``, an empty fixture directory,
-a malformed fixture file or case (named as ``file[index]``).
+n, ``--conormal`` on a Z-leg, an involutive twist not on Z, a global
+cohomology label not on Z or X, a ``--line`` for another n.  This module
+raises it for its own input checks: bad flags or config values, labels
+that do not fit their space, of more than MAX_N + 1 entries or with an
+entry over MAX_ENTRY in absolute value, n outside 2..MAX_N, ``--conormal``
+with ``-p``, an empty fixture directory, a malformed fixture file or case
+(named as ``file[index]``).
 
 A JSON config file (``--config``) may supply defaults for ``n``,
 ``twist``, ``mode``, ``format`` and ``fibration``; explicit flags win.
@@ -77,7 +78,7 @@ from .weights import bbw_reduce
 __all__ = ["main", "RunConfig"]
 
 FORMATS = ("markdown", "json")
-FIBRATIONS = ("mu", "nu", "eta")
+FIBRATIONS = ("mu", "nu")
 # Largest |entry| of a label from outside: with MAX_N + 1 entries every printed
 # number stays far under Python's 4300-digit int -> str limit (a GL(17) rank < 1300).
 MAX_ENTRY = 10**9
@@ -463,8 +464,10 @@ def _run_case(case: dict) -> dict:
             "passed": report.passed,
         }
     if op == "realization":
-        # no twist means the canonical one here, not the trivial one
-        rep = emit_realization(None if cfg.twist is None else _twist_label(cfg), cfg.n)
+        if cfg.twist is None:  # no twist means K_Z = (n|0,...,0|-n) here, not the trivial one
+            n = cfg.n
+            cfg = RunConfig(n, f"({n}|{','.join('0' * (n - 1))}|{-n})", cfg.mode)
+        rep = emit_realization(_transform(cfg, "no complex to realize").complex_)
         return {
             "degree": rep.degree,
             "source": str(rep.source),

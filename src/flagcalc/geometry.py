@@ -79,19 +79,11 @@ class FlagSpace(Value):
 
 
 class Fibration(Value):
-    """One leg of the double fibration, with stored fiber topology.
-
-    ``fiber`` is the flag type (k_1, ..., k_r) of the flag manifold of
-    C^(k_1+...+k_r) that the fiber is homotopy equivalent to: () is a
-    point, (1, m) is projective m-space, (1,) * k the full flags in C^k.
-    Topology is stored data — the engine never tries to prove
-    contractibility.
-    """
+    """One leg of the double fibration, from its total space to its base."""
 
     name: str
     total: FlagSpace
     base: FlagSpace
-    fiber: tuple[int, ...]
 
 
 def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> frozenset[Root]:
@@ -129,39 +121,48 @@ def registry(n: int) -> FrozenDict:
     z_space = FlagSpace("Z", n, frozenset((sigma[i], sigma[j]) for i, j in z_std))
 
     # X's isotropy: the chain parabolic of its own blocks past the spectator
-    x_fiber = block_shape("X", n)[1:]
-    x_space = FlagSpace("X", n, _chain_roots(x_fiber, coords[1:]))
+    x_space = FlagSpace("X", n, _chain_roots(block_shape("X", n)[1:], coords[1:]))
 
     return FrozenDict({
         "M": m_space,
         "Z": z_space,
         "X": x_space,
         # holomorphic legs of the correspondence
-        "mu": Fibration("mu", x_space, z_space, ()),
-        "nu": Fibration("nu", x_space, m_space, x_fiber),
-        # the underlying smooth Z-leg of the incidence variety; same root
-        # data as mu, but the fiber topology the collapse arguments use
-        "eta": Fibration("eta", x_space, z_space, (1, n - 2)),
+        "mu": Fibration("mu", x_space, z_space),
+        "nu": Fibration("nu", x_space, m_space),
     })
 
 
 # ----------------------------------------------------- fiber topology
 
 def fiber_betti(f: Fibration) -> list[int]:
-    """Betti numbers of the fiber, a flag manifold of type k = f.fiber.
+    """Betti numbers of the fiber of f's map of flag manifolds.
 
-    Its Poincare polynomial is the Gaussian multinomial
+    The total space's blocks nest in the base's (``block_shape``), and at
+    most one base block holds more than one of them: nu's n-block, and mu's
+    (n-1)-block for n >= 3.  The blocks k inside it are the flag type of the
+    fiber, a flag manifold of C^|k|; a lone block is a point.  X is open in
+    its flag manifold, so mu's own fibers are contractible pieces of this one.
+
+    The Poincare polynomial is the Gaussian multinomial
     prod_{j <= |k|} (1 - q^j) / prod_i prod_{j <= k_i} (1 - q^j) at
     q = t^2, computed as a power series cut after its top degree, the
     complex dimension (|k|^2 - sum k_i^2) / 2.
     """
-    size = sum(f.fiber)
-    top = (size * size - sum(k * k for k in f.fiber)) // 2
+    blocks = iter(block_shape(f.total.name, f.total.n))
+    groups = []  # the total space's blocks inside each base block
+    for size in block_shape(f.base.name, f.base.n):
+        groups.append([next(blocks)])
+        while sum(groups[-1]) < size:
+            groups[-1].append(next(blocks))
+    fiber = max(groups, key=len)
+    size = sum(fiber)
+    top = (size * size - sum(k * k for k in fiber)) // 2
     poly = [1] + [0] * top
     for j in range(1, size + 1):  # times (1 - q^j)
         for i in range(top, j - 1, -1):
             poly[i] -= poly[i - j]
-    for k in f.fiber:
+    for k in fiber:
         for j in range(1, k + 1):  # divided by (1 - q^j)
             for i in range(j, top + 1):
                 poly[i] += poly[i - j]

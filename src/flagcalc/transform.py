@@ -40,7 +40,6 @@ from .bundles import (
     pieri_tensor,
     rank,
     trivial_label,
-    z_label,
 )
 from .geometry import MAX_N, Fibration, fiber_betti, registry, relative_cotangent, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
@@ -218,7 +217,7 @@ def involutive_cohomology(twist: BundleLabel) -> FrozenDict:
             "only the trivial and hyperplane twists are known to collapse"
         )
     zcoh = global_cohomology(twist)
-    betti = fiber_betti(registry(twist.n)["eta"])
+    betti = fiber_betti(registry(twist.n)["mu"])
     if zcoh is None:
         return FrozenDict()
     q, module = zcoh
@@ -432,7 +431,7 @@ def formal_adjoint(c: ComplexOnM) -> ComplexOnM:
 # ---------------------------------------------------------- realization
 
 class RealizationReport(Value):
-    """Kernel presentation of the top cohomology over the flag domain."""
+    """Kernel presentation of the first term of a complex on the base."""
 
     degree: int
     source: BundleLabel
@@ -442,34 +441,30 @@ class RealizationReport(Value):
     d_full: tuple[BundleLabel, ...]
 
 
-def emit_realization(twist=None, n: int = 3) -> RealizationReport:
-    """The canonical-twist kernel presentation (n = 3 only).
+def emit_realization(c: ComplexOnM) -> RealizationReport:
+    """The kernel presentation of a collapsed complex's first term.
 
-    Runs the canonical-bundle pipeline and presents the single
-    surviving cohomology as the kernel of the first arrow, splitting
-    its targets into the holomorphic (first entry +1) and
-    antiholomorphic (first entry -1) directions; the full Pieri lists
-    are included so the projection is visible.
+    A projection of the symbol check's first arrow: its admissible targets
+    split into the antiholomorphic (first entry -1) and holomorphic (first
+    entry +1) directions, beside the source's full Pieri tensor split the
+    same way, so the projection is visible; the degree is the complex's
+    row.  A first term of more than one label, and a first arrow with an
+    inadmissible pair, are refused.
     """
-    canonical = z_label((3,) + (0,) * (n - 1) + (-3,))
-    if twist is None:
-        twist = canonical
-    if n != 3 or twist != canonical:
-        raise ValueError(f"realization is pinned to the canonical twist for n=3, got {twist}")
-    res = assemble_transform(twist, n, "paper")
-    cx = res.complex_
-    if cx is None or len(cx.terms[0]) != 1:
-        raise ValueError(f"canonical pipeline did not collapse to one source: {res.reason}")
-    source = cx.terms[0][0]
+    if len(c.terms) < 2 or len(c.terms[0]) != 1:
+        raise ValueError("realization needs a first arrow out of a one-label term, got "
+                         f"{len(c.terms[0])} label(s) in the first of {len(c.terms)} term(s)")
+    arrow = check_ellipticity(c).arrows[0]
+    if arrow.inadmissible:
+        s, t = arrow.inadmissible[0]
+        raise ValueError(f"realization needs an admissible first arrow, but {s} -> {t} "
+                         "is not a Pieri step")
+    source = c.terms[0][0]
     a = source.weight[0]
-    nxt = cx.terms[1]
-    dbar_targets = tuple(t for t in nxt if t.weight[0] == a - 1)
-    d_targets = tuple(t for t in nxt if t.weight[0] == a + 1)
+    targets = [t for _s, t in arrow.admissible]
     pieri = pieri_tensor(source)
-    dbar_full = tuple(t for t in pieri if t.weight[0] == a - 1)
-    d_full = tuple(t for t in pieri if t.weight[0] == a + 1)
-    if not (set(dbar_targets) <= set(dbar_full) and set(d_targets) <= set(d_full)):
-        raise ValueError("realization targets are not Pieri constituents of the source")
     return RealizationReport(
-        cx.q_row, source, dbar_targets, d_targets, dbar_full, d_full
+        c.q_row, source,
+        *(tuple(t for t in labs if t.weight[0] == a + step)
+          for labs, step in ((targets, -1), (targets, 1), (pieri, -1), (pieri, 1))),
     )

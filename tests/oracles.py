@@ -3,9 +3,12 @@
 These are deliberately naive: the weight reduction is redone by brute
 force over all k! orderings, ranks and torus characters are recounted by
 enumerating interleaved integer patterns one row at a time, and the
-characters of wedge products come from listing subsets, and the Euler
+characters of wedge products come from listing subsets, the Euler
 characteristic of a direct-image column is the Weyl dimension polynomial
-at each unsorted fiber weight, with no reduction at all.  The (p,q)-form
+at each unsorted fiber weight, with no reduction at all, the Betti numbers
+of a flag manifold count its Schubert cells as words by inversions, and a
+cancellation's simple-root step is read off the raw weights of its pair.
+The fiber types the legs once stored are kept here as data.  The (p,q)-form
 tables for n = 2, 3 are kept as the hand-written data they once were.
 Nothing here shares code with the package, except that the old naming of
 form types, an exhaustive cover search kept verbatim at the end, reads
@@ -24,7 +27,8 @@ back through the package's ``pullback_factors``, drops the factors of the
 package's relative forms of the Z-leg, and groups the rest by that search.
 The old per-block label rules, ``is_dominant`` on each block's slice and one
 distinct value per block for a line, cut the weight by the package's
-``block_shape``, the one statement of the block sizes.  The Euler rank
+``block_shape``, the one statement of the block sizes, which also gives
+nu's old fiber type.  The Euler rank
 of a direct-image column sums the package's ``rank`` over its cells.  The
 old cancellation scan of a direct-image column, kept at the end, tries
 every pair of the column's images against the filtration; it reduces each
@@ -146,6 +150,51 @@ def complex_dim(space: FlagSpace) -> int:
     (i, j), i != j, outside its isotropy, that is n(n+1) - |isotropy|."""
     coords = range(space.n + 1)
     return sum(1 for i in coords for j in coords if i != j and (i, j) not in space.isotropy)
+
+
+def fiber_type(leg: str, n: int) -> tuple[int, ...]:
+    """The flag type the legs once stored for their fibers: nu's is X's
+    blocks past the spectator, and the compact Z-leg's is (1, n - 2),
+    projective (n-2)-space."""
+    return block_shape("X", n)[1:] if leg == "nu" else (1, n - 2)
+
+
+def flag_betti(parts: tuple[int, ...]) -> list[int]:
+    """Betti numbers of the flag manifold of type parts by its Schubert
+    cells: one cell of complex dimension inv(w) per word w holding parts[i]
+    letters i, so b_2d counts the words with d inversions."""
+    cells: Counter = Counter()
+
+    def grow(left: list[int], placed: list[int], inv: int):
+        if not any(left):
+            cells[inv] += 1
+        for c in range(len(left)):
+            if left[c]:
+                left[c] -= 1
+                placed[c] += 1
+                grow(left, placed, inv + sum(placed[c + 1:]))
+                left[c] += 1
+                placed[c] -= 1
+
+    grow(list(parts), [0] * len(parts), 0)
+    betti = [0] * (2 * max(cells) + 1)
+    for d, count in cells.items():
+        betti[2 * d] = count
+    return betti
+
+
+def simple_root_step(quotient: tuple[int, ...], sub: tuple[int, ...]) -> bool:
+    """The P^1 case of a cancellation, read off raw weights: on the fiber
+    coordinates (past the spectator entry) quotient - sub is a simple root
+    alpha = e_(i+1) - e_i, and quotient + rho pairs to 1 with alpha, rho
+    being (0, 1, ..., k-1).  On each alpha-line the extension is then
+    0 -> O(-2) -> O(-1)^2 -> O -> 0, whose connecting map is an isomorphism."""
+    q, s = quotient[1:], sub[1:]
+    diff = tuple(a - b for a, b in zip(q, s))
+    for i in range(len(q) - 1):
+        if diff == tuple((j == i + 1) - (j == i) for j in range(len(q))):
+            return (q[i + 1] + i + 1) - (q[i] + i) == 1
+    return False
 
 
 def pieri_admissible(source: BundleLabel, target: BundleLabel) -> bool:

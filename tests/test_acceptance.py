@@ -162,7 +162,7 @@ def test_canonical_pipeline():
     assert res.complex_.ranks() == (8, 18, 15, 6, 1)
     assert res.complex_.q_row == 3
 
-    rep = emit_realization(z_label((3, 0, 0, -3)), 3)
+    rep = emit_realization(res.complex_)
     assert rep.degree == 3
     assert str(rep.source) == "(0||-1,0,1)"
     assert strings(rep.dbar_targets) == ["(-1||-1,1,1)", "(-1||0,0,1)"]

@@ -269,7 +269,8 @@ def test_every_value_class_is_frozen_and_slotted():
     values = [res, res.table, res.complex_, res.complex_.form_types[0][0],
               res.complex_.terms[0][0], report, report.arrows[0], relative_cotangent(fib), fib,
               fib.total, parse_label("(1|0,0|0)"),
-              direct_images(hyperplane, registry(3)["nu"], p=1).log[0], emit_realization(),
+              direct_images(hyperplane, registry(3)["nu"], p=1).log[0],
+              emit_realization(res.complex_),
               RunConfig(), bundles._shape("Z", 3)]
     assert {type(value) for value in values} == set(classes)
     for value in values:

@@ -14,7 +14,7 @@ from flagcalc.bundles import (
 from flagcalc.geometry import pullback_line, registry, relative_cotangent
 from flagcalc.notation import ArgumentError
 
-from oracles import direct_image_column, euler_rank
+from oracles import direct_image_column, euler_rank, simple_root_step
 from test_transform import TWIST_BOXES
 
 
@@ -211,9 +211,11 @@ def test_direct_images_refuses_a_leg_over_another_n(bundle_n, leg_n):
 def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
     # every column of both legs' twisted wedges, pushed down the M-leg in both
     # modes, logs the candidates of the quadratic scan over image pairs in the
-    # same order with the same applied flags, and keeps the same cells
+    # same order with the same applied flags, and keeps the same cells; every
+    # candidate is a simple-root step of pairing 1, read off its raw weights
     reg = registry(n)
     seen = dict.fromkeys(("columns", "candidates", "applied"), 0)
+    steps = {"mu": set(), "nu": set()}  # distinct (quotient, sub) fiber weights
     for leg in ("mu", "nu"):
         lam = relative_cotangent(reg[leg])
         wedges = [(p, exterior_power(lam, p)) for p in range(len(lam) + 1)]
@@ -228,8 +230,14 @@ def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
                             for r in table.log] == log, (leg, w, p, mode)
                     assert table.cells == cells, (leg, w, p, mode)
                     assert list(table.cells) == list(cells), (leg, w, p, mode)  # cell order
+                    for r in table.log:
+                        assert simple_root_step(r.quotient.weight, r.sub.weight), r
+                        steps[leg].add((r.quotient.weight[1:], r.sub.weight[1:]))
                     seen["columns"] += 1
                     seen["candidates"] += len(log)
                     seen["applied"] += sum(r[-1] for r in log)
     assert seen["columns"] == {2: 2 * 1183 * (3 + 4), 3: 2 * 405 * (5 + 7)}[n]
+    # the transform cancels along mu's wedges only, and never at n = 2
+    assert {leg: len(pairs) for leg, pairs in steps.items()} == {
+        2: {"mu": 0, "nu": 12}, 3: {"mu": 96, "nu": 136}}[n]
     assert seen["applied"] > 0 and seen["candidates"] > seen["applied"], seen

@@ -488,13 +488,25 @@ def test_a_realization_case_honours_its_twist(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "--fixtures",
                        write_fixture(tmp_path, {"cases": [canonical]}))
     assert (code, out.splitlines()[-1]) == (0, "1 passed, 0 failed")
-    # another twist used to come back with the canonical twist's presentation
-    for twist, shown in (("(1|0,0|0)", "(1|0,0|0)"), ("trivial", "(0|0,0|0)")):
-        code, out, err = run(capsys, "corpus", "--fixtures",
-                             write_fixture(tmp_path, {"cases": [{**eq41, "twist": twist}]}))
-        assert (code, out) == (1, "")
-        assert err == ("error: bad[0]: realization is pinned to the canonical twist for n=3, "
-                       f"got {shown}\n")
+    # the case's own twist: the trivial one presents its constants
+    trivial = {**eq41, "twist": "trivial", "expect": {
+        "degree": 0, "source": "(0||0,0,0)",
+        "dbar_targets": ["(-1||0,0,1)"], "d_targets": ["(1||-1,0,0)"],
+        "dbar_full": ["(-1||0,0,1)"], "d_full": ["(1||-1,0,0)"]}}
+    code, out, _ = run(capsys, "corpus", "--fixtures",
+                       write_fixture(tmp_path, {"cases": [trivial]}))
+    assert (code, out.splitlines()[-1]) == (0, "1 passed, 0 failed")
+    code, out, err = run(capsys, "corpus", "--fixtures",
+                         write_fixture(tmp_path, {"cases": [{**eq41, "twist": "(1|0,0|0)"}]}))
+    assert (code, out) == (1, "")
+    assert err == ("error: bad[0]: realization needs an admissible first arrow, but "
+                   "(-2||1,1,1) -> (1||0,0,0) is not a Pieri step\n")
+    # and the case's own mode: the hyperplane twist does not collapse in conservative mode
+    conservative = {**eq41, "twist": "(1|0,0|0)", "mode": "conservative"}
+    code, out, err = run(capsys, "corpus", "--fixtures",
+                         write_fixture(tmp_path, {"cases": [conservative]}))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad[0]: no complex to realize: no collapse")
 
 
 def test_every_failure_exit_writes_an_error_line(capsys, tmp_path):
@@ -746,7 +758,7 @@ def test_conormal_runs_along_the_m_leg_by_default(capsys, tmp_path, fmt):
     assert "(-1||1|0|0)" in out and "(1||0|0|-1)" in out
 
 
-@pytest.mark.parametrize("leg", ["mu", "eta"])
+@pytest.mark.parametrize("leg", ["mu"])
 def test_conormal_on_a_named_z_leg_is_a_usage_error(capsys, tmp_path, leg):
     (tmp_path / "leg.json").write_text(json.dumps({"fibration": leg}))
     for argv in (["--fibration", leg], ["--config", str(tmp_path / "leg.json")]):
@@ -769,15 +781,18 @@ USAGE_RULES = {
          "fixture": {"op": "direct_images", "p": 1, "twist": "(0||0,0,0)"}},
         "twists live on Z or X, got <M (0||0,0,0)>"),
     "conormal off the M-leg": (
-        {"flag": ["relative-forms", "--conormal", "--fibration", "eta"],
-         "config": (["relative-forms", "--conormal"], {"fibration": "eta"}),
-         "fixture": {"op": "conormal", "fibration": "eta"}},
-        "conormal splitting is defined along the M-leg, not eta"),
+        {"flag": ["relative-forms", "--conormal", "--fibration", "mu"],
+         "config": (["relative-forms", "--conormal"], {"fibration": "mu"}),
+         "fixture": {"op": "conormal", "fibration": "mu"}},
+        "conormal splitting is defined along the M-leg, not mu"),
     "involutive twist not on Z": (
         {"flag": ["involutive", "--twist", "(0||1|0|0)"],
          "config": (["involutive"], {"twist": "(0||1|0|0)"}),
          "fixture": {"op": "involutive", "twist": "(0||1|0|0)"}},
         "involutive cohomology needs a twist on Z, got <X (0||1|0|0)>"),
+    "global cohomology off Z and X": (
+        {"fixture": {"op": "global_cohomology", "label": "(0||0,0,0)", "space": "M"}},
+        "global cohomology computed on Z or X labels, got <M (0||0,0,0)>"),
     "column out of range": (
         {"flag": ["relative-forms", "-p", "5"],
          "fixture": {"op": "exterior_power", "p": 5}},

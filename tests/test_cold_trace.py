@@ -79,7 +79,7 @@ def test_a_memo_miss_calls_no_traced_function(name, module, attr, args):
 
 def test_each_leg_is_built_once_and_equals_a_fresh_build():
     for n in range(2, MAX_N + 1):
-        for leg in ("mu", "nu", "eta"):
+        for leg in ("mu", "nu"):
             f = registry(n)[leg]
             assert relative_cotangent(f) is relative_cotangent(f)
             assert relative_cotangent(f) == relative_cotangent.__wrapped__(f)

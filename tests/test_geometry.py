@@ -30,7 +30,7 @@ from flagcalc.geometry import (
     twist_frames,
 )
 from oracles import assemble_filtered as search_grouping
-from oracles import complex_dim
+from oracles import complex_dim, fiber_type, flag_betti
 from oracles import conormal as pullback_conormal
 
 
@@ -73,21 +73,23 @@ def test_sigma_frame_is_an_involution():
 
 def test_fibration_bookkeeping():
     reg = registry(3)
-    assert fiber_betti(reg["mu"]) == [1]  # a point
-    assert fiber_betti(reg["eta"]) == [1, 0, 1]
+    assert sorted(reg) == ["M", "X", "Z", "mu", "nu"]
+    # the fiber of Z's flag manifold map is projective (n-2)-space; mu's
+    # own fibers are contractible pieces of it
+    assert fiber_betti(reg["mu"]) == [1, 0, 1]
     # the fiber of nu is the full flag manifold of C^3, of dimension 2n - 3
     assert len(fiber_betti(reg["nu"])) == 2 * 3 + 1
-    # n=2 degenerates: the second Z-leg has point fibers
-    assert fiber_betti(registry(2)["eta"]) == [1]
+    # n=2 degenerates: the Z-leg has point fibers
+    assert fiber_betti(registry(2)["mu"]) == [1]
 
 
 @pytest.mark.parametrize(
     "n, name, betti",
     [
-        (3, "eta", [1, 0, 1]),
-        (2, "eta", [1]),
-        (5, "eta", [1, 0, 1, 0, 1, 0, 1]),
-        (3, "mu", [1]),
+        (4, "mu", [1, 0, 1, 0, 1]),
+        (2, "mu", [1]),
+        (5, "mu", [1, 0, 1, 0, 1, 0, 1]),
+        (3, "mu", [1, 0, 1]),
         (3, "nu", [1, 0, 2, 0, 2, 0, 1]),
         (2, "nu", [1, 0, 1]),
         (4, "nu", [1, 0, 2, 0, 3, 0, 3, 0, 2, 0, 1]),  # partial flags (1,2,1) in C^4
@@ -99,12 +101,14 @@ def test_fiber_betti_numbers(n, name, betti):
 
 @pytest.mark.parametrize("n", range(2, MAX_N + 1))
 def test_fiber_betti_counts_the_cells_of_the_flag_manifold(n):
-    # a flag manifold of type k has one even-dimensional Schubert cell per
-    # coset of the Weyl group: (sum k)! / prod k_i! cells, Poincare duality
+    # the derived fibers have the oracle's flag types: a flag manifold of type
+    # k has one even-dimensional Schubert cell per coset of the Weyl group,
+    # (sum k)! / prod k_i! cells, counted by inversions
     reg = registry(n)
-    for name in ("mu", "nu", "eta"):
-        parts = reg[name].fiber
+    for name in ("mu", "nu"):
+        parts = fiber_type(name, n)
         betti = fiber_betti(reg[name])
+        assert betti == flag_betti(parts)
         assert sum(betti) == factorial(sum(parts)) // prod(factorial(k) for k in parts)
         assert betti == betti[::-1]
         assert not any(betti[1::2])
@@ -189,7 +193,7 @@ def test_labels_spaces_and_relative_forms_have_the_block_shape_of_their_space(n)
     reg = registry(n)
     for name in ("M", "Z", "X"):
         assert _levi_blocks(reg[name]) == block_shape(name, n)
-    for bundle in [relative_cotangent(reg[leg]) for leg in ("mu", "nu", "eta")] + [
+    for bundle in [relative_cotangent(reg[leg]) for leg in ("mu", "nu")] + [
             conormal(reg["nu"])]:
         assert (bundle.space, bundle.n) == ("X", n)
         assert {f.blocks for f in bundle.factors} == {block_shape("X", n)}
@@ -268,14 +272,14 @@ def test_block_sum_grouping_matches_the_search_on_every_reachable_input(monkeypa
     legs_recorded = 0
     for n in range(2, MAX_N + 1):
         reg = registry(n)
-        for leg in ("mu", "nu", "eta"):
+        for leg in ("mu", "nu"):
             before = len(grouped)
             relative_cotangent(reg[leg])
             legs_recorded += len(grouped) == before + 1
         conormal(reg["nu"])
         pullback_factors(m_label((1, -1) + (0,) * (n - 1)))
         pullback_factors(m_label((-1,) + (0,) * (n - 1) + (1,)))
-    assert legs_recorded == 3 * (MAX_N - 1)
+    assert legs_recorded == 2 * (MAX_N - 1)
     rng = random.Random(4100)
     labels = [m_label((0,) * 16 + (3,))]
     for n in range(2, 9):

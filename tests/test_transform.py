@@ -11,6 +11,7 @@ from flagcalc.bundles import (
     dual,
     fiber_label,
     m_label,
+    pieri_tensor,
     tensor_line,
     trivial_label,
     x_label,
@@ -559,8 +560,11 @@ def _arrow_partition(source_term, target_term):
 @pytest.mark.parametrize("n", [2, 3])
 def test_symbol_check_matches_the_pieri_membership_oracle_on_the_boxes(n):
     # every arrow component of every collapsed complex of the benchmark
-    # boxes, in both modes, lands on the same side in the same order
+    # boxes, in both modes, lands on the same side in the same order; a
+    # complex with a one-label first term is realized exactly when its first
+    # arrow is wholly admissible, with every Pieri step of it as a target
     complexes = pairs = admissible = 0
+    realized = Counter()
     for w in TWIST_BOXES[n]:
         for mode in MODES:
             cx = assemble_transform(z_label(w), n, mode).complex_
@@ -572,9 +576,31 @@ def test_symbol_check_matches_the_pieri_membership_oracle_on_the_boxes(n):
                 assert (arrow.admissible, arrow.inadmissible) == (adm, bad), (w, mode, i)
                 pairs += len(adm) + len(bad)
                 admissible += len(adm)
+            if len(cx.terms[0]) != 1:
+                continue
+            [source], targets = cx.terms[0], cx.terms[1]
+            if not all(pieri_admissible(source, t) for t in targets):
+                with pytest.raises(ValueError, match="needs an admissible first arrow"):
+                    emit_realization(cx)
+                realized[mode, "refused"] += 1
+                continue
+            rep = emit_realization(cx)
+            a = source.weight[0]
+            assert (rep.degree, rep.source) == (cx.q_row, source), (w, mode)
+            assert rep.dbar_targets + rep.d_targets == tuple(
+                sorted(targets, key=lambda t: t.weight[0])), (w, mode)
+            assert all(t.weight[0] == a - 1 for t in rep.dbar_targets + rep.dbar_full)
+            assert all(t.weight[0] == a + 1 for t in rep.d_targets + rep.d_full)
+            assert sorted(rep.dbar_full + rep.d_full) == sorted(pieri_tensor(source))
+            realized[mode, "accepted"] += 1
     # n = 3 in paper mode alone: 365 complexes and 11,390 pairs
     assert (complexes, pairs, admissible) == {2: (2212, 8232, 8232),
                                               3: (590, 21804, 14628)}[n]
+    assert realized == {
+        2: {("paper", "accepted"): 1022, ("conservative", "accepted"): 1022},
+        3: {("paper", "accepted"): 325, ("conservative", "accepted"): 205,
+            ("paper", "refused"): 20},
+    }[n]
 
 
 def _random_m_weight(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -648,8 +674,8 @@ def test_comparison_complex_from_form_types():
     ]
 
 
-def test_realization_is_pinned_to_the_canonical_twist():
-    rep = emit_realization(z_label((3, 0, 0, -3)), 3)
+def test_realization_projects_the_first_arrow_of_the_check():
+    rep = emit_realization(assemble_transform(_canonical(3), 3, "paper").complex_)
     assert rep.degree == 3
     assert str(rep.source) == "(0||-1,0,1)"
     assert [str(b) for b in rep.dbar_targets] == ["(-1||-1,1,1)", "(-1||0,0,1)"]
@@ -663,9 +689,22 @@ def test_realization_is_pinned_to_the_canonical_twist():
     assert set(rep.dbar_targets) < set(rep.dbar_full)
     assert set(rep.d_targets) < set(rep.d_full)
 
-    # the canonical twist is also the default
-    assert emit_realization(None, 3).source == rep.source
-    with pytest.raises(ValueError):
-        emit_realization(z_label((1, 0, 0, 0)), 3)
-    with pytest.raises(ValueError):
-        emit_realization(None, 2)
+    # the trivial twist presents its constants, with nothing projected away
+    rep = emit_realization(assemble_transform(None, 3).complex_)
+    assert (rep.degree, str(rep.source)) == (0, "(0||0,0,0)")
+    assert rep.dbar_targets == rep.dbar_full == (m_label((-1, 0, 0, 1)),)
+    assert rep.d_targets == rep.d_full == (m_label((1, -1, 0, 0)),)
+    # K_Z at n = 2
+    rep = emit_realization(assemble_transform(_canonical(2), 2).complex_)
+    assert (rep.degree, str(rep.source)) == (1, "(0||-1,1)")
+    assert [str(b) for b in rep.dbar_targets + rep.d_targets] == ["(-1||0,1)", "(1||-1,0)"]
+    # the hyperplane twist's first arrow steps (-2||1,1,1) -> (1||0,0,0) by +3
+    hyperplane = assemble_transform(z_label((1, 0, 0, 0)), 3, "paper").complex_
+    with pytest.raises(ValueError, match=r"first arrow, but \(-2\|\|1,1,1\) -> \(1\|\|0,0,0\) "
+                                         "is not a Pieri step"):
+        emit_realization(hyperplane)
+    # a first term of two labels, or a complex of one term, has no presentation
+    for terms in (((m_label((1, -1, 0, 0)), m_label((-1, 0, 0, 1))), (m_label((0,) * 4),)),
+                  ((m_label((0,) * 4),),)):
+        with pytest.raises(ValueError, match="needs a first arrow out of a one-label term"):
+            emit_realization(ComplexOnM(terms))
