@@ -758,13 +758,24 @@ def test_conormal_runs_along_the_m_leg_by_default(capsys, tmp_path, fmt):
     assert "(-1||1|0|0)" in out and "(1||0|0|-1)" in out
 
 
-@pytest.mark.parametrize("leg", ["mu"])
+# mu is the Z-leg; eta, a former second Z-leg with mu's root data, is no leg at all
+# now, and naming it is refused before the conormal rule is reached
+@pytest.mark.parametrize("leg", ["mu", "eta"])
 def test_conormal_on_a_named_z_leg_is_a_usage_error(capsys, tmp_path, leg):
     (tmp_path / "leg.json").write_text(json.dumps({"fibration": leg}))
     for argv in (["--fibration", leg], ["--config", str(tmp_path / "leg.json")]):
-        code, out, err = run(capsys, "relative-forms", "--conormal", *argv)
+        try:
+            code, out, err = run(capsys, "relative-forms", "--conormal", *argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            code, (out, err) = exc.code, capsys.readouterr()
         assert (code, out) == (2, "")
-        assert err == f"error: conormal splitting is defined along the M-leg, not {leg}\n"
+        if leg == "mu":
+            assert err == f"error: conormal splitting is defined along the M-leg, not {leg}\n"
+        elif argv[0] == "--fibration":  # argparse prints its usage line first
+            assert err.endswith("flagcalc relative-forms: error: argument --fibration: "
+                                "invalid choice: 'eta' (choose from 'mu', 'nu')\n")
+        else:
+            assert err == "error: fibration must be one of ('mu', 'nu'), got 'eta'\n"
 
 
 # Each usage rule the engine raises as an ArgumentError, from every source that can
