@@ -160,7 +160,7 @@ def global_cohomology(b: BundleLabel) -> tuple[int, BundleLabel] | None:
     if b.space not in ("Z", "X"):
         raise ArgumentError(f"global cohomology computed on Z or X labels, got {b!r}")
     if not is_line(b):
-        raise ValueError(f"line bundles only, got {b}")
+        raise ArgumentError(f"line bundles only, got {b}")
     reduced = bbw_reduce(sigma_swap(b.weight) if b.space == "X" else b.weight)
     if reduced is None:
         return None

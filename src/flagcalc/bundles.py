@@ -31,10 +31,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, product
+from math import prod
 from operator import add, index
 
 from .notation import ArgumentError, ParsedLabel, Value, format_entries, parse_label
-from .weights import is_dominant
+from .weights import _kernel_per_length, _listed, is_dominant
 
 __all__ = [
     "BundleLabel",
@@ -197,17 +198,28 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
     integers: the product of the shifted root pairings over the product
     of the plain ones, divided once at the end (the denominator is
     positive, so a weight with no irreducible shows as a non-positive or
-    non-integral quotient).
+    non-integral quotient).  A weight of more than MAX_N + 1 entries is
+    refused (``ArgumentError``).
     """
-    m = len(mu)
-    num = den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= mu[j] - mu[i] + j - i
-            den *= j - i
-    if num <= 0 or num % den:
-        raise ValueError(f"no GL({m}) irreducible has the weight {mu}")
-    return num // den
+    return _weyl_kernel(len(mu))(*mu)
+
+
+@_kernel_per_length
+def _weyl_kernel(m: int) -> list[str]:
+    """``_weyl_rank`` on weights of m entries: the product of the shifted
+    root pairings written out, over the product of the plain ones, which is
+    a constant of m."""
+    if m < 2:  # no root: the one irreducible of each weight is a line
+        return ["return 1"]
+    pairs = list(combinations(range(m), 2))
+    den = prod(j - i for i, j in pairs)
+    return [
+        f"num = {' * '.join(f'(w{j} - w{i} + {j - i})' for i, j in pairs)}",
+        f"if num <= 0{f' or num % {den}' if den > 1 else ''}:",
+        f"    raise ValueError(f'no GL({m}) irreducible has the weight "
+        f"{{({_listed(f'w{i}' for i in range(m))})}}')",
+        f"return num{f' // {den}' if den > 1 else ''}",
+    ]
 
 
 def _label_rank(b: BundleLabel) -> int:

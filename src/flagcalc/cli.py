@@ -50,7 +50,6 @@ from .bundles import (
     trivial_label,
 )
 from .geometry import (
-    MAX_N,
     conormal,
     pullback_factors,
     pullback_line,
@@ -73,7 +72,7 @@ from .transform import (
     involutive_cohomology,
     twisted_forms,
 )
-from .weights import bbw_reduce
+from .weights import MAX_N, bbw_reduce
 
 __all__ = ["main", "RunConfig"]
 

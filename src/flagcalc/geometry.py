@@ -48,6 +48,7 @@ from .bundles import (
     z_label,
 )
 from .notation import ArgumentError, FrozenDict, Value
+from .weights import MAX_N
 
 __all__ = [
     "FlagSpace",
@@ -64,10 +65,6 @@ __all__ = [
 
 Root = tuple[int, int]
 
-# Largest n the registry builds: torus branching and the relative forms grow
-# with n, and for n >= 4 only the wedges p <= 1 work anyway.
-MAX_N = 16
-
 
 class FlagSpace(Value):
     """A homogeneous space, described by its isotropy root set; labels on
@@ -77,6 +74,11 @@ class FlagSpace(Value):
     n: int
     isotropy: frozenset[Root]         # roots (i, j) of the isotropy subalgebra
 
+    def __hash__(self) -> int:
+        # equal spaces share (name, n), and hashing the root set would cost
+        # a memo hit (relative_cotangent is keyed on a leg) most of its time
+        return hash((self.name, self.n))
+
 
 class Fibration(Value):
     """One leg of the double fibration, from its total space to its base."""
@@ -84,6 +86,10 @@ class Fibration(Value):
     name: str
     total: FlagSpace
     base: FlagSpace
+
+    def __hash__(self) -> int:
+        # equal legs share (name, total.n); see FlagSpace.__hash__
+        return hash((self.name, self.total.n))
 
 
 def _chain_roots(block_sizes: tuple[int, ...], coords: tuple[int, ...]) -> frozenset[Root]:

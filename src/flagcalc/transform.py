@@ -41,8 +41,9 @@ from .bundles import (
     rank,
     trivial_label,
 )
-from .geometry import MAX_N, Fibration, fiber_betti, registry, relative_cotangent, twist_frames
+from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
+from .weights import MAX_N
 
 __all__ = [
     "FormType",

@@ -16,8 +16,9 @@ weight is sorted(w + rho) - rho.
 
 from __future__ import annotations
 
-from itertools import combinations, starmap
-from operator import add, gt, sub
+from functools import cache, wraps
+
+from .notation import ArgumentError
 
 Weight = tuple[int, ...]
 
@@ -26,6 +27,11 @@ __all__ = [
     "is_dominant",
     "bbw_reduce",
 ]
+
+# Largest n the registry builds, so a weight has at most MAX_N + 1 entries:
+# torus branching and the relative forms grow with n, and for n >= 4 only
+# the wedges p <= 1 work anyway.
+MAX_N = 16
 
 
 def is_dominant(w: Weight) -> bool:
@@ -40,12 +46,54 @@ def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
     singular: no cohomology at all), and otherwise the pair
     ``(q, dominant)`` where q is the inversion count of w + rho and
     ``dominant`` is the unique dominant weight in the affine Weyl orbit:
-    sorted(w + rho) - rho.
+    sorted(w + rho) - rho.  A weight of more than MAX_N + 1 entries is
+    refused (``ArgumentError``).
     """
-    rho = range(len(w))
-    shifted = list(map(add, w, rho))
-    if len(set(shifted)) != len(shifted):
-        return None
-    q = sum(starmap(gt, combinations(shifted, 2)))  # pairs i < j out of order
-    shifted.sort()
-    return q, tuple(map(sub, shifted, rho))
+    return _reducer(len(w))(*w)
+
+
+def _listed(items) -> str:
+    """Source text of comma-separated items, each followed by a comma, so
+    that one item in parentheses is still a tuple."""
+    return "".join(f"{x}, " for x in items)
+
+
+def _kernel_per_length(build):
+    """Memoize, by length k alone, the function of k entries ``w0, ...,
+    w{k-1}`` whose body lines ``build(k)`` writes, compiled on a miss.
+
+    A body holds only names and integers derived from k, never an input
+    value, so one kernel serves every weight of k entries.  The bodies grow
+    as k^2, so k over MAX_N + 1 is refused before ``build`` is called."""
+    @cache
+    @wraps(build)
+    def kernel(k: int):
+        if k > MAX_N + 1:
+            raise ArgumentError(f"a weight has at most {MAX_N + 1} entries (n <= {MAX_N}), "
+                                f"got {k}")
+        name = f"{build.__name__}_{k}"
+        made: dict = {}
+        exec("\n    ".join([f"def {name}({_listed(f'w{i}' for i in range(k))}):", *build(k)]),
+             {}, made)
+        return made[name]
+    return kernel
+
+
+@_kernel_per_length
+def _reducer(k: int) -> list[str]:
+    """``bbw_reduce`` on weights of k entries: shift by rho entry by entry,
+    test for a repeated entry, count the out-of-order pairs one comparison
+    each, then sort and shift back."""
+    if k < 2:  # no pair to repeat or disorder: the weight is its own reduction
+        return [f"return 0, ({_listed(f'w{i}' for i in range(k))})"]
+    s = [f"s{i}" for i in range(k)]
+    q = " + ".join(f"({s[i]} > {s[j]})" for i in range(k) for j in range(i + 1, k))
+    if k == 2:
+        q = f"0 + {q}"  # a lone comparison is a bool, and q is an int
+    return [
+        *(f"s{i} = w{i} + {i}" for i in range(k)),
+        f"if len({{{_listed(s)}}}) != {k}:",
+        "    return None",
+        f"{_listed(f't{i}' for i in range(k))}= sorted(({_listed(s)}))",
+        f"return {q}, ({_listed(f't{i} - {i}' for i in range(k))})",
+    ]

@@ -32,14 +32,18 @@ nu's old fiber type.  The Euler rank
 of a direct-image column sums the package's ``rank`` over its cells.  The
 old cancellation scan of a direct-image column, kept at the end, tries
 every pair of the column's images against the filtration; it reduces each
-fiber weight by ``brute_reduce`` and builds the package's M-labels.
+fiber weight by ``brute_reduce`` and builds the package's M-labels.  The
+package's weight reduction and Weyl dimension are compiled into one
+straight-line function per length; the loops they replaced are kept at the
+end, verbatim, as references of every length.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, starmap
+from operator import add, gt, sub
 
 from flagcalc.bundles import BundleLabel, FilteredBundle, block_shape, m_label, pieri_tensor, rank
 from flagcalc.geometry import (
@@ -507,3 +511,27 @@ def direct_image_column(f: FilteredBundle, mode: str, p: int):
         if i not in removed:
             cells.setdefault((p, q), []).append(label)
     return {pq: tuple(sorted(labs)) for pq, labs in sorted(cells.items())}, log
+
+
+def loop_reduce(w: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """The package's old ``weights.bbw_reduce``, the loop over any length."""
+    rho = range(len(w))
+    shifted = list(map(add, w, rho))
+    if len(set(shifted)) != len(shifted):
+        return None
+    q = sum(starmap(gt, combinations(shifted, 2)))  # pairs i < j out of order
+    shifted.sort()
+    return q, tuple(map(sub, shifted, rho))
+
+
+def loop_weyl_rank(mu: tuple[int, ...]) -> int:
+    """The package's old ``bundles._weyl_rank``, the loop over any length."""
+    m = len(mu)
+    num = den = 1
+    for i in range(m):
+        for j in range(i + 1, m):
+            num *= mu[j] - mu[i] + j - i
+            den *= j - i
+    if num <= 0 or num % den:
+        raise ValueError(f"no GL({m}) irreducible has the weight {mu}")
+    return num // den

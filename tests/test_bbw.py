@@ -191,9 +191,9 @@ def test_global_cohomology_frame_swap_matches_the_pullback():
 
 
 def test_global_cohomology_rejects_wrong_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         global_cohomology(label_from_string("(1||0,0,0)", "M"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError):
         global_cohomology(z_label((0, -1, 1, 0)))  # rank 3, not a line
 
 

@@ -30,8 +30,10 @@ from flagcalc.bundles import (
 )
 from flagcalc.bundles import _weyl_rank
 from flagcalc.geometry import MAX_N
+from flagcalc.notation import ArgumentError
 
-from oracles import block_dominant, block_line, block_slices, count_rank
+from oracles import block_dominant, block_line, block_slices, count_rank, loop_weyl_rank
+from test_weights import TOO_LONG
 
 
 def test_constructors_enforce_block_monotonicity():
@@ -253,6 +255,36 @@ def test_integer_weyl_rank_matches_the_rational_product():
             else:
                 with pytest.raises(ValueError, match=f"no GL\\({m}\\) irreducible"):
                     _weyl_rank(mu)
+
+
+@pytest.mark.parametrize("m", range(MAX_N + 2))
+def test_each_length_weyl_kernel_matches_the_loop(m):
+    # dominant weights, and unsorted ones that the loop mostly refuses:
+    # the same int or the same refusal, message and all
+    rng = random.Random(m)
+    outcomes = set()
+    for t in range(200):
+        mu = [rng.choice((rng.randint(-6, 6), rng.randint(-10**15, 10**15))) for _ in range(m)]
+        mu = tuple(sorted(mu) if t % 2 else mu)
+        try:
+            want = loop_weyl_rank(mu)
+        except ValueError as refusal:
+            with pytest.raises(ValueError) as got:
+                _weyl_rank(mu)
+            assert type(got.value) is ValueError and str(got.value) == str(refusal)
+            outcomes.add("refused")
+        else:
+            got = _weyl_rank(mu)
+            assert type(got) is int and got == want, mu
+            outcomes.add("rank")
+    assert outcomes == ({"rank", "refused"} if m >= 2 else {"rank"})
+
+
+def test_a_weyl_rank_over_the_bound_is_refused():
+    assert _weyl_rank((0,) * (MAX_N + 1)) == 1
+    for m in (MAX_N + 2, MAX_N + 3):
+        with pytest.raises(ArgumentError, match=f"{TOO_LONG}{m}$"):
+            _weyl_rank((0,) * m)
 
 
 def test_filtered_bundle_edges_and_display():

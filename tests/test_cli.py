@@ -804,6 +804,9 @@ USAGE_RULES = {
     "global cohomology off Z and X": (
         {"fixture": {"op": "global_cohomology", "label": "(0||0,0,0)", "space": "M"}},
         "global cohomology computed on Z or X labels, got <M (0||0,0,0)>"),
+    "global cohomology of a bundle that is not a line": (
+        {"fixture": {"op": "global_cohomology", "label": "(0|0,1|0)", "space": "Z"}},
+        "line bundles only, got (0|0,1|0)"),
     "column out of range": (
         {"flag": ["relative-forms", "-p", "5"],
          "fixture": {"op": "exterior_power", "p": 5}},

@@ -1,9 +1,11 @@
 """The memo rule, checked against the benchmark's tracer.
 
 The engine memoizes its twist-independent layers (registry, relative
-forms, exterior powers, form dictionary) and, below them, two untraced
-records: the shape of each label (``bundles._shape``) and the adjacent
-pairs of each filtration (``bbw._adjacent_pairs``).  A memo's miss path
+forms, exterior powers, form dictionary) and, below them, untraced
+records: the shape of each label (``bundles._shape``), the adjacent
+pairs of each filtration (``bbw._adjacent_pairs``) and the compiled
+kernels of each weight length (``weights._reducer``,
+``bundles._weyl_kernel``).  A memo's miss path
 must call no other traced function, or the first traced run would count
 differently from a warm one.  Each memo is checked here in process, by
 one cold call under an enabled tracer; and since earlier tests in the
@@ -23,7 +25,7 @@ import sys
 import pytest
 
 import flagcalc
-from flagcalc import bbw, bundles, geometry, transform
+from flagcalc import bbw, bundles, geometry, transform, weights
 from flagcalc.bundles import exterior_power
 from flagcalc.geometry import MAX_N, registry, relative_cotangent
 
@@ -56,6 +58,8 @@ MEMOS = [
     ("transform.form_dictionary", transform, "form_dictionary", lambda: (4,)),
     ("bundles._shape", bundles, "_shape", lambda: ("X", 3)),
     ("bbw._adjacent_pairs", bbw, "_adjacent_pairs", lambda: _filtration(3, 2)),
+    ("weights._reducer", weights, "_reducer", lambda: (3,)),
+    ("bundles._weyl_kernel", bundles, "_weyl_kernel", lambda: (3,)),
 ]
 
 

@@ -20,6 +20,8 @@ from flagcalc.bundles import (
 )
 from flagcalc.geometry import (
     MAX_N,
+    Fibration,
+    FlagSpace,
     conormal,
     fiber_betti,
     pullback_factors,
@@ -63,6 +65,31 @@ def test_registry_is_built_once_and_read_only():
     with pytest.raises(TypeError):
         reg["mu"] = reg["nu"]
     assert reg["mu"].base.name == "Z"
+
+
+def test_a_memo_hit_on_the_relative_forms_hashes_no_flag_space(monkeypatch):
+    # a leg hashes by (name, total.n) and a space by (name, n), which equal
+    # legs and spaces share, so a warm relative_cotangent call never hashes
+    # a space or its root set
+    legs = [registry(n)[leg] for n in (2, 3) for leg in ("mu", "nu")]
+    warm = [relative_cotangent(f) for f in legs]
+    hashed = []
+    space_hash = FlagSpace.__hash__
+    monkeypatch.setattr(FlagSpace, "__hash__",
+                        lambda space: hashed.append(space) or space_hash(space))
+    assert [relative_cotangent(f) for f in legs] == warm
+    assert [relative_cotangent(Fibration(f.name, f.total, f.base)) for f in legs] == warm
+    assert hashed == []
+    hash(legs[0].total)  # the count sees a space's hash
+    assert hashed == [legs[0].total]
+
+
+def test_equal_spaces_and_legs_hash_equal_and_unequal_ones_differ():
+    spaces = [s for n in range(2, MAX_N + 1) for s in registry(n).values()]
+    for a in spaces:
+        twin = type(a)(*(getattr(a, f) for f in a.__slots__))
+        assert twin == a and hash(twin) == hash(a)
+    assert len({hash(s) for s in spaces}) == len(set(spaces)) == len(spaces)
 
 
 def test_sigma_frame_is_an_involution():

@@ -1,12 +1,20 @@
 """Weight arithmetic: dominance and reduction."""
 
+import random
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagcalc.weights import bbw_reduce, is_dominant
+from flagcalc import weights
+from flagcalc.notation import ArgumentError
+from flagcalc.weights import MAX_N, bbw_reduce, is_dominant
+
+from oracles import brute_reduce, loop_reduce
+
+# the refusal of a weight of too many entries, up to the count it was given
+TOO_LONG = rf"a weight has at most {MAX_N + 1} entries \(n <= {MAX_N}\), got "
 
 
 def test_dominance_is_nondecreasing():
@@ -60,3 +68,52 @@ def test_reduction_commutes_with_determinant_twist(entries, c):
 def test_dominant_weights_reduce_to_themselves():
     for w in [(-2, 0, 3), (0, 0, 0, 0), (1, 1, 2)]:
         assert bbw_reduce(w) == (0, w)
+
+
+def _typed(result):
+    """A reduction with the type of each of its parts, so that a bool count
+    or a list weight shows against an int or a tuple."""
+    if result is None:
+        return None
+    q, dom = result
+    return type(result), type(q), q, type(dom), tuple(map(type, dom)), dom
+
+
+def _random_weights(rng: random.Random, k: int, count: int):
+    """Seeded weights of k entries, half of them made singular by giving two
+    shifted entries one value; a few entries are far beyond any box."""
+    for t in range(count):
+        w = [rng.choice((rng.randint(-8, 8), rng.randint(-10**15, 10**15))) for _ in range(k)]
+        if t % 2 and k >= 2:
+            i, j = sorted(rng.sample(range(k), 2))
+            w[j] = w[i] + i - j  # w + rho repeats an entry
+        yield tuple(w)
+
+
+@pytest.mark.parametrize("k", range(MAX_N + 2))
+def test_each_length_kernel_matches_the_loop_and_the_permutation_search(k):
+    rng = random.Random(k)
+    seen = set()
+    for w in _random_weights(rng, k, 200):
+        got = bbw_reduce(w)
+        assert _typed(got) == _typed(loop_reduce(w)), w
+        if k <= 6:
+            assert got == brute_reduce(w), w
+        seen.add(got is None)
+    assert seen == ({False, True} if k >= 2 else {False})  # both kinds were met
+
+
+def test_a_weight_over_the_bound_is_refused_before_any_source_is_written():
+    built = []
+
+    @weights._kernel_per_length
+    def kernel(k):
+        built.append(k)
+        return [f"return {k}"]
+
+    with pytest.raises(ArgumentError, match=f"{TOO_LONG}{MAX_N + 2}$"):
+        kernel(MAX_N + 2)
+    assert built == [] and kernel.cache_info().currsize == 0
+    assert kernel(MAX_N + 1)(*range(MAX_N + 1)) == MAX_N + 1 and built == [MAX_N + 1]
+    with pytest.raises(ArgumentError, match=f"{TOO_LONG}{MAX_N + 2}$"):
+        bbw_reduce((0,) * (MAX_N + 2))
