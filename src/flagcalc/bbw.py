@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line
 from .geometry import Fibration, sigma_swap
-from .notation import ArgumentError, Value
+from .notation import ArgumentError, FrozenDict, Value
 from .weights import bbw_reduce
 
 __all__ = [
@@ -59,18 +59,14 @@ class DirectImageTable(Value):
 
     @staticmethod
     def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
-        cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
-        log: list[CancellationRecord] = []
         modes = {t.mode for t in tables}
         if len(modes) != 1:
             raise ValueError(f"cannot merge tables from modes {sorted(modes)}")
-        for t in tables:
-            cells.update(t.cells)
-            log.extend(t.log)
+        cells = FrozenDict(cell for t in tables for cell in t.cells.items())
         if len(cells) != sum(len(t.cells) for t in tables):  # some cell came twice
             keys = [cell for t in tables for cell in t.cells]
             raise ValueError(f"duplicate cells {sorted({c for c in keys if keys.count(c) > 1})}")
-        return DirectImageTable(cells, modes.pop(), tuple(log))
+        return DirectImageTable(cells, modes.pop(), tuple(r for t in tables for r in t.log))
 
 
 def _fiber_entries(f: Fibration) -> tuple[int, int]:
@@ -93,15 +89,19 @@ def direct_images(
     if fib.total.n != f.n:
         raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
     links = _shape(f.space, f.n).links  # is_line, read once per column
+    # the line adds its weight to every factor: to the spectator here, and to
+    # the fiber entries inside bbw_reduce; a twisted label is built only for
+    # a cancellation record, or to name a refused factor
+    a, d = (f.shift[0], f.shift[lo:hi]) if f.shift else (0, ())
     images: dict[int, tuple[int, tuple[int, ...]]] = {}  # factor index -> (q, M-weight)
-    for i, factor in enumerate(f.factors):
+    for i, factor in enumerate(f.untwisted):
         w = factor.weight
-        if links and any(w[k] != w[k + 1] for k in links):
-            raise ValueError(f"not a line bundle along the fibers: {factor}")
-        reduced = bbw_reduce(w[lo:hi])
+        if links and any(w[k] != w[k + 1] for k in links):  # a line's shift keeps the answer
+            raise ValueError(f"not a line bundle along the fibers: {f._twisted(factor)}")
+        reduced = bbw_reduce(w[lo:hi], d)
         if reduced is not None:
             q, dom = reduced
-            images[i] = q, (w[0], *dom)
+            images[i] = q, (w[0] + a, *dom)
 
     # connecting-homomorphism candidates: quotient directly above sub in
     # one composition series, images in degrees q and q+1, same label
@@ -115,21 +115,22 @@ def direct_images(
     log = []
     if candidates:
         removed: set[int] = set()
+        factors = f.untwisted  # one shift on every factor keeps their order
         candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
-                                        f.factors[ij[0]].weight, f.factors[ij[1]].weight))
+                                        factors[ij[0]].weight, factors[ij[1]].weight))
         for i, j in candidates:
             apply = mode == "paper" and i not in removed and j not in removed
             if apply:
                 removed.update((i, j))
-            log.append(CancellationRecord(p, f.factors[i], f.factors[j], images[i][0],
-                                          BundleLabel("M", images[i][1]), apply))
+            log.append(CancellationRecord(p, f._twisted(factors[i]), f._twisted(factors[j]),
+                                          images[i][0], BundleLabel("M", images[i][1]), apply))
         for i in removed:
             del images[i]
 
-    cells: dict[tuple[int, int], list[BundleLabel]] = {}
+    cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
     for q, weight in sorted(images.values()):  # cell order: by q, then by weight
-        cells.setdefault((p, q), []).append(BundleLabel("M", weight))
-    return DirectImageTable({pq: tuple(labels) for pq, labels in cells.items()}, mode, tuple(log))
+        cells[p, q] = cells.get((p, q), ()) + (BundleLabel("M", weight),)
+    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
 @lru_cache

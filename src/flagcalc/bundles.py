@@ -196,10 +196,10 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
 
     Weyl dimension formula over the positive roots of GL(m), exact in
     integers: the product of the shifted root pairings over the product
-    of the plain ones, divided once at the end (the denominator is
-    positive, so a weight with no irreducible shows as a non-positive or
-    non-integral quotient).  A weight of more than MAX_N + 1 entries is
-    refused (``ArgumentError``).
+    of the plain ones, divided once at the end.  The quotient is an
+    integer at every integral weight and the denominator is positive, so
+    a weight with no irreducible shows as a non-positive quotient.  A
+    weight of more than MAX_N + 1 entries is refused (``ArgumentError``).
     """
     return _weyl_kernel(len(mu))(*mu)
 
@@ -215,7 +215,7 @@ def _weyl_kernel(m: int) -> list[str]:
     den = prod(j - i for i, j in pairs)
     return [
         f"num = {' * '.join(f'(w{j} - w{i} + {j - i})' for i, j in pairs)}",
-        f"if num <= 0{f' or num % {den}' if den > 1 else ''}:",
+        "if num <= 0:",
         f"    raise ValueError(f'no GL({m}) irreducible has the weight "
         f"{{({_listed(f'w{i}' for i in range(m))})}}')",
         f"return num{f' // {den}' if den > 1 else ''}",
@@ -233,9 +233,11 @@ def _label_rank(b: BundleLabel) -> int:
 
 
 def rank(b) -> int:
-    """Rank of a BundleLabel or a FilteredBundle (sum over factors)."""
+    """Rank of a BundleLabel or a FilteredBundle (sum over factors).  A
+    line is constant on every block, so a twist leaves each factor's rank
+    as it is and the untwisted factors are summed."""
     if isinstance(b, FilteredBundle):
-        return sum(rank(f) for f in b.factors)
+        return sum(rank(f) for f in b.untwisted)
     return _label_rank(b)
 
 
@@ -337,43 +339,84 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
 # ------------------------------------------------------ FilteredBundle
 
 class FilteredBundle(Value):
-    """Ordered factors of a filtered homogeneous bundle.
+    """Ordered factors of a filtered homogeneous bundle, tensored with a line.
 
     ``components[i]`` is the direct-summand index of factor i (0-based,
     nondecreasing along the list) and ``levels[i]`` its filtration depth
     inside that component, 0 for the top quotient.  Factors are listed
-    quotient-first within each component.
+    quotient-first within each component.  ``shift`` is the weight of a
+    line on the same space and n, or None for no line: the factors are
+    stored ``untwisted``, and ``factors`` builds each one tensored with the
+    line when it is read.
     """
 
     space: str
     n: int
-    factors: tuple[BundleLabel, ...] = ()
+    untwisted: tuple[BundleLabel, ...] = ()
     components: tuple[int, ...] = ()
     levels: tuple[int, ...] = ()
+    shift: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, int):
             raise TypeError(f"a filtered bundle is named by its space and n, got n={self.n!r}")
-        if not len(self.factors) == len(self.components) == len(self.levels):
+        if not len(self.untwisted) == len(self.components) == len(self.levels):
             raise ValueError("factors, components and levels differ in length")
-        space, blocks = self.space, _shape(self.space, self.n).blocks  # refuses unknown spaces
-        for f in self.factors:
+        space, shape = self.space, _shape(self.space, self.n)  # refuses unknown spaces
+        blocks = shape.blocks
+        for f in self.untwisted:
             if f.space != space or f.blocks != blocks:
                 raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
         if self.components and list(self.components) != sorted(self.components):
             raise ValueError("components must be listed contiguously")
+        shift = self.shift
+        if shift is None:
+            return
+        if type(shift) is tuple and len(shift) == self.n + 1 and shape.fits:
+            for i in shape.links:
+                if shift[i] != shift[i + 1]:
+                    break
+            else:  # a line's weight, as BundleLabel and is_line take it: constant on each block
+                return
+        raise ValueError(f"a shift is the weight of a line on {space} over n={self.n}, "
+                         f"got {shift!r}")
 
     def __hash__(self) -> int:  # equal bundles share a filtration: a memo hit hashes no label
         return hash((self.space, self.n, self.components, self.levels))
 
+    def __eq__(self, other) -> bool:
+        """Equal filtrations and equal twisted factors; under one shift the
+        untwisted factors decide, and no label is built."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.space, self.n, self.components, self.levels) != \
+                (other.space, other.n, other.components, other.levels):
+            return False
+        if self.shift == other.shift:
+            return self.untwisted == other.untwisted
+        return self.factors == other.factors
+
     def __len__(self) -> int:
-        return len(self.factors)
+        return len(self.untwisted)
+
+    @property
+    def factors(self) -> tuple[BundleLabel, ...]:
+        """The factors tensored with the line, each built and checked on read."""
+        if self.shift is None:
+            return self.untwisted
+        return tuple(map(self._twisted, self.untwisted))
+
+    def _twisted(self, b: BundleLabel) -> BundleLabel:
+        """One untwisted factor tensored with the line."""
+        if self.shift is None:
+            return b
+        return BundleLabel(self.space, tuple(map(add, b.weight, self.shift)))
 
     def edges(self) -> tuple[str, ...]:
         """Separator between consecutive factors: '+' = composition-series
         adjacency (right factor is the deeper subbundle), '(+)' = direct sum."""
         out = []
-        for i in range(len(self.factors) - 1):
+        for i in range(len(self.untwisted) - 1):
             adjacent = (
                 self.components[i] == self.components[i + 1]
                 and self.levels[i + 1] == self.levels[i] + 1
@@ -382,25 +425,27 @@ class FilteredBundle(Value):
         return tuple(out)
 
     def __str__(self) -> str:
-        if not self.factors:
+        factors = self.factors
+        if not factors:
             return "0"
-        bits = [str(self.factors[0])]
-        for sep, f in zip(self.edges(), self.factors[1:]):
+        bits = [str(factors[0])]
+        for sep, f in zip(self.edges(), factors[1:]):
             bits.append(sep)
             bits.append(str(f))
         return " ".join(bits)
 
     def twist_by(self, line: BundleLabel) -> "FilteredBundle":
         """Tensor every factor by a line bundle on this space and n (filtration
-        unchanged).  A line is constant on each block, so every shifted factor
-        stays dominant; anything else is refused."""
+        unchanged): the line's weight becomes the shift, or is added to the
+        shift already there.  A line is constant on each block, so every
+        shifted factor stays dominant; anything else is refused."""
         if line.space != self.space or len(line.weight) != self.n + 1 or not is_line(line):
             raise ValueError(
                 f"twist_by needs a line bundle on {self.space} over n={self.n}, got {line!r}"
             )
-        space, shift = self.space, line.weight
-        factors = [BundleLabel(space, tuple(map(add, f.weight, shift))) for f in self.factors]
-        return FilteredBundle(space, self.n, tuple(factors), self.components, self.levels)
+        shift = line.weight if self.shift is None else tuple(map(add, self.shift, line.weight))
+        return FilteredBundle(self.space, self.n, self.untwisted, self.components, self.levels,
+                              shift)
 
 
 @lru_cache
@@ -422,16 +467,17 @@ def exterior_power(f: FilteredBundle, p: int) -> FilteredBundle:
     """
     if p < 0:
         raise ValueError("negative exterior power")
-    if p >= 2 and any(not is_line(x) for x in f.factors):
+    given = f.factors  # a twisted bundle builds its twisted labels once, here
+    if p >= 2 and any(not is_line(x) for x in given):
         raise ValueError(
             "exterior_power needs line-bundle factors; "
             "non-full-flag totals (n >= 4) are not supported"
         )
     ncomp = (max(f.components) + 1) if f.components else 0
     entries = []
-    for subset in combinations(range(len(f.factors)), p):
+    for subset in combinations(range(len(given)), p):
         weight = tuple(
-            sum(f.factors[i].weight[k] for i in subset)
+            sum(given[i].weight[k] for i in subset)
             for k in range(f.n + 1)
         )
         multidegree = tuple(

@@ -50,6 +50,7 @@ from .bundles import (
     trivial_label,
 )
 from .geometry import (
+    canonical_line,
     conormal,
     pullback_factors,
     pullback_line,
@@ -343,10 +344,12 @@ def cmd_direct_images(cfg: RunConfig, args) -> None:
     _show(cfg, doc, lambda: _table_markdown(doc["cells"], doc["cancellations"]))
 
 
-def _transform(cfg: RunConfig, refusal: str = "") -> TransformResult:
-    """The assembled transform behind transform, adjoint and check; with a
-    refusal, a page that did not collapse is an error."""
-    res = assemble_transform(_twist_label(cfg), cfg.n, cfg.mode)
+def _transform(cfg: RunConfig, refusal: str = "",
+               twist: BundleLabel | None = None) -> TransformResult:
+    """The assembled transform behind transform, adjoint and check, of the
+    run's twist unless another is given; with a refusal, a page that did not
+    collapse is an error."""
+    res = assemble_transform(_twist_label(cfg) if twist is None else twist, cfg.n, cfg.mode)
     if refusal and res.complex_ is None:
         raise ValueError(f"{refusal}: {res.reason}")
     return res
@@ -462,11 +465,9 @@ def _run_case(case: dict) -> dict:
             "alternating_sum": report.alternating_sum,
             "passed": report.passed,
         }
-    if op == "realization":
-        if cfg.twist is None:  # no twist means K_Z = (n|0,...,0|-n) here, not the trivial one
-            n = cfg.n
-            cfg = RunConfig(n, f"({n}|{','.join('0' * (n - 1))}|{-n})", cfg.mode)
-        rep = emit_realization(_transform(cfg, "no complex to realize").complex_)
+    if op == "realization":  # no twist means K_Z here, not the trivial one
+        twist = canonical_line(cfg.n) if cfg.twist is None else None
+        rep = emit_realization(_transform(cfg, "no complex to realize", twist).complex_)
         return {
             "degree": rep.degree,
             "source": str(rep.source),

@@ -58,6 +58,7 @@ __all__ = [
     "conormal",
     "sigma_swap",
     "pullback_line",
+    "canonical_line",
     "twist_frames",
     "pullback_factors",
     "fiber_betti",
@@ -319,6 +320,11 @@ def pullback_line(b: BundleLabel) -> BundleLabel:
     if not is_line(b):
         raise ValueError(f"only line bundles pull back to a single label: {b}")
     return x_label(sigma_swap(b.weight))
+
+
+def canonical_line(n: int) -> BundleLabel:
+    """K_Z = (n|0,...,0|-n), the canonical line of the twistor space over n."""
+    return z_label((n, *(0,) * (n - 1), -n))
 
 
 def twist_frames(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:

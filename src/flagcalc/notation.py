@@ -81,7 +81,8 @@ class _ValueType(type):
     ``__post_init__`` where the class has one, ``__eq__`` and ``__hash__`` over
     the field tuple, and with ``order=True`` the four comparisons.  A method
     the class writes itself is kept.  A field annotated ``dict[...]`` is
-    stored as a ``FrozenDict`` (``None`` stays ``None``).  The methods are
+    stored as a ``FrozenDict``: ``None`` and a ``FrozenDict`` are stored as
+    given, anything else is copied into one.  The methods are
     compiled per class and read each field directly, since labels are hashed
     and sorted on the hot path.  Each field is stored through its slot's own
     setter, bound once here and kept in field order as ``_setters``; only the
@@ -93,7 +94,7 @@ class _ValueType(type):
         if fields:
             scope = {"_frozen": FrozenDict, **{f"_d_{f}": ns.pop(f) for f in fields if f in ns}}
             params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in scope else f for f in fields)
-            stored = {f: (f"{f} if {f} is None else _frozen({f})"
+            stored = {f: (f"{f} if {f} is None or {f}.__class__ is _frozen else _frozen({f})"
                           if str(annotations[f]).startswith("dict[") else f) for f in fields}
             mine, theirs = (f"({''.join(f'{who}.{f},' for f in fields)})" for who in ("self", "other"))
             ops = {"eq": "==", **(dict(lt="<", le="<=", gt=">", ge=">=") if order else {})}

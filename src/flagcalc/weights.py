@@ -16,7 +16,7 @@ weight is sorted(w + rho) - rho.
 
 from __future__ import annotations
 
-from functools import cache, wraps
+from functools import cache, partial, wraps
 
 from .notation import ArgumentError
 
@@ -39,17 +39,21 @@ def is_dominant(w: Weight) -> bool:
     return all(a <= b for a, b in zip(w, w[1:]))
 
 
-def bbw_reduce(w: Weight) -> tuple[int, Weight] | None:
-    """Bott-Borel-Weil reduction of a GL(k,C) weight, k = len(w).
+def bbw_reduce(w: Weight, shift: Weight = ()) -> tuple[int, Weight] | None:
+    """Bott-Borel-Weil reduction of a GL(k,C) weight, k = len(w), tensored
+    with a line: the weight reduced is w + shift, entrywise, where the
+    shift is a tuple of k entries or the empty one.
 
     Returns None when w + rho has a repeated entry (the weight is
     singular: no cohomology at all), and otherwise the pair
     ``(q, dominant)`` where q is the inversion count of w + rho and
     ``dominant`` is the unique dominant weight in the affine Weyl orbit:
-    sorted(w + rho) - rho.  A weight of more than MAX_N + 1 entries is
-    refused (``ArgumentError``).
+    sorted(w + rho) - rho.  A weight of more than MAX_N + 1 entries, or a
+    shift of another length, is refused (``ArgumentError``).
     """
-    return _reducer(len(w))(*w)
+    if shift and len(shift) != len(w):
+        raise ArgumentError(f"the shift added to {w} has {len(w)} entries, got {shift}")
+    return _reducer(len(w))(*(w + shift))
 
 
 def _listed(items) -> str:
@@ -58,13 +62,18 @@ def _listed(items) -> str:
     return "".join(f"{x}, " for x in items)
 
 
-def _kernel_per_length(build):
+def _kernel_per_length(build=None, *, shifted: bool = False):
     """Memoize, by length k alone, the function of k entries ``w0, ...,
-    w{k-1}`` whose body lines ``build(k)`` writes, compiled on a miss.
+    w{k-1}`` whose body lines ``build(k)`` writes, compiled on a miss; with
+    ``shifted=True`` it takes k more entries ``d0, ..., d{k-1}``, each 0 by
+    default.
 
     A body holds only names and integers derived from k, never an input
     value, so one kernel serves every weight of k entries.  The bodies grow
     as k^2, so k over MAX_N + 1 is refused before ``build`` is called."""
+    if build is None:
+        return partial(_kernel_per_length, shifted=shifted)
+
     @cache
     @wraps(build)
     def kernel(k: int):
@@ -72,26 +81,29 @@ def _kernel_per_length(build):
             raise ArgumentError(f"a weight has at most {MAX_N + 1} entries (n <= {MAX_N}), "
                                 f"got {k}")
         name = f"{build.__name__}_{k}"
+        params = _listed(f"w{i}" for i in range(k))
+        if shifted:
+            params += _listed(f"d{i}=0" for i in range(k))
         made: dict = {}
-        exec("\n    ".join([f"def {name}({_listed(f'w{i}' for i in range(k))}):", *build(k)]),
-             {}, made)
+        exec("\n    ".join([f"def {name}({params}):", *build(k)]), {}, made)
         return made[name]
     return kernel
 
 
-@_kernel_per_length
+@_kernel_per_length(shifted=True)
 def _reducer(k: int) -> list[str]:
-    """``bbw_reduce`` on weights of k entries: shift by rho entry by entry,
-    test for a repeated entry, count the out-of-order pairs one comparison
-    each, then sort and shift back."""
+    """``bbw_reduce`` on weights of k entries, each with its shift entry
+    ``d{i}`` (0 when none is passed): shift by rho entry by entry, test for a
+    repeated entry, count the out-of-order pairs one comparison each, then
+    sort and shift back."""
     if k < 2:  # no pair to repeat or disorder: the weight is its own reduction
-        return [f"return 0, ({_listed(f'w{i}' for i in range(k))})"]
+        return [f"return 0, ({_listed(f'w{i} + d{i}' for i in range(k))})"]
     s = [f"s{i}" for i in range(k)]
     q = " + ".join(f"({s[i]} > {s[j]})" for i in range(k) for j in range(i + 1, k))
     if k == 2:
         q = f"0 + {q}"  # a lone comparison is a bool, and q is an int
     return [
-        *(f"s{i} = w{i} + {i}" for i in range(k)),
+        *(f"s{i} = w{i} + d{i} + {i}" for i in range(k)),
         f"if len({{{_listed(s)}}}) != {k}:",
         "    return None",
         f"{_listed(f't{i}' for i in range(k))}= sorted(({_listed(s)}))",

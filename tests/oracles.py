@@ -35,7 +35,10 @@ every pair of the column's images against the filtration; it reduces each
 fiber weight by ``brute_reduce`` and builds the package's M-labels.  The
 package's weight reduction and Weyl dimension are compiled into one
 straight-line function per length; the loops they replaced are kept at the
-end, verbatim, as references of every length.
+end, verbatim, as references of every length.  The package's old
+``FilteredBundle.twist_by``, kept verbatim at the end as a function, builds
+every twisted factor as an explicit label through the package's
+``BundleLabel`` and ``is_line``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,15 @@ from functools import lru_cache
 from itertools import combinations, permutations, product, starmap
 from operator import add, gt, sub
 
-from flagcalc.bundles import BundleLabel, FilteredBundle, block_shape, m_label, pieri_tensor, rank
+from flagcalc.bundles import (
+    BundleLabel,
+    FilteredBundle,
+    block_shape,
+    is_line,
+    m_label,
+    pieri_tensor,
+    rank,
+)
 from flagcalc.geometry import (
     FlagSpace,
     _root_weight,
@@ -535,3 +546,15 @@ def loop_weyl_rank(mu: tuple[int, ...]) -> int:
     if num <= 0 or num % den:
         raise ValueError(f"no GL({m}) irreducible has the weight {mu}")
     return num // den
+
+
+def twist_by(self: FilteredBundle, line: BundleLabel) -> FilteredBundle:
+    """The package's old ``FilteredBundle.twist_by``: every factor tensored
+    with the line as a fresh, checked label."""
+    if line.space != self.space or len(line.weight) != self.n + 1 or not is_line(line):
+        raise ValueError(
+            f"twist_by needs a line bundle on {self.space} over n={self.n}, got {line!r}"
+        )
+    space, shift = self.space, line.weight
+    factors = [BundleLabel(space, tuple(map(add, f.weight, shift))) for f in self.factors]
+    return FilteredBundle(space, self.n, tuple(factors), self.components, self.levels)

@@ -4,6 +4,7 @@ import pytest
 
 from flagcalc.bbw import MODES, DirectImageTable, direct_images, global_cohomology
 from flagcalc.bundles import (
+    BundleLabel,
     FilteredBundle,
     exterior_power,
     label_from_string,
@@ -15,6 +16,7 @@ from flagcalc.geometry import pullback_line, registry, relative_cotangent
 from flagcalc.notation import ArgumentError
 
 from oracles import direct_image_column, euler_rank, simple_root_step
+from oracles import twist_by as explicit_twist
 from test_transform import TWIST_BOXES
 
 
@@ -241,3 +243,59 @@ def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
     assert {leg: len(pairs) for leg, pairs in steps.items()} == {
         2: {"mu": 0, "nu": 12}, 3: {"mu": 96, "nu": 136}}[n]
     assert seen["applied"] > 0 and seen["candidates"] > seen["applied"], seen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_shifted_column_matches_the_explicitly_twisted_one_on_the_boxes(n):
+    # twist_by keeps the untwisted factors and the line's weight; the old
+    # twist_by built every twisted factor as a label.  On every column of both
+    # legs' wedges and both modes the two give one bundle and one table, cells,
+    # cell order and log alike
+    reg = registry(n)
+    columns = records = 0
+    for leg in ("mu", "nu"):
+        lam = relative_cotangent(reg[leg])
+        wedges = [(p, exterior_power(lam, p)) for p in range(len(lam) + 1)]
+        for w in TWIST_BOXES[n]:
+            twist_x = pullback_line(z_label(w))
+            for p, wedge in wedges:
+                shifted, explicit = wedge.twist_by(twist_x), explicit_twist(wedge, twist_x)
+                assert shifted.shift == twist_x.weight and explicit.shift is None
+                assert shifted == explicit and hash(shifted) == hash(explicit), (leg, w, p)
+                for mode in MODES:
+                    table = direct_images(shifted, reg["nu"], mode, p)
+                    other = direct_images(explicit, reg["nu"], mode, p)
+                    assert table == other, (leg, w, p, mode)
+                    assert list(table.cells) == list(other.cells), (leg, w, p, mode)
+                    columns += 1
+                    records += len(table.log)
+    assert columns == {2: 2 * 1183 * (3 + 4), 3: 2 * 405 * (5 + 7)}[n]
+    assert records > 0
+
+
+def test_a_twisted_column_builds_x_labels_only_for_its_records(monkeypatch):
+    # twist_by stores the line's weight and direct_images reduces weight plus
+    # shift, so twisting, len() and a column build no X-label, except the two
+    # factors each cancellation record names
+    reg = registry(3)
+    lam = relative_cotangent(reg["mu"])
+    wedges = [exterior_power(lam, p) for p in range(len(lam) + 1)]
+    twists = [pullback_line(z_label(w)) for w in TWIST_BOXES[3]]
+    built = []
+    label_init = BundleLabel.__init__
+
+    def counted(label, space, weight):
+        built.append(space)
+        label_init(label, space, weight)
+
+    monkeypatch.setattr(BundleLabel, "__init__", counted)
+    records = 0
+    for twist_x in twists:
+        for p, wedge in enumerate(wedges):
+            bundle = wedge.twist_by(twist_x)
+            assert len(bundle) == len(wedge)
+            for mode in MODES:
+                records += len(direct_images(bundle, reg["nu"], mode, p).log)
+    assert records > 0 and built.count("X") == 2 * records
+    x_label((0, 0, 0, 0))  # the count sees an X-label
+    assert built.count("X") == 2 * records + 1

@@ -353,6 +353,60 @@ def test_twist_by_refuses_what_tensor_line_refuses():
     assert FilteredBundle("X", 3).twist_by(x_label((1, 0, 0, 0))) == FilteredBundle("X", 3)
 
 
+def test_a_twisted_bundle_equals_and_hashes_like_its_explicit_factors():
+    from flagcalc.geometry import registry, relative_cotangent
+
+    lam = relative_cotangent(registry(3)["mu"])
+    line, other = x_label((1, -1, 2, 0)), x_label((0, 0, 0, 1))
+    for p in range(len(lam) + 1):
+        wedge = exterior_power(lam, p)
+        twisted = wedge.twist_by(line)
+        explicit = FilteredBundle(wedge.space, wedge.n,
+                                  tuple(tensor_line(f, line) for f in wedge.factors),
+                                  wedge.components, wedge.levels)
+        assert (twisted.untwisted, twisted.shift) == (wedge.untwisted, line.weight)
+        assert twisted == explicit and explicit == twisted and hash(twisted) == hash(explicit)
+        assert twisted.factors == explicit.factors and str(twisted) == str(explicit)
+        assert (len(twisted), rank(twisted), twisted.edges()) == \
+            (len(explicit), rank(explicit), explicit.edges())
+        assert twisted != wedge and twisted != wedge.twist_by(other)
+        assert wedge.twist_by(trivial_label("X", 3)) == wedge  # a zero shift is no shift
+    # a wedge of a twisted bundle reads its twisted factors: Λᵖ(E ⊗ L) = ΛᵖE ⊗ Lᵖ
+    for p in range(len(lam) + 1):
+        power = x_label(tuple(p * x for x in line.weight))
+        assert exterior_power(lam.twist_by(line), p) == exterior_power(lam, p).twist_by(power)
+
+
+def test_twist_by_twice_composes():
+    from flagcalc.geometry import registry, relative_cotangent
+
+    lam = relative_cotangent(registry(3)["mu"])
+    a, b = x_label((1, 0, 0, -1)), x_label((0, 2, -1, 3))
+    twice = lam.twist_by(a).twist_by(b)
+    assert twice.shift == tensor_line(a, b).weight and twice.untwisted == lam.untwisted
+    assert twice == lam.twist_by(tensor_line(a, b)) == lam.twist_by(b).twist_by(a)
+    assert twice.factors == tuple(tensor_line(tensor_line(f, a), b) for f in lam.factors)
+    assert twice.twist_by(dual(a)).twist_by(dual(b)) == lam
+
+
+def test_a_shift_that_is_not_a_line_is_refused():
+    a = x_label((0, 1, 0, 0))
+    for shift in ([0, 0, 0, 0], (0, 0, 0), (0, 0, 0, 0, 0)):  # a list, too short, too long
+        with pytest.raises(ValueError) as err:
+            FilteredBundle("X", 3, (a,), (0,), (0,), shift)
+        assert str(err.value) == f"a shift is the weight of a line on X over n=3, got {shift!r}"
+    # X's third block holds two entries at n = 4, and a line is constant on it
+    b = x_label((0, 1, 0, 2, 0))
+    assert FilteredBundle("X", 4, (b,), (0,), (0,), (1, 1, 2, 2, 3)).factors == \
+        (x_label((1, 2, 2, 4, 3)),)
+    with pytest.raises(ValueError, match=r"over n=4, got \(0, 0, 0, 1, 0\)$"):
+        FilteredBundle("X", 4, (b,), (0,), (0,), (0, 0, 0, 1, 0))
+    with pytest.raises(ValueError, match=r"line on Z over n=1, got \(0, 0\)$"):
+        FilteredBundle("Z", 1, (), (), (), (0, 0))  # no weight has Z's blocks at n = 1
+    with pytest.raises(ValueError, match="does not live on X over n=3"):  # factors first
+        FilteredBundle("X", 3, (b,), (0,), (0,), (0, 0, 0))
+
+
 @pytest.mark.parametrize("p, count", [(0, 1), (1, 4), (2, 6), (3, 4), (4, 1)])
 def test_exterior_power_sizes(p, count):
     from flagcalc.geometry import registry, relative_cotangent

@@ -18,7 +18,7 @@ from flagcalc.bundles import (
     z_label,
 )
 from flagcalc.cli import main
-from flagcalc.geometry import MAX_N, pullback_line, registry, twist_frames
+from flagcalc.geometry import MAX_N, canonical_line, pullback_line, registry, twist_frames
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
@@ -309,9 +309,9 @@ def test_column_euler_characteristic_matches_the_weyl_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_labels_built_unchecked_pass_full_validation(n):
-    # twist_by shifts every factor by the line's weight and builds each
-    # label through the public constructor; on the twist boxes that must
-    # equal tensor_line, factor by factor
+    # a twisted bundle builds each factor from its shift when read, through
+    # the public constructor; on the twist boxes that must equal tensor_line,
+    # factor by factor
     untwisted = twisted_forms(registry(n)["mu"], trivial_label("X", n))
     for w in TWIST_BOXES[n]:
         twist_x = pullback_line(z_label(w))
@@ -370,15 +370,10 @@ def test_the_collapse_locus_on_the_twist_plane(n):
     assert len(wall) == {2: 27, 3: 26}[n] and wall <= singular
 
 
-def _canonical(n: int) -> BundleLabel:
-    """K_Z = (n|0,...,0|-n), the canonical line of the twistor space."""
-    return z_label((n, *(0,) * (n - 1), -n))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_the_canonical_line_has_one_dimensional_top_cohomology(n):
     # dim Z = 2n - 1, and Serre duality pairs H^(2n-1)(K_Z) with H^0(O)
-    assert global_cohomology(_canonical(n)) == (2 * n - 1, trivial_label("fiber", n))
+    assert global_cohomology(canonical_line(n)) == (2 * n - 1, trivial_label("fiber", n))
 
 
 def _dual_labels(labels) -> tuple[BundleLabel, ...]:
@@ -395,7 +390,7 @@ def test_the_pipeline_commutes_with_serre_duality(n):
     collapsed = {mode: 0 for mode in MODES}
     for w in TWIST_BOXES[n]:
         twist = z_label(w)
-        other = tensor_line(dual(twist), _canonical(n))
+        other = tensor_line(dual(twist), canonical_line(n))
         for mode in MODES:
             res, dual_res = (assemble_transform(t, n, mode) for t in (twist, other))
             assert dual_res.table.cells == {
@@ -675,7 +670,7 @@ def test_comparison_complex_from_form_types():
 
 
 def test_realization_projects_the_first_arrow_of_the_check():
-    rep = emit_realization(assemble_transform(_canonical(3), 3, "paper").complex_)
+    rep = emit_realization(assemble_transform(canonical_line(3), 3, "paper").complex_)
     assert rep.degree == 3
     assert str(rep.source) == "(0||-1,0,1)"
     assert [str(b) for b in rep.dbar_targets] == ["(-1||-1,1,1)", "(-1||0,0,1)"]
@@ -695,7 +690,7 @@ def test_realization_projects_the_first_arrow_of_the_check():
     assert rep.dbar_targets == rep.dbar_full == (m_label((-1, 0, 0, 1)),)
     assert rep.d_targets == rep.d_full == (m_label((1, -1, 0, 0)),)
     # K_Z at n = 2
-    rep = emit_realization(assemble_transform(_canonical(2), 2).complex_)
+    rep = emit_realization(assemble_transform(canonical_line(2), 2).complex_)
     assert (rep.degree, str(rep.source)) == (1, "(0||-1,1)")
     assert [str(b) for b in rep.dbar_targets + rep.d_targets] == ["(-1||0,1)", "(1||-1,0)"]
     # the hyperplane twist's first arrow steps (-2||1,1,1) -> (1||0,0,0) by +3

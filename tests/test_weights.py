@@ -1,7 +1,9 @@
 """Weight arithmetic: dominance and reduction."""
 
 import random
+import re
 from math import comb
+from operator import add, sub
 
 import pytest
 from hypothesis import given
@@ -97,10 +99,30 @@ def test_each_length_kernel_matches_the_loop_and_the_permutation_search(k):
     for w in _random_weights(rng, k, 200):
         got = bbw_reduce(w)
         assert _typed(got) == _typed(loop_reduce(w)), w
+        assert _typed(bbw_reduce(w, ())) == _typed(got), w
         if k <= 6:
             assert got == brute_reduce(w), w
         seen.add(got is None)
     assert seen == ({False, True} if k >= 2 else {False})  # both kinds were met
+
+
+@pytest.mark.parametrize("k", range(MAX_N + 2))
+def test_each_length_kernel_reduces_a_weight_plus_its_shift(k):
+    # bbw_reduce(u, s) reduces u + s: split each test weight w into w - s and
+    # a seeded shift s, so that singular sums are met as often as above
+    rng = random.Random(k)
+    seen = set()
+    for w in _random_weights(rng, k, 200):
+        s = tuple(rng.choice((rng.randint(-8, 8), rng.randint(-10**15, 10**15)))
+                  for _ in range(k))
+        u = tuple(map(sub, w, s))
+        got = bbw_reduce(u, s)
+        assert _typed(got) == _typed(loop_reduce(tuple(map(add, u, s)))), (u, s)
+        seen.add(got is None)
+    assert seen == ({False, True} if k >= 2 else {False})
+    for wrong in {(0,) * (k - 1), (0,) * (k + 1)} - {()}:  # a shift has k entries or none
+        with pytest.raises(ArgumentError, match=re.escape(f"has {k} entries, got {wrong}") + "$"):
+            bbw_reduce((0,) * k, wrong)
 
 
 def test_a_weight_over_the_bound_is_refused_before_any_source_is_written():
