@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line
+from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line, tensor_line
 from .geometry import Fibration, sigma_swap
 from .notation import ArgumentError, FrozenDict, Value
 from .weights import bbw_reduce
@@ -88,16 +88,18 @@ def direct_images(
     lo, hi = _fiber_entries(fib)
     if fib.total.n != f.n:
         raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
-    links = _shape(f.space, f.n).links  # is_line, read once per column
+    links = _shape(f.space, f.n).links  # read once per column: no links, no line test
     # the line adds its weight to every factor: to the spectator here, and to
     # the fiber entries inside bbw_reduce; a twisted label is built only for
     # a cancellation record, or to name a refused factor
-    a, d = (f.shift[0], f.shift[lo:hi]) if f.shift else (0, ())
+    line = f.line
+    a, d = (line.weight[0], line.weight[lo:hi]) if line is not None else (0, ())
     images: dict[int, tuple[int, tuple[int, ...]]] = {}  # factor index -> (q, M-weight)
     for i, factor in enumerate(f.untwisted):
+        if links and not is_line(factor):  # tensoring with a line keeps the answer
+            name = factor if line is None else tensor_line(factor, line)
+            raise ValueError(f"not a line bundle along the fibers: {name}")
         w = factor.weight
-        if links and any(w[k] != w[k + 1] for k in links):  # a line's shift keeps the answer
-            raise ValueError(f"not a line bundle along the fibers: {f._twisted(factor)}")
         reduced = bbw_reduce(w[lo:hi], d)
         if reduced is not None:
             q, dom = reduced
@@ -115,15 +117,18 @@ def direct_images(
     log = []
     if candidates:
         removed: set[int] = set()
-        factors = f.untwisted  # one shift on every factor keeps their order
+        factors = f.untwisted  # one line on every factor keeps their order
         candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
                                         factors[ij[0]].weight, factors[ij[1]].weight))
         for i, j in candidates:
             apply = mode == "paper" and i not in removed and j not in removed
             if apply:
                 removed.update((i, j))
-            log.append(CancellationRecord(p, f._twisted(factors[i]), f._twisted(factors[j]),
-                                          images[i][0], BundleLabel("M", images[i][1]), apply))
+            quotient, sub = factors[i], factors[j]
+            if line is not None:
+                quotient, sub = tensor_line(quotient, line), tensor_line(sub, line)
+            log.append(CancellationRecord(p, quotient, sub, images[i][0],
+                                          BundleLabel("M", images[i][1]), apply))
         for i in removed:
             del images[i]
 

@@ -206,18 +206,20 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
 
 @_kernel_per_length
 def _weyl_kernel(m: int) -> list[str]:
-    """``_weyl_rank`` on weights of m entries: the product of the shifted
-    root pairings written out, over the product of the plain ones, which is
-    a constant of m."""
+    """``_weyl_rank`` on weights of m entries ``w{i}``: the product of the
+    shifted root pairings written out, over the product of the plain ones,
+    which is a constant of m."""
+    params = _listed(f"w{i}" for i in range(m))
     if m < 2:  # no root: the one irreducible of each weight is a line
-        return ["return 1"]
+        return [params, "return 1"]
     pairs = list(combinations(range(m), 2))
     den = prod(j - i for i, j in pairs)
     return [
+        params,
         f"num = {' * '.join(f'(w{j} - w{i} + {j - i})' for i, j in pairs)}",
         "if num <= 0:",
         f"    raise ValueError(f'no GL({m}) irreducible has the weight "
-        f"{{({_listed(f'w{i}' for i in range(m))})}}')",
+        f"{{({params})}}')",
         f"return num{f' // {den}' if den > 1 else ''}",
     ]
 
@@ -264,12 +266,12 @@ def tensor_line(a: BundleLabel, b: BundleLabel) -> BundleLabel:
     This is the only tensor that stays irreducible for free: the line
     bundle just shifts the weight entrywise.
     """
-    if a.space != b.space or a.n != b.n:
+    if a.space != b.space or len(a.weight) != len(b.weight):
         raise ArgumentError(f"cannot tensor labels on different spaces or over different n: "
                             f"{a!r} vs {b!r}")
     if not (is_line(a) or is_line(b)):
         raise ValueError(f"neither {a} nor {b} is a line bundle; use pieri_tensor")
-    return BundleLabel(a.space, tuple(x + y for x, y in zip(a.weight, b.weight)))
+    return BundleLabel(a.space, tuple(map(add, a.weight, b.weight)))
 
 
 # ------------------------------------------------------- Pieri tensor
@@ -344,10 +346,10 @@ class FilteredBundle(Value):
     ``components[i]`` is the direct-summand index of factor i (0-based,
     nondecreasing along the list) and ``levels[i]`` its filtration depth
     inside that component, 0 for the top quotient.  Factors are listed
-    quotient-first within each component.  ``shift`` is the weight of a
-    line on the same space and n, or None for no line: the factors are
-    stored ``untwisted``, and ``factors`` builds each one tensored with the
-    line when it is read.
+    quotient-first within each component.  ``line`` is a line bundle on the
+    same space and n, or None for no line: the factors are stored
+    ``untwisted``, and ``factors`` tensors each one with the line when it
+    is read.
     """
 
     space: str
@@ -355,44 +357,42 @@ class FilteredBundle(Value):
     untwisted: tuple[BundleLabel, ...] = ()
     components: tuple[int, ...] = ()
     levels: tuple[int, ...] = ()
-    shift: tuple[int, ...] | None = None
+    line: BundleLabel | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, int):
             raise TypeError(f"a filtered bundle is named by its space and n, got n={self.n!r}")
-        if not len(self.untwisted) == len(self.components) == len(self.levels):
+        untwisted, components, levels = self.untwisted, self.components, self.levels
+        if not type(untwisted) is type(components) is type(levels) is tuple:  # a list never hashes
+            field = ("untwisted" if type(untwisted) is not tuple else
+                     "components" if type(components) is not tuple else "levels")
+            raise TypeError(f"a filtered bundle's {field} is a tuple, got {getattr(self, field)!r}")
+        if not len(untwisted) == len(components) == len(levels):
             raise ValueError("factors, components and levels differ in length")
-        space, shape = self.space, _shape(self.space, self.n)  # refuses unknown spaces
-        blocks = shape.blocks
-        for f in self.untwisted:
+        space, blocks = self.space, _shape(self.space, self.n).blocks  # refuses unknown spaces
+        for f in untwisted:
             if f.space != space or f.blocks != blocks:
                 raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
-        if self.components and list(self.components) != sorted(self.components):
+        if components and list(components) != sorted(components):
             raise ValueError("components must be listed contiguously")
-        shift = self.shift
-        if shift is None:
+        line = self.line
+        if line is None or (type(line) is BundleLabel and line.space == space
+                            and len(line.weight) == self.n + 1 and is_line(line)):
             return
-        if type(shift) is tuple and len(shift) == self.n + 1 and shape.fits:
-            for i in shape.links:
-                if shift[i] != shift[i + 1]:
-                    break
-            else:  # a line's weight, as BundleLabel and is_line take it: constant on each block
-                return
-        raise ValueError(f"a shift is the weight of a line on {space} over n={self.n}, "
-                         f"got {shift!r}")
+        raise ValueError(f"twist_by needs a line bundle on {space} over n={self.n}, got {line!r}")
 
     def __hash__(self) -> int:  # equal bundles share a filtration: a memo hit hashes no label
         return hash((self.space, self.n, self.components, self.levels))
 
     def __eq__(self, other) -> bool:
-        """Equal filtrations and equal twisted factors; under one shift the
+        """Equal filtrations and equal twisted factors; under one line the
         untwisted factors decide, and no label is built."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         if (self.space, self.n, self.components, self.levels) != \
                 (other.space, other.n, other.components, other.levels):
             return False
-        if self.shift == other.shift:
+        if self.line == other.line:
             return self.untwisted == other.untwisted
         return self.factors == other.factors
 
@@ -402,15 +402,10 @@ class FilteredBundle(Value):
     @property
     def factors(self) -> tuple[BundleLabel, ...]:
         """The factors tensored with the line, each built and checked on read."""
-        if self.shift is None:
+        line = self.line
+        if line is None:
             return self.untwisted
-        return tuple(map(self._twisted, self.untwisted))
-
-    def _twisted(self, b: BundleLabel) -> BundleLabel:
-        """One untwisted factor tensored with the line."""
-        if self.shift is None:
-            return b
-        return BundleLabel(self.space, tuple(map(add, b.weight, self.shift)))
+        return tuple(tensor_line(f, line) for f in self.untwisted)
 
     def edges(self) -> tuple[str, ...]:
         """Separator between consecutive factors: '+' = composition-series
@@ -436,16 +431,14 @@ class FilteredBundle(Value):
 
     def twist_by(self, line: BundleLabel) -> "FilteredBundle":
         """Tensor every factor by a line bundle on this space and n (filtration
-        unchanged): the line's weight becomes the shift, or is added to the
-        shift already there.  A line is constant on each block, so every
-        shifted factor stays dominant; anything else is refused."""
-        if line.space != self.space or len(line.weight) != self.n + 1 or not is_line(line):
-            raise ValueError(
-                f"twist_by needs a line bundle on {self.space} over n={self.n}, got {line!r}"
-            )
-        shift = line.weight if self.shift is None else tuple(map(add, self.shift, line.weight))
+        unchanged): the line is recorded, or composed with the one already
+        there.  A line is constant on each block, so every twisted factor
+        stays dominant; the constructor refuses anything else."""
+        if self.line is not None:
+            FilteredBundle(self.space, self.n, line=line)  # the new line is checked first
+            line = tensor_line(self.line, line)
         return FilteredBundle(self.space, self.n, self.untwisted, self.components, self.levels,
-                              shift)
+                              line)
 
 
 @lru_cache

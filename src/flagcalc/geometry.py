@@ -202,8 +202,6 @@ def _assemble_filtered(weights: list[tuple[int, ...]], space: FlagSpace) -> Filt
     top quotient: each move lowers the potential sum(b * s_b) of the block
     sums s_b, so descending potential visits a class after all above it.
     """
-    if len(set(weights)) != len(weights):
-        raise ValueError("filtration grouping needs a multiplicity-free weight set")
     shape = block_shape(space.name, space.n)
     block_of = [b for b, size in enumerate(shape) for _ in range(size)]
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

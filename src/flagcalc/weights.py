@@ -16,7 +16,7 @@ weight is sorted(w + rho) - rho.
 
 from __future__ import annotations
 
-from functools import cache, partial, wraps
+from functools import cache, wraps
 
 from .notation import ArgumentError
 
@@ -62,17 +62,14 @@ def _listed(items) -> str:
     return "".join(f"{x}, " for x in items)
 
 
-def _kernel_per_length(build=None, *, shifted: bool = False):
-    """Memoize, by length k alone, the function of k entries ``w0, ...,
-    w{k-1}`` whose body lines ``build(k)`` writes, compiled on a miss; with
-    ``shifted=True`` it takes k more entries ``d0, ..., d{k-1}``, each 0 by
-    default.
+def _kernel_per_length(build):
+    """Memoize, by length k alone, the function of k entries that ``build(k)``
+    writes, compiled on a miss: its first line is the parameter list and the
+    rest is the body.
 
     A body holds only names and integers derived from k, never an input
     value, so one kernel serves every weight of k entries.  The bodies grow
     as k^2, so k over MAX_N + 1 is refused before ``build`` is called."""
-    if build is None:
-        return partial(_kernel_per_length, shifted=shifted)
 
     @cache
     @wraps(build)
@@ -81,28 +78,28 @@ def _kernel_per_length(build=None, *, shifted: bool = False):
             raise ArgumentError(f"a weight has at most {MAX_N + 1} entries (n <= {MAX_N}), "
                                 f"got {k}")
         name = f"{build.__name__}_{k}"
-        params = _listed(f"w{i}" for i in range(k))
-        if shifted:
-            params += _listed(f"d{i}=0" for i in range(k))
+        params, *body = build(k)
         made: dict = {}
-        exec("\n    ".join([f"def {name}({params}):", *build(k)]), {}, made)
+        exec("\n    ".join([f"def {name}({params}):", *body]), {}, made)
         return made[name]
     return kernel
 
 
-@_kernel_per_length(shifted=True)
+@_kernel_per_length
 def _reducer(k: int) -> list[str]:
-    """``bbw_reduce`` on weights of k entries, each with its shift entry
-    ``d{i}`` (0 when none is passed): shift by rho entry by entry, test for a
-    repeated entry, count the out-of-order pairs one comparison each, then
-    sort and shift back."""
+    """``bbw_reduce`` on weights of k entries ``w{i}``, each with its shift
+    entry ``d{i}`` (0 when none is passed): shift by rho entry by entry, test
+    for a repeated entry, count the out-of-order pairs one comparison each,
+    then sort and shift back."""
+    params = _listed(f"w{i}" for i in range(k)) + _listed(f"d{i}=0" for i in range(k))
     if k < 2:  # no pair to repeat or disorder: the weight is its own reduction
-        return [f"return 0, ({_listed(f'w{i} + d{i}' for i in range(k))})"]
+        return [params, f"return 0, ({_listed(f'w{i} + d{i}' for i in range(k))})"]
     s = [f"s{i}" for i in range(k)]
     q = " + ".join(f"({s[i]} > {s[j]})" for i in range(k) for j in range(i + 1, k))
     if k == 2:
         q = f"0 + {q}"  # a lone comparison is a bool, and q is an int
     return [
+        params,
         *(f"s{i} = w{i} + d{i} + {i}" for i in range(k)),
         f"if len({{{_listed(s)}}}) != {k}:",
         "    return None",

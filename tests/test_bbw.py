@@ -82,6 +82,18 @@ def test_one_factor_column_rejects_wrong_inputs(setup):
         _one_factor_image(label_from_string("(0||0|0,1|0)", "X"), big["nu"])  # rank 2
 
 
+def test_a_refused_factor_is_named_as_twisted():
+    # the n = 4 column p = 1 of mu holds a rank-2 factor; the refusal names it
+    # tensored with the line, as `flagcalc direct-images -n 4 -p 1` prints it
+    big = registry(4)
+    lam = relative_cotangent(big["mu"])
+    twist_x = pullback_line(z_label((1, 0, 0, 0, -1)))
+    for bundle, name in [(lam, "(-1||0|0,1|0)"), (lam.twist_by(twist_x), "(-1||1|0,1|-1)")]:
+        with pytest.raises(ValueError) as err:
+            direct_images(bundle, big["nu"], "paper", 1)
+        assert str(err.value) == f"not a line bundle along the fibers: {name}"
+
+
 UNTWISTED_COLUMNS = {
     0: {(0, 0): ["(0||0,0,0)"]},
     1: {(1, 0): ["(-1||0,0,1)", "(1||-1,0,0)"]},
@@ -247,7 +259,7 @@ def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_shifted_column_matches_the_explicitly_twisted_one_on_the_boxes(n):
-    # twist_by keeps the untwisted factors and the line's weight; the old
+    # twist_by keeps the untwisted factors and the line; the old
     # twist_by built every twisted factor as a label.  On every column of both
     # legs' wedges and both modes the two give one bundle and one table, cells,
     # cell order and log alike
@@ -260,7 +272,7 @@ def test_a_shifted_column_matches_the_explicitly_twisted_one_on_the_boxes(n):
             twist_x = pullback_line(z_label(w))
             for p, wedge in wedges:
                 shifted, explicit = wedge.twist_by(twist_x), explicit_twist(wedge, twist_x)
-                assert shifted.shift == twist_x.weight and explicit.shift is None
+                assert shifted.line == twist_x and explicit.line is None
                 assert shifted == explicit and hash(shifted) == hash(explicit), (leg, w, p)
                 for mode in MODES:
                     table = direct_images(shifted, reg["nu"], mode, p)
@@ -274,8 +286,8 @@ def test_a_shifted_column_matches_the_explicitly_twisted_one_on_the_boxes(n):
 
 
 def test_a_twisted_column_builds_x_labels_only_for_its_records(monkeypatch):
-    # twist_by stores the line's weight and direct_images reduces weight plus
-    # shift, so twisting, len() and a column build no X-label, except the two
+    # twist_by stores the line and direct_images reduces each weight plus the
+    # line's, so twisting, len() and a column build no X-label, except the two
     # factors each cancellation record names
     reg = registry(3)
     lam = relative_cotangent(reg["mu"])

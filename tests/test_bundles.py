@@ -342,11 +342,23 @@ def test_twist_by_refuses_what_tensor_line_refuses():
          "twist_by needs a line bundle on X over n=4, got <Z (0|0,0,0|0)>"),
         (FilteredBundle("X", 3), z_label((1, 0, 0, 0)),  # nothing to tensor, still refused
          "twist_by needs a line bundle on X over n=3, got <Z (1|0,0|0)>"),
+        (lam4, (1, 1, 1, 1, 1),  # a line's weight is not its label
+         "twist_by needs a line bundle on X over n=4, got (1, 1, 1, 1, 1)"),
     ]
     for bundle, twist, message in refusals:
-        with pytest.raises(ValueError) as err:
-            bundle.twist_by(twist)
-        assert str(err.value) == message
+        # the constructor is the one check: twist_by of an untwisted bundle goes
+        # through it, and twist_by of a twisted one checks the new line there
+        # before composing it with the old
+        entry_points = (
+            lambda line: FilteredBundle(bundle.space, bundle.n, bundle.untwisted,
+                                        bundle.components, bundle.levels, line=line),
+            bundle.twist_by,
+            bundle.twist_by(trivial_label("X", bundle.n)).twist_by,
+        )
+        for enter in entry_points:
+            with pytest.raises(ValueError) as err:
+                enter(twist)
+            assert type(err.value) is ValueError and str(err.value) == message
     # a line shifts any factor
     shifted = FilteredBundle("X", 4, (x_label((1, 1, 2, 3, 3)),), (0,), (0,))
     assert FilteredBundle("X", 4, (nonline,), (0,), (0,)).twist_by(line) == shifted
@@ -364,13 +376,13 @@ def test_a_twisted_bundle_equals_and_hashes_like_its_explicit_factors():
         explicit = FilteredBundle(wedge.space, wedge.n,
                                   tuple(tensor_line(f, line) for f in wedge.factors),
                                   wedge.components, wedge.levels)
-        assert (twisted.untwisted, twisted.shift) == (wedge.untwisted, line.weight)
+        assert (twisted.untwisted, twisted.line) == (wedge.untwisted, line)
         assert twisted == explicit and explicit == twisted and hash(twisted) == hash(explicit)
         assert twisted.factors == explicit.factors and str(twisted) == str(explicit)
         assert (len(twisted), rank(twisted), twisted.edges()) == \
             (len(explicit), rank(explicit), explicit.edges())
         assert twisted != wedge and twisted != wedge.twist_by(other)
-        assert wedge.twist_by(trivial_label("X", 3)) == wedge  # a zero shift is no shift
+        assert wedge.twist_by(trivial_label("X", 3)) == wedge  # a trivial line is no line
     # a wedge of a twisted bundle reads its twisted factors: Λᵖ(E ⊗ L) = ΛᵖE ⊗ Lᵖ
     for p in range(len(lam) + 1):
         power = x_label(tuple(p * x for x in line.weight))
@@ -383,28 +395,57 @@ def test_twist_by_twice_composes():
     lam = relative_cotangent(registry(3)["mu"])
     a, b = x_label((1, 0, 0, -1)), x_label((0, 2, -1, 3))
     twice = lam.twist_by(a).twist_by(b)
-    assert twice.shift == tensor_line(a, b).weight and twice.untwisted == lam.untwisted
+    assert twice.line == tensor_line(a, b) and twice.untwisted == lam.untwisted
     assert twice == lam.twist_by(tensor_line(a, b)) == lam.twist_by(b).twist_by(a)
     assert twice.factors == tuple(tensor_line(tensor_line(f, a), b) for f in lam.factors)
     assert twice.twist_by(dual(a)).twist_by(dual(b)) == lam
 
 
 def test_a_shift_that_is_not_a_line_is_refused():
+    # the constructor takes the line as a label on the bundle's space and n;
+    # a weight, as a list or a tuple, is refused like any label that is not one
     a = x_label((0, 1, 0, 0))
-    for shift in ([0, 0, 0, 0], (0, 0, 0), (0, 0, 0, 0, 0)):  # a list, too short, too long
+    for line in ([0, 0, 0, 0], (0, 0, 0, 0), x_label((0, 0, 0)), x_label((0, 0, 0, 0, 0))):
         with pytest.raises(ValueError) as err:
-            FilteredBundle("X", 3, (a,), (0,), (0,), shift)
-        assert str(err.value) == f"a shift is the weight of a line on X over n=3, got {shift!r}"
+            FilteredBundle("X", 3, (a,), (0,), (0,), line)
+        assert str(err.value) == f"twist_by needs a line bundle on X over n=3, got {line!r}"
     # X's third block holds two entries at n = 4, and a line is constant on it
     b = x_label((0, 1, 0, 2, 0))
-    assert FilteredBundle("X", 4, (b,), (0,), (0,), (1, 1, 2, 2, 3)).factors == \
+    assert FilteredBundle("X", 4, (b,), (0,), (0,), x_label((1, 1, 2, 2, 3))).factors == \
         (x_label((1, 2, 2, 4, 3)),)
-    with pytest.raises(ValueError, match=r"over n=4, got \(0, 0, 0, 1, 0\)$"):
-        FilteredBundle("X", 4, (b,), (0,), (0,), (0, 0, 0, 1, 0))
-    with pytest.raises(ValueError, match=r"line on Z over n=1, got \(0, 0\)$"):
-        FilteredBundle("Z", 1, (), (), (), (0, 0))  # no weight has Z's blocks at n = 1
+    with pytest.raises(ValueError, match=r"over n=4, got <X \(0\|\|0\|0,1\|0\)>$"):
+        FilteredBundle("X", 4, (b,), (0,), (0,), x_label((0, 0, 0, 1, 0)))
+    with pytest.raises(ValueError, match=r"line bundle on Z over n=1, got \(0, 0\)$"):
+        FilteredBundle("Z", 1, (), (), (), (0, 0))  # no label has Z's blocks at n = 1
     with pytest.raises(ValueError, match="does not live on X over n=3"):  # factors first
-        FilteredBundle("X", 3, (b,), (0,), (0,), (0, 0, 0))
+        FilteredBundle("X", 3, (b,), (0,), (0,), x_label((0, 0, 0, 0)))
+
+
+def test_twist_by_of_an_untwisted_wedge_tests_one_line(monkeypatch):
+    from flagcalc import bundles
+    from flagcalc.geometry import registry, relative_cotangent
+
+    wedges = [exterior_power(relative_cotangent(registry(3)[leg]), p)
+              for leg in ("mu", "nu") for p in range(4)]
+    wedges.append(relative_cotangent(registry(4)["mu"]))  # factors that are not lines
+    tested = []
+    real = bundles.is_line
+    monkeypatch.setattr(bundles, "is_line", lambda b: tested.append(b) or real(b))
+    for wedge in wedges:
+        line = x_label((1, -1, 2, 0)) if wedge.n == 3 else x_label((0, 1, 2, 2, -1))
+        tested.clear()
+        wedge.twist_by(line)
+        assert tested == [line], wedge
+
+
+def test_a_filtered_bundle_refuses_a_list_field():
+    # a list would print, but the bundle could never hash, so no memo could take it
+    fields = {"untwisted": (x_label((0, 1, 0, 0)),), "components": (0,), "levels": (0,)}
+    for name, value in fields.items():
+        with pytest.raises(TypeError) as err:
+            FilteredBundle("X", 3, **dict(fields, **{name: list(value)}))
+        assert str(err.value) == f"a filtered bundle's {name} is a tuple, got {list(value)!r}"
+    assert hash(FilteredBundle("X", 3, **fields)) == hash(("X", 3, (0,), (0,)))
 
 
 @pytest.mark.parametrize("p, count", [(0, 1), (1, 4), (2, 6), (3, 4), (4, 1)])

@@ -131,7 +131,7 @@ def test_a_weight_over_the_bound_is_refused_before_any_source_is_written():
     @weights._kernel_per_length
     def kernel(k):
         built.append(k)
-        return [f"return {k}"]
+        return [weights._listed(f"w{i}" for i in range(k)), f"return {k}"]
 
     with pytest.raises(ArgumentError, match=f"{TOO_LONG}{MAX_N + 2}$"):
         kernel(MAX_N + 2)
