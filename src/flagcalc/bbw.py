@@ -59,20 +59,20 @@ class DirectImageTable(Value):
 
     @staticmethod
     def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
-        modes = {t.mode for t in tables}
+        cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
+        log: list[CancellationRecord] = []
+        modes, count = set(), 0
+        for t in tables:  # one pass; the refusals below read what it gathered
+            cells.update(t.cells)
+            log.extend(t.log)
+            modes.add(t.mode)
+            count += len(t.cells)
         if len(modes) != 1:
             raise ValueError(f"cannot merge tables from modes {sorted(modes)}")
-        cells = FrozenDict(cell for t in tables for cell in t.cells.items())
-        if len(cells) != sum(len(t.cells) for t in tables):  # some cell came twice
+        if len(cells) != count:  # some cell came twice
             keys = [cell for t in tables for cell in t.cells]
             raise ValueError(f"duplicate cells {sorted({c for c in keys if keys.count(c) > 1})}")
-        return DirectImageTable(cells, modes.pop(), tuple(r for t in tables for r in t.log))
-
-
-def _fiber_entries(f: Fibration) -> tuple[int, int]:
-    if f.base.name != "M":
-        raise ValueError(f"direct images are computed along the M-leg, not {f.name}")
-    return 1, f.total.n + 1  # fiber coordinates: everything past the spectator
+        return DirectImageTable(FrozenDict(cells), modes.pop(), tuple(log))
 
 
 def direct_images(
@@ -85,46 +85,51 @@ def direct_images(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if f.space != "X":  # every factor lives on f.space
         raise ValueError(f"factors live on the correspondence space, got {f.space!r}")
-    lo, hi = _fiber_entries(fib)
+    if fib.base.name != "M":
+        raise ValueError(f"direct images are computed along the M-leg, not {fib.name}")
     if fib.total.n != f.n:
         raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
-    links = _shape(f.space, f.n).links  # read once per column: no links, no line test
-    # the line adds its weight to every factor: to the spectator here, and to
-    # the fiber entries inside bbw_reduce; a twisted label is built only for
-    # a cancellation record, or to name a refused factor
-    line = f.line
-    a, d = (line.weight[0], line.weight[lo:hi]) if line is not None else (0, ())
+    untwisted, line = f.untwisted, f.line
+    if _shape(f.space, f.n).links:  # read once per column: no links, no line test
+        for factor in untwisted:
+            if not is_line(factor):  # tensoring with a line keeps the answer
+                name = factor if line is None else tensor_line(factor, line)
+                raise ValueError(f"not a line bundle along the fibers: {name}")
+    # the fiber coordinates are every entry past the spectator; the line adds
+    # its weight to every factor: to the spectator here, and to the fiber
+    # entries inside bbw_reduce; a twisted label is built only for a
+    # cancellation record, or to name a refused factor
+    a, d = (line.weight[0], line.weight[1:]) if line is not None else (0, ())
     images: dict[int, tuple[int, tuple[int, ...]]] = {}  # factor index -> (q, M-weight)
-    for i, factor in enumerate(f.untwisted):
-        if links and not is_line(factor):  # tensoring with a line keeps the answer
-            name = factor if line is None else tensor_line(factor, line)
-            raise ValueError(f"not a line bundle along the fibers: {name}")
+    for i, factor in enumerate(untwisted):
         w = factor.weight
-        reduced = bbw_reduce(w[lo:hi], d)
+        reduced = bbw_reduce(w[1:], d)
         if reduced is not None:
             q, dom = reduced
             images[i] = q, (w[0] + a, *dom)
 
     # connecting-homomorphism candidates: quotient directly above sub in
-    # one composition series, images in degrees q and q+1, same label
+    # one composition series, images in degrees q and q+1, same label; a
+    # candidate needs two images
     candidates = []
-    for i, j in _adjacent_pairs(f.components, f.levels):
-        if i in images and j in images:
-            (qi, wi), (qj, wj) = images[i], images[j]
-            if qj == qi + 1 and wj == wi:
-                candidates.append((i, j))
+    if len(images) > 1:
+        for i, j in _adjacent_pairs(f.components, f.levels):
+            if i in images and j in images:
+                (qi, wi), (qj, wj) = images[i], images[j]
+                if qj == qi + 1 and wj == wi:
+                    candidates.append((i, j))
 
     log = []
     if candidates:
         removed: set[int] = set()
-        factors = f.untwisted  # one line on every factor keeps their order
+        # one line on every factor keeps the order of their untwisted weights
         candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
-                                        factors[ij[0]].weight, factors[ij[1]].weight))
+                                        untwisted[ij[0]].weight, untwisted[ij[1]].weight))
         for i, j in candidates:
             apply = mode == "paper" and i not in removed and j not in removed
             if apply:
                 removed.update((i, j))
-            quotient, sub = factors[i], factors[j]
+            quotient, sub = untwisted[i], untwisted[j]
             if line is not None:
                 quotient, sub = tensor_line(quotient, line), tensor_line(sub, line)
             log.append(CancellationRecord(p, quotient, sub, images[i][0],

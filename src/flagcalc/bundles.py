@@ -373,11 +373,11 @@ class FilteredBundle(Value):
         for f in untwisted:
             if f.space != space or f.blocks != blocks:
                 raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
-        if components and list(components) != sorted(components):
+        if tuple(sorted(components)) != components:
             raise ValueError("components must be listed contiguously")
-        line = self.line
+        line = self.line  # on one space, equal blocks mean equal n: tested before the one is_line
         if line is None or (type(line) is BundleLabel and line.space == space
-                            and len(line.weight) == self.n + 1 and is_line(line)):
+                            and line.blocks == blocks and is_line(line)):
             return
         raise ValueError(f"twist_by needs a line bundle on {space} over n={self.n}, got {line!r}")
 

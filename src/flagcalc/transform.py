@@ -384,16 +384,16 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
     """
     if not c.terms or any(not t for t in c.terms):
         raise ValueError("malformed complex: empty terms")
+    # each label's space, n, first entry, GL(n) part and entry sum, read once
+    # per complex, as a source of one arrow and a target of the one before
+    read = [[(t, t.space == "M", t.n, t.weight[0], t.weight[1:], sum(t.weight)) for t in term]
+            for term in c.terms]
     arrows = []
-    for i in range(len(c.terms) - 1):
-        # each target's space, n, first entry, GL(n) part and entry sum, read once per arrow
-        targets = [(t, t.space == "M", t.n, t.weight[0], t.weight[1:], sum(t.weight))
-                   for t in c.terms[i + 1]]
+    for i, (sources, targets) in enumerate(zip(read, read[1:])):
         adm, bad = [], []
-        for s in c.terms[i]:
-            if s.space != "M":
+        for s, s_on_m, n, a, mu, total in sources:
+            if not s_on_m:
                 raise ValueError(f"the symbol check expects base-space labels, got {s!r}")
-            a, mu, n, total = s.weight[0], s.weight[1:], s.n, sum(s.weight)
             for t, on_m, tn, ta, tmu, t_total in targets:
                 ok = (on_m and tn == n and ta - a in (1, -1) and t_total == total
                       and sum(map(ne, mu, tmu)) == 1)

@@ -48,12 +48,18 @@ def bbw_reduce(w: Weight, shift: Weight = ()) -> tuple[int, Weight] | None:
     singular: no cohomology at all), and otherwise the pair
     ``(q, dominant)`` where q is the inversion count of w + rho and
     ``dominant`` is the unique dominant weight in the affine Weyl orbit:
-    sorted(w + rho) - rho.  A weight of more than MAX_N + 1 entries, or a
-    shift of another length, is refused (``ArgumentError``).
+    sorted(w + rho) - rho.  A weight or shift that is not a tuple is
+    refused (``TypeError``), and a weight of more than MAX_N + 1 entries, or
+    a shift of another length, too (``ArgumentError``).
     """
-    if shift and len(shift) != len(w):
+    if not type(w) is tuple is type(shift):  # the kernel would unpack any sequence
+        name, value = ("weight", w) if type(w) is not tuple else ("shift", shift)
+        raise TypeError(f"bbw_reduce's {name} is a tuple of ints, got {value!r}")
+    if not shift:
+        return _reducer(len(w))(w)
+    if len(shift) != len(w):
         raise ArgumentError(f"the shift added to {w} has {len(w)} entries, got {shift}")
-    return _reducer(len(w))(*(w + shift))
+    return _reducer(len(w))(w, shift)
 
 
 def _listed(items) -> str:
@@ -87,19 +93,21 @@ def _kernel_per_length(build):
 
 @_kernel_per_length
 def _reducer(k: int) -> list[str]:
-    """``bbw_reduce`` on weights of k entries ``w{i}``, each with its shift
-    entry ``d{i}`` (0 when none is passed): shift by rho entry by entry, test
-    for a repeated entry, count the out-of-order pairs one comparison each,
-    then sort and shift back."""
-    params = _listed(f"w{i}" for i in range(k)) + _listed(f"d{i}=0" for i in range(k))
+    """``bbw_reduce`` on a weight ``w`` of k entries and its shift ``d`` (k
+    zeros when none is passed), each unpacked into its entries ``w{i}`` and
+    ``d{i}``: shift by rho entry by entry, test for a repeated entry, count
+    the out-of-order pairs one comparison each, then sort and shift back."""
+    params = f"w, d=({_listed(0 for _ in range(k))})"
+    unpack = [f"{_listed(f'{x}{i}' for i in range(k))}= {x}" for x in "wd"] if k else []
     if k < 2:  # no pair to repeat or disorder: the weight is its own reduction
-        return [params, f"return 0, ({_listed(f'w{i} + d{i}' for i in range(k))})"]
+        return [params, *unpack, f"return 0, ({_listed(f'w{i} + d{i}' for i in range(k))})"]
     s = [f"s{i}" for i in range(k)]
     q = " + ".join(f"({s[i]} > {s[j]})" for i in range(k) for j in range(i + 1, k))
     if k == 2:
         q = f"0 + {q}"  # a lone comparison is a bool, and q is an int
     return [
         params,
+        *unpack,
         *(f"s{i} = w{i} + d{i} + {i}" for i in range(k)),
         f"if len({{{_listed(s)}}}) != {k}:",
         "    return None",

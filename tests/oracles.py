@@ -38,7 +38,10 @@ straight-line function per length; the loops they replaced are kept at the
 end, verbatim, as references of every length.  The package's old
 ``FilteredBundle.twist_by``, kept verbatim at the end as a function, builds
 every twisted factor as an explicit label through the package's
-``BundleLabel`` and ``is_line``.
+``BundleLabel`` and ``is_line``.  The package's old
+``DirectImageTable.merge``, kept verbatim at the end as a function, reads
+the tables in one generator pass per field and builds the merged table
+through the package's ``FrozenDict`` and ``DirectImageTable``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product, starmap
 from operator import add, gt, sub
 
+from flagcalc.bbw import DirectImageTable
 from flagcalc.bundles import (
     BundleLabel,
     FilteredBundle,
@@ -64,6 +68,7 @@ from flagcalc.geometry import (
     registry,
     relative_cotangent,
 )
+from flagcalc.notation import FrozenDict
 from flagcalc.transform import FormType, form_dictionary
 from flagcalc.weights import is_dominant
 
@@ -558,3 +563,16 @@ def twist_by(self: FilteredBundle, line: BundleLabel) -> FilteredBundle:
     space, shift = self.space, line.weight
     factors = [BundleLabel(space, tuple(map(add, f.weight, shift))) for f in self.factors]
     return FilteredBundle(space, self.n, tuple(factors), self.components, self.levels)
+
+
+def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
+    """The package's old ``DirectImageTable.merge``: the modes, the cells,
+    their count and the log each read in a pass of their own."""
+    modes = {t.mode for t in tables}
+    if len(modes) != 1:
+        raise ValueError(f"cannot merge tables from modes {sorted(modes)}")
+    cells = FrozenDict(cell for t in tables for cell in t.cells.items())
+    if len(cells) != sum(len(t.cells) for t in tables):  # some cell came twice
+        keys = [cell for t in tables for cell in t.cells]
+        raise ValueError(f"duplicate cells {sorted({c for c in keys if keys.count(c) > 1})}")
+    return DirectImageTable(cells, modes.pop(), tuple(r for t in tables for r in t.log))

@@ -16,6 +16,7 @@ from flagcalc.geometry import pullback_line, registry, relative_cotangent
 from flagcalc.notation import ArgumentError
 
 from oracles import direct_image_column, euler_rank, simple_root_step
+from oracles import merge as generator_merge
 from oracles import twist_by as explicit_twist
 from test_transform import TWIST_BOXES
 
@@ -217,8 +218,64 @@ def test_direct_images_refuses_a_leg_over_another_n(bundle_n, leg_n):
     # cut the weights short or run past them and name labels over the wrong n
     for p in range(3):
         bundle = exterior_power(relative_cotangent(registry(bundle_n)["mu"]), p)
-        with pytest.raises(ArgumentError, match=f"over n={leg_n}, the bundle over n={bundle_n}"):
+        with pytest.raises(ArgumentError) as err:
             direct_images(bundle, registry(leg_n)["nu"], p=p)
+        assert type(err.value) is ArgumentError
+        assert str(err.value) == f"the leg nu is over n={leg_n}, the bundle over n={bundle_n}"
+
+
+def test_the_column_and_merge_refusals_keep_their_text(setup):
+    # direct_images reads the leg inline and merge gathers in one pass; each
+    # refusal keeps its class and its full text (the leg over another n is
+    # pinned in full by test_direct_images_refuses_a_leg_over_another_n)
+    reg, lam = setup
+    refusals = [
+        (lambda: direct_images(lam, reg["mu"]), ValueError,
+         "direct images are computed along the M-leg, not mu"),
+        (lambda: direct_images(lam, registry(2)["mu"]), ValueError,  # the leg's base first
+         "direct images are computed along the M-leg, not mu"),
+        (lambda: DirectImageTable.merge([]), ValueError, "cannot merge tables from modes []"),
+    ]
+    for call, kind, message in refusals:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is kind and str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_one_pass_merge_matches_the_generator_merge_on_the_boxes(n):
+    # every page of the benchmark's boxes in both modes merges to the same
+    # cells in the same order, the same mode and the same log in the same
+    # order as the old merge, and a duplicate or mixed-mode merge is refused
+    # by both alike
+    reg = registry(n)
+    lam = relative_cotangent(reg["mu"])
+    wedges = [(p, exterior_power(lam, p)) for p in range(len(lam) + 1)]
+    pages = spread = 0  # spread: pages whose log comes from two columns or more
+    for w in TWIST_BOXES[n]:
+        twist_x = pullback_line(z_label(w))
+        pair = []
+        for mode in MODES:
+            cols = [direct_images(wedge.twist_by(twist_x), reg["nu"], mode, p)
+                    for p, wedge in wedges]
+            merged, old = DirectImageTable.merge(cols), generator_merge(cols)
+            assert list(merged.cells.items()) == list(old.cells.items()), (w, mode)
+            assert (merged.mode, merged.log) == (old.mode, old.log), (w, mode)
+            assert merged == old and type(merged.cells) is type(old.cells)
+            pages += 1
+            spread += len({r.p for r in merged.log}) > 1
+            pair.append(cols)
+        (paper, loud), full = pair, [t for t in pair[0] if t.cells][-1:]
+        for tables in ([*paper, *full], [*full, paper[0], loud[1]], [paper[0], paper[0], loud[1]]):
+            if tables == paper:  # no column has a cell to repeat
+                continue
+            with pytest.raises(ValueError) as new_err:
+                DirectImageTable.merge(tables)
+            with pytest.raises(ValueError) as old_err:
+                generator_merge(tables)
+            assert str(new_err.value) == str(old_err.value), (w, tables)
+    # the mu leg's wedges never cancel at n = 2
+    assert pages == 2 * len(TWIST_BOXES[n]) and (spread > 0) == (n == 3)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -300,6 +300,13 @@ def test_filtered_bundle_validates_component_shape():
     a, b = x_label((0, 1, 0, 0)), x_label((0, 0, 1, 0))
     with pytest.raises(ValueError):
         FilteredBundle("X", 3, (a, b), (1, 0), (0, 0))  # not nondecreasing
+    for components in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (2, 1, 1, 3)):
+        with pytest.raises(ValueError) as err:
+            FilteredBundle("X", 3, (a,) * 4, components, (0, 0, 0, 0))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "components must be listed contiguously"
+    for components in ((0, 0, 0, 0), (0, 0, 1, 1), (-1, 0, 2, 2)):
+        assert FilteredBundle("X", 3, (a,) * 4, components, (0, 0, 0, 0)).components == components
     with pytest.raises(ValueError, match="differ in length"):
         FilteredBundle("X", 3, (a, b), (0,), (0, 0))
     # sparse numbering is tolerated: only adjacency of equal ids matters
@@ -322,7 +329,7 @@ def test_twist_by_shifts_every_factor():
 def test_twist_by_refuses_what_tensor_line_refuses():
     from flagcalc.geometry import registry, relative_cotangent
 
-    lam3, lam4 = (relative_cotangent(registry(n)["mu"]) for n in (3, 4))
+    lam2, lam3, lam4 = (relative_cotangent(registry(n)["mu"]) for n in (2, 3, 4))
     nonline = x_label((0, 0, 0, 1, 0))  # rank 2 on the GL(2) block of X at n = 4
     line = x_label((1, 1, 2, 2, 3))
     # only a line on the bundle's own space and n twists it, whatever the factors
@@ -340,6 +347,12 @@ def test_twist_by_refuses_what_tensor_line_refuses():
          "twist_by needs a line bundle on X over n=3, got <X (1||0|0)>"),
         (lam4, z_label((0, 0, 0, 0, 0)),
          "twist_by needs a line bundle on X over n=4, got <Z (0|0,0,0|0)>"),
+        (lam4, x_label((1, 1, 1, 1)),  # a line on X over another n
+         "twist_by needs a line bundle on X over n=4, got <X (1||1|1|1)>"),
+        (lam3, trivial_label("X", 4),
+         "twist_by needs a line bundle on X over n=3, got <X (0||0|0,0|0)>"),
+        (lam2, trivial_label("X", 3),
+         "twist_by needs a line bundle on X over n=2, got <X (0||0|0|0)>"),
         (FilteredBundle("X", 3), z_label((1, 0, 0, 0)),  # nothing to tensor, still refused
          "twist_by needs a line bundle on X over n=3, got <Z (1|0,0|0)>"),
         (lam4, (1, 1, 1, 1, 1),  # a line's weight is not its label

@@ -125,6 +125,27 @@ def test_each_length_kernel_reduces_a_weight_plus_its_shift(k):
             bbw_reduce((0,) * k, wrong)
 
 
+def test_a_weight_or_shift_that_is_not_a_tuple_is_refused_by_name():
+    # the kernel unpacks its weight and shift, so a list would be reduced as
+    # if it were a tuple; it is refused before any length is read
+    refusals = [
+        (([1, 2],), "weight", [1, 2]),
+        (([1, 2], (0, 0)), "weight", [1, 2]),
+        (([0] * (MAX_N + 2),), "weight", [0] * (MAX_N + 2)),
+        ((range(3),), "weight", range(3)),
+        (((1, 2), [0, 0]), "shift", [0, 0]),
+        (((1, 2), [0]), "shift", [0]),
+        (((1, 2), []), "shift", []),
+        (((), None), "shift", None),
+    ]
+    for args, name, value in refusals:
+        with pytest.raises(TypeError) as err:
+            bbw_reduce(*args)
+        assert str(err.value) == f"bbw_reduce's {name} is a tuple of ints, got {value!r}"
+    assert bbw_reduce((2, 0)) == bbw_reduce((2, 0), ()) == (1, (1, 1))
+    assert bbw_reduce((1, -1), (1, 1)) == (1, (1, 1))
+
+
 def test_a_weight_over_the_bound_is_refused_before_any_source_is_written():
     built = []
 
