@@ -59,6 +59,7 @@ class DirectImageTable(Value):
 
     @staticmethod
     def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
+        tables = tuple(tables)  # a generator is read once; a refusal below reads the tuple
         cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
         log: list[CancellationRecord] = []
         modes, count = set(), 0
@@ -75,21 +76,38 @@ class DirectImageTable(Value):
         return DirectImageTable(FrozenDict(cells), modes.pop(), tuple(log))
 
 
+def _mode_refused(mode) -> ValueError:
+    """The refusal of a mode outside MODES.  Each caller tests membership
+    inline, so a valid mode costs the one-column path no call."""
+    return ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def direct_images(
     f: FilteredBundle, fib: Fibration, mode: str = "paper", p: int = 0
 ) -> DirectImageTable:
-    """Direct images of a filtered bundle: one p-column of the E1 page.  Each
-    image is an M-label over f.n, named and ordered by its weight alone, so the
-    column is reduced on weights and each surviving label is built once."""
+    """Direct images of a filtered bundle: one p-column of the E1 page."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise _mode_refused(mode)
     if f.space != "X":  # every factor lives on f.space
         raise ValueError(f"factors live on the correspondence space, got {f.space!r}")
     if fib.base.name != "M":
         raise ValueError(f"direct images are computed along the M-leg, not {fib.name}")
     if fib.total.n != f.n:
         raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
-    untwisted, line = f.untwisted, f.line
+    cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
+    log: list[CancellationRecord] = []
+    _reduce_column(f, f.line, mode, p, cells, log)
+    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
+
+
+def _reduce_column(f: FilteredBundle, line: BundleLabel | None, mode: str, p: int,
+                   cells: dict, log: list) -> None:
+    """Column p, f's untwisted factors tensored with line (checked, or None;
+    f's own line is not read), pushed down the M-leg into cells and log.  Each
+    image is an M-label over f.n, named and ordered by its weight alone, so
+    each surviving label is built once, in cell order.  The callers check the
+    mode, the space and the leg."""
+    untwisted = f.untwisted
     if _shape(f.space, f.n).links:  # read once per column: no links, no line test
         for factor in untwisted:
             if not is_line(factor):  # tensoring with a line keeps the answer
@@ -119,7 +137,6 @@ def direct_images(
                 if qj == qi + 1 and wj == wi:
                     candidates.append((i, j))
 
-    log = []
     if candidates:
         removed: set[int] = set()
         # one line on every factor keeps the order of their untwisted weights
@@ -137,10 +154,8 @@ def direct_images(
         for i in removed:
             del images[i]
 
-    cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
     for q, weight in sorted(images.values()):  # cell order: by q, then by weight
         cells[p, q] = cells.get((p, q), ()) + (BundleLabel("M", weight),)
-    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
 @lru_cache

@@ -340,6 +340,14 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
 
 # ------------------------------------------------------ FilteredBundle
 
+def _check_twist(space: str, n: int, blocks: tuple[int, ...], line) -> None:
+    """The one test of a twisting line: a line bundle on the space over n
+    (label blocks ``blocks``; on one space equal blocks mean equal n)."""
+    if not (type(line) is BundleLabel and line.space == space and line.blocks == blocks
+            and is_line(line)):
+        raise ValueError(f"twist_by needs a line bundle on {space} over n={n}, got {line!r}")
+
+
 class FilteredBundle(Value):
     """Ordered factors of a filtered homogeneous bundle, tensored with a line.
 
@@ -369,17 +377,19 @@ class FilteredBundle(Value):
             raise TypeError(f"a filtered bundle's {field} is a tuple, got {getattr(self, field)!r}")
         if not len(untwisted) == len(components) == len(levels):
             raise ValueError("factors, components and levels differ in length")
-        space, blocks = self.space, _shape(self.space, self.n).blocks  # refuses unknown spaces
-        for f in untwisted:
-            if f.space != space or f.blocks != blocks:
+        shape = _shape(self.space, self.n)  # refuses unknown spaces
+        if not shape.fits:
+            raise ValueError(f"no label lives on {self.space} over n={self.n}: "
+                             f"blocks {shape.blocks}")
+        space, blocks = self.space, shape.blocks
+        for f in untwisted:  # a label built on this shape holds its very blocks tuple
+            if f.space != space or (f.blocks is not blocks and f.blocks != blocks):
                 raise ValueError(f"factor {f!r} does not live on {self.space} over n={self.n}")
         if tuple(sorted(components)) != components:
             raise ValueError("components must be listed contiguously")
-        line = self.line  # on one space, equal blocks mean equal n: tested before the one is_line
-        if line is None or (type(line) is BundleLabel and line.space == space
-                            and line.blocks == blocks and is_line(line)):
-            return
-        raise ValueError(f"twist_by needs a line bundle on {space} over n={self.n}, got {line!r}")
+        line = self.line
+        if line is not None:
+            _check_twist(space, self.n, blocks, line)
 
     def __hash__(self) -> int:  # equal bundles share a filtration: a memo hit hashes no label
         return hash((self.space, self.n, self.components, self.levels))

@@ -5,7 +5,8 @@ Feeding a line-bundle twist through the machinery means:
 1. pull the twist back from the twistor space (twist_frames),
 2. tensor it onto each wedge power of the relative cotangent bundle of
    the Z-leg (twisted_forms),
-3. push every column down the M-leg (e1_page), and
+3. push every column down the M-leg, the twist carried as each
+   untwisted wedge's line (e1_page), and
 4. when the resulting first-page table is concentrated in a single
    fiber degree q with contiguous nonempty columns, read off the
    complex of irreducible bundles on the base (assemble_transform).
@@ -31,10 +32,12 @@ from collections import Counter
 from functools import cache
 from operator import ne
 
-from .bbw import DirectImageTable, direct_images, global_cohomology
+from .bbw import MODES, DirectImageTable, _mode_refused, _reduce_column, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
+    _check_twist,
+    block_shape,
     exterior_power,
     m_label,
     pieri_tensor,
@@ -124,6 +127,16 @@ class TransformResult(Value):
     mode: str
 
 
+def _columns(lam: FilteredBundle, p: int | None) -> range | tuple[int]:
+    """The columns of a first page of lam's wedges: every p in 0..len(lam) when
+    p is None, else p alone, which must lie in 0..rank(lam) (ArgumentError)."""
+    if p is None:
+        return range(len(lam) + 1)  # every factor is a line, or the wedge refuses
+    if 0 <= p <= rank(lam):
+        return (p,)
+    raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
+
+
 def twisted_forms(
     fib: Fibration, twist_x: BundleLabel, p: int | None = None
 ) -> list[tuple[int, FilteredBundle]]:
@@ -131,23 +144,27 @@ def twisted_forms(
     column p, or for every column 0..rank when p is None; a column outside
     0..rank is an ArgumentError."""
     lam = relative_cotangent(fib)
-    if p is None:
-        ps = range(len(lam) + 1)  # every factor is a line, or the wedge refuses
-    elif 0 <= p <= rank(lam):
-        ps = (p,)
-    else:
-        raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
-    return [(k, exterior_power(lam, k).twist_by(twist_x)) for k in ps]
+    return [(k, exterior_power(lam, k).twist_by(twist_x)) for k in _columns(lam, p)]
 
 
 def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
     """The first page over twist_x's n: twisted_forms of the Z-leg pushed
-    down the M-leg; twist_x is the twist in the X frame (twist_frames)."""
-    reg = registry(twist_x.n)
-    return DirectImageTable.merge([
-        direct_images(bundle, reg["nu"], mode, k)
-        for k, bundle in twisted_forms(reg["mu"], twist_x, p)
-    ])
+    down the M-leg; twist_x is the twist in the X frame (twist_frames).
+
+    One pass over the memoised untwisted wedges: twist_x is checked once,
+    after the first wedge, where twist_by checks it, then the mode; each
+    column is reduced with twist_x as its line into one table."""
+    lam = relative_cotangent(registry(twist_x.n)["mu"])
+    first, *rest = _columns(lam, p)
+    wedges = [(first, exterior_power(lam, first))]
+    _check_twist(lam.space, lam.n, block_shape(lam.space, lam.n), twist_x)
+    wedges += [(k, exterior_power(lam, k)) for k in rest]
+    if mode not in MODES:
+        raise _mode_refused(mode)
+    cells, log = {}, []
+    for k, wedge in wedges:
+        _reduce_column(wedge, twist_x, mode, k, cells, log)
+    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
 def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> TransformResult:

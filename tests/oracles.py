@@ -41,7 +41,11 @@ every twisted factor as an explicit label through the package's
 ``BundleLabel`` and ``is_line``.  The package's old
 ``DirectImageTable.merge``, kept verbatim at the end as a function, reads
 the tables in one generator pass per field and builds the merged table
-through the package's ``FrozenDict`` and ``DirectImageTable``.
+through the package's ``FrozenDict`` and ``DirectImageTable``.  The
+package's old ``transform.e1_page``, kept at the end as the composition of
+public calls it was (with the old ``twisted_forms``' column rule written
+out), merges with the old merge above the one-column ``direct_images`` of
+each wedge twisted by ``twist_by``.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ from functools import lru_cache
 from itertools import combinations, permutations, product, starmap
 from operator import add, gt, sub
 
-from flagcalc.bbw import DirectImageTable
+from flagcalc.bbw import DirectImageTable, direct_images
 from flagcalc.bundles import (
     BundleLabel,
     FilteredBundle,
     block_shape,
+    exterior_power,
     is_line,
     m_label,
     pieri_tensor,
@@ -68,7 +73,7 @@ from flagcalc.geometry import (
     registry,
     relative_cotangent,
 )
-from flagcalc.notation import FrozenDict
+from flagcalc.notation import ArgumentError, FrozenDict
 from flagcalc.transform import FormType, form_dictionary
 from flagcalc.weights import is_dominant
 
@@ -576,3 +581,19 @@ def merge(tables: list["DirectImageTable"]) -> "DirectImageTable":
         keys = [cell for t in tables for cell in t.cells]
         raise ValueError(f"duplicate cells {sorted({c for c in keys if keys.count(c) > 1})}")
     return DirectImageTable(cells, modes.pop(), tuple(r for t in tables for r in t.log))
+
+
+def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
+    """The package's old ``transform.e1_page``: each column's wedge twisted
+    by ``twist_by`` and pushed down the M-leg by ``direct_images``, then
+    merged."""
+    reg = registry(twist_x.n)
+    lam = relative_cotangent(reg["mu"])
+    if p is None:
+        ps = range(len(lam) + 1)
+    elif 0 <= p <= rank(lam):
+        ps = (p,)
+    else:
+        raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
+    columns = [(k, exterior_power(lam, k).twist_by(twist_x)) for k in ps]  # every wedge first
+    return merge([direct_images(bundle, reg["nu"], mode, k) for k, bundle in columns])

@@ -278,6 +278,24 @@ def test_the_one_pass_merge_matches_the_generator_merge_on_the_boxes(n):
     assert pages == 2 * len(TWIST_BOXES[n]) and (spread > 0) == (n == 3)
 
 
+def test_merge_reads_a_generator_like_a_list(setup):
+    # merge gathers in one pass, so a generator is read once; a refusal names
+    # the repeated cells from what that pass kept, as it does for a list
+    reg, lam = setup
+    twist_x = pullback_line(z_label((1, 0, 0, -2)))
+    cols = [direct_images(exterior_power(lam, p).twist_by(twist_x), reg["nu"], "paper", p)
+            for p in range(5)]
+    col = cols[1]  # the p = 1 column of (1|0,0|-2): one cell, (1, 2)
+    assert list(col.cells) == [(1, 2)]
+    for tables in ([col, col], (t for t in [col, col])):
+        with pytest.raises(ValueError) as err:
+            DirectImageTable.merge(tables)
+        assert str(err.value) == "duplicate cells [(1, 2)]"
+    merged, listed = DirectImageTable.merge(t for t in cols), DirectImageTable.merge(cols)
+    assert list(merged.cells.items()) == list(listed.cells.items())
+    assert (merged.mode, merged.log) == (listed.mode, listed.log) and merged == listed
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_cancellation_matches_the_pair_scan_oracle_on_the_boxes(n):
     # every column of both legs' twisted wedges, pushed down the M-leg in both

@@ -428,8 +428,8 @@ def test_a_shift_that_is_not_a_line_is_refused():
         (x_label((1, 2, 2, 4, 3)),)
     with pytest.raises(ValueError, match=r"over n=4, got <X \(0\|\|0\|0,1\|0\)>$"):
         FilteredBundle("X", 4, (b,), (0,), (0,), x_label((0, 0, 0, 1, 0)))
-    with pytest.raises(ValueError, match=r"line bundle on Z over n=1, got \(0, 0\)$"):
-        FilteredBundle("Z", 1, (), (), (), (0, 0))  # no label has Z's blocks at n = 1
+    with pytest.raises(ValueError, match=r"^no label lives on Z over n=1: blocks \(1, 0, 1\)$"):
+        FilteredBundle("Z", 1, (), (), (), (0, 0))  # no label has Z's blocks: refused before the line
     with pytest.raises(ValueError, match="does not live on X over n=3"):  # factors first
         FilteredBundle("X", 3, (b,), (0,), (0,), x_label((0, 0, 0, 0)))
 
@@ -459,6 +459,16 @@ def test_a_filtered_bundle_refuses_a_list_field():
             FilteredBundle("X", 3, **dict(fields, **{name: list(value)}))
         assert str(err.value) == f"a filtered bundle's {name} is a tuple, got {list(value)!r}"
     assert hash(FilteredBundle("X", 3, **fields)) == hash(("X", 3, (0,), (0,)))
+
+
+@pytest.mark.parametrize("space, n, blocks", [("X", -1, "()"), ("M", 0, "(1, 0)"),
+                                               ("Z", 1, "(1, 0, 1)"), ("fiber", -1, "(0,)")])
+def test_a_filtered_bundle_over_an_n_with_no_label_is_refused(space, n, blocks):
+    # with no factor to refuse, the shape itself must: no label fits these blocks
+    with pytest.raises(ValueError) as err:
+        FilteredBundle(space, n)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"no label lives on {space} over n={n}: blocks {blocks}"
 
 
 @pytest.mark.parametrize("p, count", [(0, 1), (1, 4), (2, 6), (3, 4), (4, 1)])

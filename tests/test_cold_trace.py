@@ -99,25 +99,25 @@ def test_tracer_counts_repeat_from_a_cold_process():
 
 
 # (workload runner, n, box twist, modes) -> nonzero traced calls of those ops.
+# The transform's page is one pass over the untwisted wedges, so a sweep op
+# calls no twist_by, direct_images or merge; run_e1 calls the public three.
 # (3|0,0|-3) collapses without an involutive rule, so it asks the rule's
 # predicate and never calls involutive_cohomology.
 PINNED_CALLS = {
     ("run_sweep", 3, (0, 0, 0, 0), ("paper",)): {
-        "weights.bbw_reduce": 17, "bundles.exterior_power": 5, "bundles.twist_by": 5,
-        "bundles.rank": 14, "geometry.registry": 2, "geometry.relative_cotangent": 1,
-        "bbw.direct_images": 5, "bbw.merge": 1, "transform.assemble_transform": 1,
-        "transform.annotate_form_types": 1, "transform.form_dictionary": 1,
-        "transform.check_ellipticity": 1, "transform.involutive_cohomology": 1},
+        "weights.bbw_reduce": 17, "bundles.exterior_power": 5, "bundles.rank": 14,
+        "geometry.registry": 2, "geometry.relative_cotangent": 1,
+        "transform.assemble_transform": 1, "transform.annotate_form_types": 1,
+        "transform.form_dictionary": 1, "transform.check_ellipticity": 1,
+        "transform.involutive_cohomology": 1},
     ("run_sweep", 3, (1, 0, 0, -2), ("paper",)): {
-        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "bundles.twist_by": 5,
-        "geometry.registry": 1, "geometry.relative_cotangent": 1, "bbw.direct_images": 5,
-        "bbw.merge": 1, "transform.assemble_transform": 1},
+        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "geometry.registry": 1,
+        "geometry.relative_cotangent": 1, "transform.assemble_transform": 1},
     ("run_sweep", 3, (3, 0, 0, -3), ("paper",)): {
-        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "bundles.twist_by": 5,
-        "bundles.rank": 12, "geometry.registry": 1, "geometry.relative_cotangent": 1,
-        "bbw.direct_images": 5, "bbw.merge": 1, "transform.assemble_transform": 1,
-        "transform.annotate_form_types": 1, "transform.form_dictionary": 1,
-        "transform.check_ellipticity": 1},
+        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "bundles.rank": 12,
+        "geometry.registry": 1, "geometry.relative_cotangent": 1,
+        "transform.assemble_transform": 1, "transform.annotate_form_types": 1,
+        "transform.form_dictionary": 1, "transform.check_ellipticity": 1},
     ("run_e1", 2, (2, -1, -3), ("paper", "conservative")): {
         "weights.bbw_reduce": 8, "bundles.exterior_power": 6, "bundles.twist_by": 6,
         "geometry.registry": 2, "geometry.relative_cotangent": 2, "bbw.direct_images": 6,

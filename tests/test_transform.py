@@ -5,20 +5,30 @@ from collections import Counter
 
 import pytest
 
-from flagcalc.bbw import MODES, global_cohomology
+from flagcalc import bundles
+from flagcalc.bbw import MODES, DirectImageTable, global_cohomology
 from flagcalc.bundles import (
     BundleLabel,
     dual,
     fiber_label,
     m_label,
     pieri_tensor,
+    rank,
     tensor_line,
     trivial_label,
     x_label,
     z_label,
 )
 from flagcalc.cli import main
-from flagcalc.geometry import MAX_N, canonical_line, pullback_line, registry, twist_frames
+from flagcalc.geometry import (
+    MAX_N,
+    canonical_line,
+    pullback_line,
+    registry,
+    relative_cotangent,
+    twist_frames,
+)
+from flagcalc.notation import ArgumentError
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
@@ -47,6 +57,7 @@ from oracles import (
     weyl_euler,
 )
 from oracles import annotate_form_types as cover_search_annotation
+from oracles import e1_page as composed_e1_page
 
 
 def test_form_type_naming_and_degree():
@@ -285,6 +296,79 @@ TWIST_BOXES = {
     2: [(a, b, c) for a in range(-6, 7) for b in range(-3, 4) for c in range(-6, 7)],
     3: [(a, b, b, c) for a in range(-4, 5) for b in range(-2, 3) for c in range(-4, 5)],
 }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_one_pass_page_matches_the_composed_page_on_the_boxes(n):
+    # every page and every single column of both benchmark boxes, in both
+    # modes, equals the old composition (twist_by, direct_images per column,
+    # merge): the same cells in the same order, the same mode, the same log
+    # in the same order
+    lam = relative_cotangent(registry(n)["mu"])
+    columns = [None, *range(rank(lam) + 1)]
+    for w in TWIST_BOXES[n]:
+        twist_x = pullback_line(z_label(w))
+        for mode in MODES:
+            for p in columns:
+                page, old = e1_page(twist_x, mode, p), composed_e1_page(twist_x, mode, p)
+                assert list(page.cells.items()) == list(old.cells.items()), (w, mode, p)
+                assert (page.mode, page.log) == (old.mode, old.log), (w, mode, p)
+                assert page == old and type(page.cells) is type(old.cells)
+
+
+def test_a_warm_page_builds_no_twisted_bundle(monkeypatch):
+    # the page reduces the memoised untwisted wedges with the twist as their
+    # line: once warm, it constructs no FilteredBundle, twists none and merges
+    # no tables
+    pages = [(pullback_line(z_label(w)), mode, p) for w in ((1, 0, 0, -2), (-4, -2, -2, -4),
+                                                            (2, -1, -3), (0, 0, 0))
+             for mode in MODES for p in (None, 0, 1, 2)]
+    warm = [e1_page(*args) for args in pages]  # warms the memos
+    built = []
+    post_init = bundles.FilteredBundle.__post_init__
+    monkeypatch.setattr(bundles.FilteredBundle, "__post_init__",
+                        lambda self: built.append("FilteredBundle") or post_init(self))
+    monkeypatch.setattr(bundles.FilteredBundle, "twist_by",
+                        lambda self, line: built.append("twist_by"))
+    monkeypatch.setattr(DirectImageTable, "merge", lambda tables: built.append("merge"))
+    for args, page in zip(pages, warm):
+        assert e1_page(*args) == page and built == [], args
+    bundles.FilteredBundle("X", 3).twist_by(x_label((0,) * 4))
+    DirectImageTable.merge([page])
+    assert built == ["FilteredBundle", "twist_by", "merge"]  # the patches are live
+
+
+X4, X4_LINE, X4_NOT_LINE = x_label((0,) * 5), x_label((1, 1, 2, 2, 3)), x_label((0, 0, 0, 1, 0))
+WEDGE = "exterior_power needs line-bundle factors; non-full-flag totals (n >= 4) are not supported"
+MODE = "mode must be one of ('paper', 'conservative'), got 'loud'"
+
+
+@pytest.mark.parametrize("twist_x, mode, p, kind, message", [
+    # the twist is checked after the first wedge, as twist_by checked it
+    (X4_NOT_LINE, "paper", None, ValueError,
+     "twist_by needs a line bundle on X over n=4, got <X (0||0|0,1|0)>"),
+    (X4_NOT_LINE, "loud", 1, ValueError,
+     "twist_by needs a line bundle on X over n=4, got <X (0||0|0,1|0)>"),
+    (z_label((1, 0, 0, 0)), "loud", None, ValueError,
+     "twist_by needs a line bundle on X over n=3, got <Z (1|0,0|0)>"),
+    # a single column's wedge comes before the twist, every wedge before the mode
+    (X4, "paper", 2, ValueError, WEDGE),
+    (X4_NOT_LINE, "paper", 2, ValueError, WEDGE),
+    (X4, "loud", None, ValueError, WEDGE),
+    # the mode comes before each column's factor test, which names the twisted factor
+    (X4, "loud", 1, ValueError, MODE),
+    (x_label((0,) * 4), "loud", None, ValueError, MODE),
+    (X4, "paper", 1, ValueError, "not a line bundle along the fibers: (-1||0|0,1|0)"),
+    (X4_LINE, "conservative", 1, ValueError, "not a line bundle along the fibers: (0||1|2,3|3)"),
+    # the column's range comes first of all
+    (z_label((1, 0, 0, 0)), "loud", 5, ArgumentError, "column p=5 is outside 0..4"),
+    (x_label((0,) * 4), "paper", -1, ArgumentError, "column p=-1 is outside 0..4"),
+])
+def test_the_page_refuses_in_the_composed_page_order(twist_x, mode, p, kind, message):
+    for page in (e1_page, composed_e1_page):
+        with pytest.raises(ValueError) as err:
+            page(twist_x, mode, p)
+        assert (type(err.value), str(err.value)) == (kind, message), page
 
 
 @pytest.mark.parametrize("n", [2, 3])
