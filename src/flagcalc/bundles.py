@@ -201,37 +201,36 @@ def _weyl_rank(mu: tuple[int, ...]) -> int:
     a weight with no irreducible shows as a non-positive quotient.  A
     weight of more than MAX_N + 1 entries is refused (``ArgumentError``).
     """
-    return _weyl_kernel(len(mu))(*mu)
-
-
-@_kernel_per_length
-def _weyl_kernel(m: int) -> list[str]:
-    """``_weyl_rank`` on weights of m entries ``w{i}``: the product of the
-    shifted root pairings written out, over the product of the plain ones,
-    which is a constant of m."""
-    params = _listed(f"w{i}" for i in range(m))
-    if m < 2:  # no root: the one irreducible of each weight is a line
-        return [params, "return 1"]
-    pairs = list(combinations(range(m), 2))
-    den = prod(j - i for i, j in pairs)
-    return [
-        params,
-        f"num = {' * '.join(f'(w{j} - w{i} + {j - i})' for i, j in pairs)}",
-        "if num <= 0:",
-        f"    raise ValueError(f'no GL({m}) irreducible has the weight "
-        f"{{({params})}}')",
-        f"return num{f' // {den}' if den > 1 else ''}",
-    ]
+    return _rank_kernel((len(mu),))(mu)
 
 
 def _label_rank(b: BundleLabel) -> int:
     """Rank of a label: the product of the Weyl ranks of its blocks (1 for a one-entry
     block).  Untraced, so a memo's miss path (``geometry._assemble_filtered``) may check ranks."""
-    r, w = 1, b.weight
-    for lo, hi in _shape(b.space, len(w) - 1).spans:
-        if hi - lo > 1:
-            r *= _weyl_rank(w[lo:hi])
-    return r
+    return _rank_kernel(b.blocks)(b.weight)
+
+
+@_kernel_per_length
+def _rank_kernel(blocks: tuple[int, ...]) -> list[str]:
+    """The rank of a weight ``w`` cut into blocks of these lengths, unpacked into
+    its entries ``w{i}``: each block's product of shifted root pairings written
+    out, a block with no irreducible refused by its own weight, and the product
+    of all over the product of the plain pairings, a constant of the blocks."""
+    ends = list(accumulate(blocks, initial=0))
+    body, nums, den = [f"({_listed(f'w{i}' for i in range(ends[-1]))}) = w"], [], 1
+    for lo, hi in zip(ends, ends[1:]):
+        if hi - lo < 2:  # no root: the one irreducible of each weight is a line
+            continue
+        pairs = list(combinations(range(lo, hi), 2))
+        den *= prod(j - i for i, j in pairs)
+        nums.append(num := f"n{lo}")
+        body += [
+            f"{num} = {' * '.join(f'(w{j} - w{i} + {j - i})' for i, j in pairs)}",
+            f"if {num} <= 0:",
+            f"    raise ValueError(f'no GL({hi - lo}) irreducible has the weight "
+            f"{{({_listed(f'w{i}' for i in range(lo, hi))})}}')",
+        ]
+    return ["w", *body, f"return {' * '.join(nums) or 1}{f' // {den}' if den > 1 else ''}"]
 
 
 def rank(b) -> int:

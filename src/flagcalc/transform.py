@@ -28,7 +28,6 @@ term splits by owner and each part is a*full + b*perp in at most one way.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from operator import ne
 
@@ -296,22 +295,24 @@ def _owner(lab: BundleLabel, d: int) -> tuple[int, int] | None:
     return i + k, l + k
 
 
-def _naming(counts: Counter, d: int, full, perp) -> tuple[FormType, ...] | None:
-    """The term with these label counts as a sum of a*full(p,q) + b*perp(p,q)
-    over the L(p,q) of degree d that own its labels, or None.  A label lies
-    in at most one L(p,q) of a degree, and the constituents of one L(p,q) are
-    distinct, so a and b are read off each group: the naming is the only one."""
-    groups: dict[tuple[int, int], Counter] = {}
-    for lab, c in counts.items():
+def _naming(labels: tuple[BundleLabel, ...], d: int, full, perp) -> tuple[FormType, ...] | None:
+    """The term with these labels as a sum of a*full(p,q) + b*perp(p,q) over
+    the L(p,q) of degree d that own its labels, or None at the first label
+    with no owner.  A label lies in at most one L(p,q) of a degree, and the
+    constituents of one L(p,q) are distinct, so a and b are read off each
+    group's label counts: the naming is the only one."""
+    groups: dict[tuple[int, int], dict[BundleLabel, int]] = {}
+    for lab in labels:
         if (pq := _owner(lab, d)) is None:
             return None
-        groups.setdefault(pq, Counter())[lab] = c
+        got = groups.setdefault(pq, {})
+        got[lab] = got.get(lab, 0) + 1
     out: list[FormType] = []
     for (p, q), got in groups.items():
         labs, prim = full[p, q], perp.get((p, q), ())
-        a = min(got[lab] for lab in labs if lab not in prim)
-        b = got[prim[0]] - a if prim else 0
-        if b < 0 or got != Counter({lab: a + b * (lab in prim) for lab in labs}):
+        a = min(got.get(lab, 0) for lab in labs if lab not in prim)
+        b = got.get(prim[0], 0) - a if prim else 0
+        if b < 0 or got != {lab: c for lab in labs if (c := a + b * (lab in prim))}:
             return None
         out += [FormType(p, q, "full")] * a + [FormType(p, q, "perp")] * b
     return tuple(sorted(out))
@@ -338,12 +339,11 @@ def annotate_form_types(
     """
     n = _labels_n(terms)
     full, perp = form_dictionary(n)
-    counts = [Counter(t) for t in terms]
     chains = []
     for d0 in range(2 * n + 2 - len(terms)):
         chain = []
-        for i, c in enumerate(counts):
-            if (named := _naming(c, d0 + i, full, perp)) is None:
+        for i, term in enumerate(terms):
+            if (named := _naming(term, d0 + i, full, perp)) is None:
                 break
             chain.append(named)
         else:
@@ -470,8 +470,9 @@ def emit_realization(c: ComplexOnM) -> RealizationReport:
     inadmissible pair, are refused.
     """
     if len(c.terms) < 2 or len(c.terms[0]) != 1:
+        first = f"{len(c.terms[0])} label(s) in the first of " if c.terms else ""
         raise ValueError("realization needs a first arrow out of a one-label term, got "
-                         f"{len(c.terms[0])} label(s) in the first of {len(c.terms)} term(s)")
+                         f"{first}{len(c.terms)} term(s)")
     arrow = check_ellipticity(c).arrows[0]
     if arrow.inadmissible:
         s, t = arrow.inadmissible[0]

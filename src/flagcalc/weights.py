@@ -69,22 +69,24 @@ def _listed(items) -> str:
 
 
 def _kernel_per_length(build):
-    """Memoize, by length k alone, the function of k entries that ``build(k)``
-    writes, compiled on a miss: its first line is the parameter list and the
-    rest is the body.
+    """Memoize, by its key alone, the function that ``build(key)`` writes,
+    compiled on a miss: its first line is the parameter list and the rest is
+    the body.  A key is a weight length k, or the tuple of block lengths of a
+    weight of k entries.
 
-    A body holds only names and integers derived from k, never an input
-    value, so one kernel serves every weight of k entries.  The bodies grow
-    as k^2, so k over MAX_N + 1 is refused before ``build`` is called."""
+    A body holds only names and integers derived from the key, never an
+    input value, so one kernel serves every weight of that shape.  The bodies
+    grow as k^2, so k over MAX_N + 1 is refused before ``build`` is called."""
 
     @cache
     @wraps(build)
-    def kernel(k: int):
-        if k > MAX_N + 1:
+    def kernel(key):
+        blocks = key if type(key) is tuple else (key,)
+        if (k := sum(blocks)) > MAX_N + 1:
             raise ArgumentError(f"a weight has at most {MAX_N + 1} entries (n <= {MAX_N}), "
                                 f"got {k}")
-        name = f"{build.__name__}_{k}"
-        params, *body = build(k)
+        name = f"{build.__name__}_{'_'.join(map(str, blocks))}"
+        params, *body = build(key)
         made: dict = {}
         exec("\n    ".join([f"def {name}({params}):", *body]), {}, made)
         return made[name]
@@ -95,22 +97,19 @@ def _kernel_per_length(build):
 def _reducer(k: int) -> list[str]:
     """``bbw_reduce`` on a weight ``w`` of k entries and its shift ``d`` (k
     zeros when none is passed), each unpacked into its entries ``w{i}`` and
-    ``d{i}``: shift by rho entry by entry, test for a repeated entry, count
-    the out-of-order pairs one comparison each, then sort and shift back."""
-    params = f"w, d=({_listed(0 for _ in range(k))})"
-    unpack = [f"{_listed(f'{x}{i}' for i in range(k))}= {x}" for x in "wd"] if k else []
-    if k < 2:  # no pair to repeat or disorder: the weight is its own reduction
-        return [params, *unpack, f"return 0, ({_listed(f'w{i} + d{i}' for i in range(k))})"]
-    s = [f"s{i}" for i in range(k)]
-    q = " + ".join(f"({s[i]} > {s[j]})" for i in range(k) for j in range(i + 1, k))
-    if k == 2:
-        q = f"0 + {q}"  # a lone comparison is a bool, and q is an int
+    ``d{i}``: shift by rho entry by entry, sort by a bubble network of
+    adjacent compare-and-swap steps whose swaps count the out-of-order pairs,
+    test the sorted neighbours for a repeated entry, then shift back."""
+    unpack = [f"({_listed(f'{x}{i}' for i in range(k))}) = {x}" for x in "wd"]
+    bubble = [f"if s{j} > s{j + 1}: s{j}, s{j + 1} = s{j + 1}, s{j}; q += 1"
+              for top in range(k - 1, 0, -1) for j in range(top)]
+    repeat = " or ".join(f"s{i} == s{i + 1}" for i in range(k - 1))
     return [
-        params,
+        f"w, d=({_listed(0 for _ in range(k))})",
         *unpack,
-        *(f"s{i} = w{i} + d{i} + {i}" for i in range(k)),
-        f"if len({{{_listed(s)}}}) != {k}:",
-        "    return None",
-        f"{_listed(f't{i}' for i in range(k))}= sorted(({_listed(s)}))",
-        f"return {q}, ({_listed(f't{i} - {i}' for i in range(k))})",
+        *(f"s{i} = w{i} + d{i}" + (f" + {i}" if i else "") for i in range(k)),
+        "q = 0",
+        *bubble,
+        *([f"if {repeat}:", "    return None"] if repeat else []),
+        f"return q, ({_listed(f's{i}' + (f' - {i}' if i else '') for i in range(k))})",
     ]

@@ -6,8 +6,10 @@ enumerating interleaved integer patterns one row at a time, and the
 characters of wedge products come from listing subsets, the Euler
 characteristic of a direct-image column is the Weyl dimension polynomial
 at each unsorted fiber weight, with no reduction at all, the Betti numbers
-of a flag manifold count its Schubert cells as words by inversions, and a
-cancellation's simple-root step is read off the raw weights of its pair.
+of a flag manifold count its Schubert cells as words by inversions, a
+cancellation's simple-root step is read off the raw weights of its pair, and
+which U(n+1) irreducibles hold an M-label on restriction is the interlacing
+rule of Gelfand and Tsetlin.
 The fiber types the legs once stored are kept here as data.  The (p,q)-form
 tables for n = 2, 3 are kept as the hand-written data they once were.
 Nothing here shares code with the package, except that the old naming of
@@ -206,6 +208,20 @@ def flag_betti(parts: tuple[int, ...]) -> list[int]:
     for d, count in cells.items():
         betti[2 * d] = count
     return betti
+
+
+def restricts_to(gamma: tuple[int, ...], label: BundleLabel) -> bool:
+    """Whether the U(n+1) irreducible of nondecreasing weight gamma holds the
+    U(1) x U(n) type of the M-label (a||mu) on restriction, by the
+    Gelfand-Tsetlin branching rule in the nondecreasing convention: the
+    entries interlace, gamma_0 <= mu_1 <= gamma_1 <= ... <= mu_n <= gamma_n,
+    and a = |gamma| - |mu|.  The type then occurs once, so by Frobenius
+    reciprocity the sections of the label's bundle hold V_gamma once."""
+    a, mu = label.weight[0], label.weight[1:]
+    if label.space != "M" or len(gamma) != len(mu) + 1:
+        return False
+    chain = [x for pair in zip(gamma, mu) for x in pair] + [gamma[-1]]
+    return all(x <= y for x, y in zip(chain, chain[1:])) and a == sum(gamma) - sum(mu)
 
 
 def simple_root_step(quotient: tuple[int, ...], sub: tuple[int, ...]) -> bool:

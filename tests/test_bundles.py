@@ -28,7 +28,7 @@ from flagcalc.bundles import (
     x_label,
     z_label,
 )
-from flagcalc.bundles import _weyl_rank
+from flagcalc.bundles import _label_rank, _weyl_rank
 from flagcalc.geometry import MAX_N
 from flagcalc.notation import ArgumentError
 
@@ -278,6 +278,23 @@ def test_each_length_weyl_kernel_matches_the_loop(m):
             assert type(got) is int and got == want, mu
             outcomes.add("rank")
     assert outcomes == ({"rank", "refused"} if m >= 2 else {"rank"})
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_a_label_rank_is_the_product_of_the_loop_over_its_blocks(n):
+    # one compiled kernel per block shape, against the old loop on each
+    # block's slice: seeded labels on every space, entries up to +-10^15
+    rng = random.Random(n)
+    for space in ("M", "X", "Z", "fiber"):
+        for _ in range(40):
+            entries = [rng.choice((rng.randint(-6, 6), rng.randint(-10**15, 10**15)))
+                       for _ in range(n + 1)]
+            weight = tuple(x for part in block_slices(space, tuple(entries))
+                           for x in sorted(part))  # dominant inside every block
+            lab = BundleLabel(space, weight)
+            want = prod(loop_weyl_rank(part) for part in block_slices(space, weight))
+            assert rank(lab) == _label_rank(lab) == want, lab
+            assert type(rank(lab)) is int
 
 
 def test_a_weyl_rank_over_the_bound_is_refused():

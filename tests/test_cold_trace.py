@@ -4,8 +4,8 @@ The engine memoizes its twist-independent layers (registry, relative
 forms, exterior powers, form dictionary) and, below them, untraced
 records: the shape of each label (``bundles._shape``), the adjacent
 pairs of each filtration (``bbw._adjacent_pairs``) and the compiled
-kernels of each weight length (``weights._reducer``,
-``bundles._weyl_kernel``).  A memo's miss path
+kernels of each weight length (``weights._reducer``) and of each block
+shape (``bundles._rank_kernel``).  A memo's miss path
 must call no other traced function, or the first traced run would count
 differently from a warm one.  Each memo is checked here in process, by
 one cold call under an enabled tracer; and since earlier tests in the
@@ -59,7 +59,7 @@ MEMOS = [
     ("bundles._shape", bundles, "_shape", lambda: ("X", 3)),
     ("bbw._adjacent_pairs", bbw, "_adjacent_pairs", lambda: _filtration(3, 2)),
     ("weights._reducer", weights, "_reducer", lambda: (3,)),
-    ("bundles._weyl_kernel", bundles, "_weyl_kernel", lambda: (3,)),
+    ("bundles._rank_kernel", bundles, "_rank_kernel", lambda: ((1, 3),)),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -50,8 +51,11 @@ from flagcalc.transform import (
 from oracles import (
     FORM_TABLES,
     brute_reduce,
+    count_rank,
     euler_rank,
+    flag_betti,
     pieri_admissible,
+    restricts_to,
     torus_character,
     wedge_pair_character,
     weyl_euler,
@@ -389,6 +393,66 @@ def test_column_euler_characteristic_matches_the_weyl_oracle(n):
                 nonzero += euler != 0
     assert columns == {2: 7098, 3: 4050}[n]
     assert nonzero > columns // 2
+
+
+# every U(n+1) type gamma with entries in [-9, 9]: the page's identity per type
+GAMMA_WINDOW = 9
+
+
+def _k_type_euler_sums(table: DirectImageTable) -> dict:
+    """gamma -> the sum over the cells (p, q) of (-1)^(p+q) times the number of
+    the cell's labels inside V_gamma, for every gamma in the window, zeros
+    dropped.  For each label (a||mu), gamma_0 runs from the window up to mu_1,
+    each inner gamma_i over [mu_i, mu_(i+1)] and gamma_n is fixed by the entry
+    sum; ``restricts_to`` decides.  The signed sums are kept in a dict: a
+    Counter's unary plus would drop the negative ones."""
+    sums: dict[tuple[int, ...], int] = {}
+    for (p, q), labels in table.cells.items():
+        for lab in labels:
+            a, mu = lab.weight[0], lab.weight[1:]
+            for head in product(range(-GAMMA_WINDOW, mu[0] + 1),
+                                *(range(lo, hi + 1) for lo, hi in zip(mu, mu[1:]))):
+                gamma = (*head, a + sum(mu) - sum(head))
+                if gamma[-1] <= GAMMA_WINDOW and restricts_to(gamma, lab):
+                    sums[gamma] = sums.get(gamma, 0) + (-1) ** (p + q)
+    return {gamma: s for gamma, s in sums.items() if s}
+
+
+def test_the_interlacing_rule_splits_each_irreducible_by_rank():
+    # V_gamma restricted to U(1) x U(n) is the sum of the M-types (a||mu) that
+    # restricts_to admits, so their ranks add up to the rank of V_gamma
+    for n in (2, 3):
+        for gamma in combinations_with_replacement(range(-2, 3), n + 1):
+            split = sum(count_rank(mu)
+                        for mu in combinations_with_replacement(range(-2, 3), n)
+                        if restricts_to(gamma, m_label((sum(gamma) - sum(mu), *mu))))
+            assert split == count_rank(gamma), gamma
+    assert restricts_to((0, 0, 1), m_label((1, 0, 0))) and restricts_to((0, 0, 1), m_label((0, 0, 1)))
+    assert not restricts_to((0, 0, 1), m_label((0, 0, 0)))  # |gamma| - |mu| is 1
+    assert not restricts_to((0, 0, 1), m_label((-1, 1, 1)))  # 1 sits above gamma's 0
+    assert not restricts_to((0, 0, 1), z_label((1, 0, 0)))  # only M-labels restrict
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_u_type_of_the_page_sums_to_the_twist_cohomology(n):
+    # sum over the cells of (-1)^(p+q) times the labels of cell (p, q) inside
+    # V_gamma equals sum_i (-1)^(q_Z + i) b_i [gamma = dom], where (q_Z, dom)
+    # reduces the Z-weight and b_i are the Betti numbers of the Z-leg's fiber
+    # P^(n-2): the page computes the twist's cohomology through the
+    # involutive complex.  The expected side reads no engine code.
+    betti = flag_betti((1, n - 2))
+    nonzero = 0
+    for w in TWIST_BOXES[n]:
+        expected: dict[tuple[int, ...], int] = {}
+        if (reduced := brute_reduce(w)) is not None:
+            q_z, dom = reduced
+            assert max(map(abs, dom)) <= GAMMA_WINDOW, w  # the window holds every prediction
+            expected[dom] = sum((-1) ** (q_z + i) * b for i, b in enumerate(betti))
+            nonzero += 1
+        twist_x = pullback_line(z_label(w))
+        for mode in MODES:
+            assert _k_type_euler_sums(e1_page(twist_x, mode)) == expected, (w, mode)
+    assert nonzero == {2: 938, 3: 225}[n]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -782,8 +846,13 @@ def test_realization_projects_the_first_arrow_of_the_check():
     with pytest.raises(ValueError, match=r"first arrow, but \(-2\|\|1,1,1\) -> \(1\|\|0,0,0\) "
                                          "is not a Pieri step"):
         emit_realization(hyperplane)
-    # a first term of two labels, or a complex of one term, has no presentation
-    for terms in (((m_label((1, -1, 0, 0)), m_label((-1, 0, 0, 1))), (m_label((0,) * 4),)),
-                  ((m_label((0,) * 4),),)):
-        with pytest.raises(ValueError, match="needs a first arrow out of a one-label term"):
+    # a first term of two labels, a complex of one term, or of none, has no presentation
+    head = "realization needs a first arrow out of a one-label term, got "
+    for terms, got in (
+            (((m_label((1, -1, 0, 0)), m_label((-1, 0, 0, 1))), (m_label((0,) * 4),)),
+             "2 label(s) in the first of 2 term(s)"),
+            (((m_label((0,) * 4),),), "1 label(s) in the first of 1 term(s)"),
+            ((), "0 term(s)")):
+        with pytest.raises(ValueError) as err:
             emit_realization(ComplexOnM(terms))
+        assert str(err.value) == head + got

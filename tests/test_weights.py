@@ -125,6 +125,22 @@ def test_each_length_kernel_reduces_a_weight_plus_its_shift(k):
             bbw_reduce((0,) * k, wrong)
 
 
+@pytest.mark.parametrize("k", range(MAX_N + 2))
+def test_the_bubble_network_swaps_every_pair_and_sees_the_last_repeat(k):
+    # w + rho strictly decreasing: every one of the k(k-1)/2 network steps
+    # swaps, and the dominant weight is w + rho reversed, less rho
+    reducer = weights._reducer(k)
+    anti = tuple(-2 * i for i in range(k))  # w + rho = (0, -1, ..., 1-k)
+    assert reducer(anti) == reducer(anti, (0,) * k) == (comb(k, 2), (1 - k,) * k)
+    # w + rho = (k-2, 0, 1, ..., k-2) and (k-2, k-2, k-3, ..., 0) both sort to
+    # (0, 1, ..., k-2, k-2): only the last sorted neighbours repeat
+    if k >= 2:
+        for shifted in (range(k - 1), range(k - 2, -1, -1)):
+            w = tuple(x - i for i, x in enumerate((k - 2, *shifted)))
+            assert reducer(w) is None and bbw_reduce(w) is None, w
+            assert reducer(w, (1,) + (0,) * (k - 1)) is not None  # one more at the front: regular
+
+
 def test_a_weight_or_shift_that_is_not_a_tuple_is_refused_by_name():
     # the kernel unpacks its weight and shift, so a list would be reduced as
     # if it were a tuple; it is refused before any length is read
