@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line, tensor_line
-from .geometry import Fibration, sigma_swap
+from .geometry import Fibration, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
 from .weights import bbw_reduce
 
@@ -179,15 +179,17 @@ def global_cohomology(b: BundleLabel) -> tuple[int, BundleLabel] | None:
     (q, fiber label) for the one degree q where it lives.
 
     Z-labels are written in Bott-Borel-Weil-ready order, so the full
-    weight reduces directly; labels on the correspondence space carry
-    the sigma-twisted frame and have their first two entries swapped
-    back before reducing.
+    weight reduces directly.  An X-line has the cohomology of the Z-line it
+    is pulled back from (mu's fibers are contractible), its Z frame from
+    ``twist_frames``; an X-line with no Z frame is refused.
     """
     if b.space not in ("Z", "X"):
         raise ArgumentError(f"global cohomology computed on Z or X labels, got {b!r}")
     if not is_line(b):
         raise ArgumentError(f"line bundles only, got {b}")
-    reduced = bbw_reduce(sigma_swap(b.weight) if b.space == "X" else b.weight)
+    if (on_z := b if b.space == "Z" else twist_frames(b, b.n)[0]) is None:
+        raise ArgumentError(f"{b} is not pulled back from a line bundle on Z")
+    reduced = bbw_reduce(on_z.weight)
     if reduced is None:
         return None
     q, dom = reduced

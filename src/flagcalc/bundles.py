@@ -394,16 +394,11 @@ class FilteredBundle(Value):
         return hash((self.space, self.n, self.components, self.levels))
 
     def __eq__(self, other) -> bool:
-        """Equal filtrations and equal twisted factors; under one line the
-        untwisted factors decide, and no label is built."""
+        """Equal filtrations and equal twisted factors."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if (self.space, self.n, self.components, self.levels) != \
-                (other.space, other.n, other.components, other.levels):
-            return False
-        if self.line == other.line:
-            return self.untwisted == other.untwisted
-        return self.factors == other.factors
+        return (self.space, self.n, self.components, self.levels, self.factors) == \
+            (other.space, other.n, other.components, other.levels, other.factors)
 
     def __len__(self) -> int:
         return len(self.untwisted)
@@ -443,8 +438,8 @@ class FilteredBundle(Value):
         unchanged): the line is recorded, or composed with the one already
         there.  A line is constant on each block, so every twisted factor
         stays dominant; the constructor refuses anything else."""
-        if self.line is not None:
-            FilteredBundle(self.space, self.n, line=line)  # the new line is checked first
+        if self.line is not None:  # the new line is checked first; the old one has the blocks
+            _check_twist(self.space, self.n, self.line.blocks, line)
             line = tensor_line(self.line, line)
         return FilteredBundle(self.space, self.n, self.untwisted, self.components, self.levels,
                               line)

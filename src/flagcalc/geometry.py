@@ -75,11 +75,6 @@ class FlagSpace(Value):
     n: int
     isotropy: frozenset[Root]         # roots (i, j) of the isotropy subalgebra
 
-    def __hash__(self) -> int:
-        # equal spaces share (name, n), and hashing the root set would cost
-        # a memo hit (relative_cotangent is keyed on a leg) most of its time
-        return hash((self.name, self.n))
-
 
 class Fibration(Value):
     """One leg of the double fibration, from its total space to its base."""
@@ -89,7 +84,7 @@ class Fibration(Value):
     base: FlagSpace
 
     def __hash__(self) -> int:
-        # equal legs share (name, total.n); see FlagSpace.__hash__
+        # equal legs share (name, total.n): a memo hit on a leg hashes no root set
         return hash((self.name, self.total.n))
 
 
@@ -326,9 +321,10 @@ def canonical_line(n: int) -> BundleLabel:
 
 
 def twist_frames(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:
-    """(Z-label or None, X-label) of None (trivial), a Z-line or an X-line.
+    """(Z-line or None, X-label) of None (trivial), a Z-line or an X-line.
 
-    An X-twist whose swapped weight is not a Z-label has no Z form.  A twist
+    An X-twist has a Z form only as the pullback of a line on Z, when its
+    swapped weight is a Z-line; otherwise it has no Z form (None).  A twist
     on another space or over another n is an ArgumentError.
     """
     if twist is None:
@@ -339,10 +335,11 @@ def twist_frames(twist, n: int) -> tuple[BundleLabel | None, BundleLabel]:
         raise ArgumentError(f"twist {twist} is for n={twist.n}, but the run has n={n}")
     if twist.space == "Z":
         return twist, pullback_line(twist)
-    try:
-        return z_label(sigma_swap(twist.weight)), twist
+    try:  # a line is constant on each block, so it always builds
+        twist_z = z_label(sigma_swap(twist.weight))
     except ValueError:
         return None, twist
+    return (twist_z if is_line(twist_z) else None), twist
 
 
 def pullback_factors(b: BundleLabel) -> FilteredBundle:

@@ -3,10 +3,10 @@
 Feeding a line-bundle twist through the machinery means:
 
 1. pull the twist back from the twistor space (twist_frames),
-2. tensor it onto each wedge power of the relative cotangent bundle of
-   the Z-leg (twisted_forms),
-3. push every column down the M-leg, the twist carried as each
-   untwisted wedge's line (e1_page), and
+2. take each wedge power of the relative cotangent bundle of the Z-leg,
+   untwisted and memoised, with the twist as its line,
+3. push every column down the M-leg, reducing each untwisted factor
+   shifted by that line (e1_page), and
 4. when the resulting first-page table is concentrated in a single
    fiber degree q with contiguous nonempty columns, read off the
    complex of irreducible bundles on the base (assemble_transform).

@@ -9,7 +9,8 @@ at each unsorted fiber weight, with no reduction at all, the Betti numbers
 of a flag manifold count its Schubert cells as words by inversions, a
 cancellation's simple-root step is read off the raw weights of its pair, and
 which U(n+1) irreducibles hold an M-label on restriction is the interlacing
-rule of Gelfand and Tsetlin.
+rule of Gelfand and Tsetlin, and which types of a covector's stabilizer
+U(1) x U(n-1) it holds is the same rule one step down.
 The fiber types the legs once stored are kept here as data.  The (p,q)-form
 tables for n = 2, 3 are kept as the hand-written data they once were.
 Nothing here shares code with the package, except that the old naming of
@@ -222,6 +223,17 @@ def restricts_to(gamma: tuple[int, ...], label: BundleLabel) -> bool:
         return False
     chain = [x for pair in zip(gamma, mu) for x in pair] + [gamma[-1]]
     return all(x <= y for x, y in zip(chain, chain[1:])) and a == sum(gamma) - sum(mu)
+
+
+def stabilizer_types(label: BundleLabel) -> frozenset[tuple[int, tuple[int, ...]]]:
+    """The types (a + |mu| - |nu|; nu) of H = U(1) x U(n-1), the stabilizer in
+    U(1) x U(n) of the covector (1||-1,0,...,0), that the M-label (a||mu) holds
+    on restriction: one for each nu interlacing mu, mu_1 <= nu_1 <= mu_2 <= ...
+    <= nu_(n-1) <= mu_n, by the Gelfand-Tsetlin branching rule, each once.  H's
+    U(1) acts on the covector's line through both factors, so the charges add."""
+    a, mu = label.weight[0], label.weight[1:]
+    return frozenset((a + sum(mu) - sum(nu), nu)
+                     for nu in product(*(range(lo, hi + 1) for lo, hi in zip(mu, mu[1:]))))
 
 
 def simple_root_step(quotient: tuple[int, ...], sub: tuple[int, ...]) -> bool:

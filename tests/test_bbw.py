@@ -1,5 +1,7 @@
 """Direct images along the M-leg: fiberwise reduction, cancellation, merging."""
 
+from itertools import product
+
 import pytest
 
 from flagcalc.bbw import MODES, DirectImageTable, direct_images, global_cohomology
@@ -12,10 +14,10 @@ from flagcalc.bundles import (
     x_label,
     z_label,
 )
-from flagcalc.geometry import pullback_line, registry, relative_cotangent
+from flagcalc.geometry import pullback_line, registry, relative_cotangent, twist_frames
 from flagcalc.notation import ArgumentError
 
-from oracles import direct_image_column, euler_rank, simple_root_step
+from oracles import block_slices, brute_reduce, direct_image_column, euler_rank, simple_root_step
 from oracles import merge as generator_merge
 from oracles import twist_by as explicit_twist
 from test_transform import TWIST_BOXES
@@ -210,6 +212,31 @@ def test_global_cohomology_rejects_wrong_inputs():
         global_cohomology(label_from_string("(1||0,0,0)", "M"))
     with pytest.raises(ArgumentError):
         global_cohomology(z_label((0, -1, 1, 0)))  # rank 3, not a line
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_x_line_has_cohomology_only_as_the_pullback_of_a_z_line(n):
+    # H(X, mu^-1 L) = H(Z, L), mu's fibers being contractible: every X-line
+    # with entries in [-2, 2] whose sigma-swapped weight is constant on each
+    # of Z's blocks is answered as that Z-line, whose pullback it is, and every
+    # other one is refused.  The expected side reads the raw weight,
+    # block_slices and brute_reduce only.
+    answered = refused = 0
+    for w in product(range(-2, 3), repeat=n + 1):
+        x, swapped = x_label(w), (w[1], w[0], *w[2:])
+        if all(len(set(part)) == 1 for part in block_slices("Z", swapped)):
+            got, on_z = global_cohomology(x), z_label(swapped)
+            assert (None if got is None else (got[0], got[1].weight)) == brute_reduce(swapped), w
+            assert got == global_cohomology(on_z), w
+            assert twist_frames(x, n) == (on_z, x) and pullback_line(on_z) == x, w
+            answered += 1
+        else:
+            with pytest.raises(ArgumentError) as err:
+                global_cohomology(x)
+            assert str(err.value) == f"{x} is not pulled back from a line bundle on Z", w
+            assert twist_frames(x, n) == (None, x), w
+            refused += 1
+    assert (answered, refused) == {2: (125, 0), 3: (125, 500)}[n]
 
 
 @pytest.mark.parametrize("bundle_n, leg_n", [(3, 2), (2, 3)])

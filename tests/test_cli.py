@@ -807,6 +807,9 @@ USAGE_RULES = {
     "global cohomology of a bundle that is not a line": (
         {"fixture": {"op": "global_cohomology", "label": "(0|0,1|0)", "space": "Z"}},
         "line bundles only, got (0|0,1|0)"),
+    "global cohomology of an X-line with no Z frame": (
+        {"fixture": {"op": "global_cohomology", "label": "(2||0|-3|1)", "space": "X"}},
+        "(2||0|-3|1) is not pulled back from a line bundle on Z"),
     "column out of range": (
         {"flag": ["relative-forms", "-p", "5"],
          "fixture": {"op": "exterior_power", "p": 5}},

@@ -68,9 +68,8 @@ def test_registry_is_built_once_and_read_only():
 
 
 def test_a_memo_hit_on_the_relative_forms_hashes_no_flag_space(monkeypatch):
-    # a leg hashes by (name, total.n) and a space by (name, n), which equal
-    # legs and spaces share, so a warm relative_cotangent call never hashes
-    # a space or its root set
+    # a leg hashes by (name, total.n), which equal legs share, so a warm
+    # relative_cotangent call never hashes a space or its root set
     legs = [registry(n)[leg] for n in (2, 3) for leg in ("mu", "nu")]
     warm = [relative_cotangent(f) for f in legs]
     hashed = []
@@ -189,6 +188,8 @@ def test_twist_frames_gives_both_frames():
     assert twist_frames(None, 2) == (z_label((0, 0, 0)), x_label((0, 0, 0)))
     # (1||0|0|0) swaps to (0|1,0|0), whose middle block is not dominant
     assert twist_frames(x_label((1, 0, 0, 0)), 3) == (None, x_label((1, 0, 0, 0)))
+    # (0||0|1|0) swaps to (0|0,1|0), a Z-label of rank 2 and not a line
+    assert twist_frames(x_label((0, 0, 1, 0)), 3) == (None, x_label((0, 0, 1, 0)))
     with pytest.raises(ValueError):
         twist_frames(label_from_string("(0||0,0,0)", "M"), 3)
     with pytest.raises(ValueError, match=r"twist \(0\|0\|0\) is for n=2, but the run has n=3"):

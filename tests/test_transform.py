@@ -1,7 +1,10 @@
 """Assembly on projective space: collapse, form naming, adjoints, symbols."""
 
+import json
+import pathlib
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -12,6 +15,7 @@ from flagcalc.bundles import (
     BundleLabel,
     dual,
     fiber_label,
+    label_from_string,
     m_label,
     pieri_tensor,
     rank,
@@ -56,12 +60,15 @@ from oracles import (
     flag_betti,
     pieri_admissible,
     restricts_to,
+    stabilizer_types,
     torus_character,
     wedge_pair_character,
     weyl_euler,
 )
 from oracles import annotate_form_types as cover_search_annotation
 from oracles import e1_page as composed_e1_page
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_form_type_naming_and_degree():
@@ -399,22 +406,29 @@ def test_column_euler_characteristic_matches_the_weyl_oracle(n):
 GAMMA_WINDOW = 9
 
 
+@cache
+def _u_types(lab: BundleLabel) -> tuple[tuple[int, ...], ...]:
+    """Every gamma in the window whose V_gamma holds the M-label (a||mu):
+    gamma_0 runs from the window up to mu_1, each inner gamma_i over
+    [mu_i, mu_(i+1)] and gamma_n is fixed by the entry sum; ``restricts_to``
+    decides."""
+    a, mu = lab.weight[0], lab.weight[1:]
+    gammas = ((*head, a + sum(mu) - sum(head))
+              for head in product(range(-GAMMA_WINDOW, mu[0] + 1),
+                                  *(range(lo, hi + 1) for lo, hi in zip(mu, mu[1:]))))
+    return tuple(g for g in gammas if g[-1] <= GAMMA_WINDOW and restricts_to(g, lab))
+
+
 def _k_type_euler_sums(table: DirectImageTable) -> dict:
     """gamma -> the sum over the cells (p, q) of (-1)^(p+q) times the number of
     the cell's labels inside V_gamma, for every gamma in the window, zeros
-    dropped.  For each label (a||mu), gamma_0 runs from the window up to mu_1,
-    each inner gamma_i over [mu_i, mu_(i+1)] and gamma_n is fixed by the entry
-    sum; ``restricts_to`` decides.  The signed sums are kept in a dict: a
-    Counter's unary plus would drop the negative ones."""
+    dropped.  The signed sums are kept in a dict: a Counter's unary plus
+    would drop the negative ones."""
     sums: dict[tuple[int, ...], int] = {}
     for (p, q), labels in table.cells.items():
         for lab in labels:
-            a, mu = lab.weight[0], lab.weight[1:]
-            for head in product(range(-GAMMA_WINDOW, mu[0] + 1),
-                                *(range(lo, hi + 1) for lo, hi in zip(mu, mu[1:]))):
-                gamma = (*head, a + sum(mu) - sum(head))
-                if gamma[-1] <= GAMMA_WINDOW and restricts_to(gamma, lab):
-                    sums[gamma] = sums.get(gamma, 0) + (-1) ** (p + q)
+            for gamma in _u_types(lab):
+                sums[gamma] = sums.get(gamma, 0) + (-1) ** (p + q)
     return {gamma: s for gamma, s in sums.items() if s}
 
 
@@ -453,6 +467,185 @@ def test_each_u_type_of_the_page_sums_to_the_twist_cohomology(n):
         for mode in MODES:
             assert _k_type_euler_sums(e1_page(twist_x, mode)) == expected, (w, mode)
     assert nonzero == {2: 938, 3: 225}[n]
+
+
+@cache
+def _collapsed(n: int) -> tuple:
+    """(twist weight, mode, complex) for every twist of the box whose page
+    collapses, in both modes."""
+    return tuple((w, mode, cx) for w in TWIST_BOXES[n] for mode in MODES
+                 if (cx := assemble_transform(z_label(w), n, mode).complex_) is not None)
+
+
+def _term_multiplicities(terms) -> dict:
+    """gamma -> [the number of labels of term i inside V_gamma, for each i],
+    for every gamma in the window that some term holds."""
+    m: dict[tuple[int, ...], list[int]] = {}
+    for i, term in enumerate(terms):
+        for lab in term:
+            for gamma in _u_types(lab):
+                m.setdefault(gamma, [0] * len(terms))[i] += 1
+    return m
+
+
+def _predicted_multiplicities(w, n: int, cx: ComplexOnM) -> dict:
+    """gamma -> [the multiplicity of V_gamma in the cohomology at term i]: by
+    the involutive complex, b_(r - q_Z) copies of V_dom in total degree r,
+    where (q_Z, dom) reduces the Z-weight and b are the Betti numbers of the
+    Z-leg's fiber P^(n-2).  Reads brute_reduce and flag_betti only, and the
+    complex's place in its table."""
+    if (reduced := brute_reduce(w)) is None:
+        return {}
+    q_z, dom = reduced
+    betti = flag_betti((1, n - 2))
+    degrees = [cx.start_p + cx.q_row + i - q_z for i in range(len(cx.terms))]
+    return {dom: [betti[d] if 0 <= d < len(betti) else 0 for d in degrees]}
+
+
+def _rank_feasible(m: dict, h: dict, length: int) -> bool:
+    """Whether, for every gamma, the ranks r_i = m_i - h_i - r_(i-1) that the
+    maps of a complex of this length restricted to V_gamma must have are >= 0
+    and the last one is 0."""
+    zeros = [0] * length
+    for gamma in m.keys() | h.keys():
+        r = 0
+        for m_i, h_i in zip(m.get(gamma, zeros), h.get(gamma, zeros)):
+            r = m_i - h_i - r
+            if r < 0:
+                return False
+        if r:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_collapsed_complex_is_tight_and_rank_feasible(n):
+    # per U(n+1)-type gamma, term i holds V_gamma m_i times and the predicted
+    # cohomology there holds it h_i times.  Tight: wherever the prediction is
+    # nonzero, term i holds V_dom exactly h_i times.  Rank feasible: every
+    # gamma's implied ranks r_i = m_i - h_i - r_(i-1) are >= 0 and end at 0.
+    tight = 0
+    for w, mode, cx in _collapsed(n):
+        m, h = _term_multiplicities(cx.terms), _predicted_multiplicities(w, n, cx)
+        for gamma, hs in h.items():
+            if any(hs):
+                assert m.get(gamma) == hs, (w, mode)
+                tight += 1
+        assert _rank_feasible(m, h, len(cx.terms)), (w, mode)
+    assert tight == {2: 2 * 938, 3: 2 * 225}[n]
+
+
+def test_rank_feasibility_catches_a_label_moved_two_terms_down():
+    # moving the first label of term 0 to term 2 keeps every per-type Euler
+    # number, so only the ranks can tell; they do on a third of the paper-mode
+    # and on more than half of the conservative n = 3 complexes
+    caught = {mode: 0 for mode in MODES}
+    for w, mode, cx in _collapsed(3):
+        terms = [list(term) for term in cx.terms]
+        terms[2].append(terms[0].pop(0))
+        m, h = _term_multiplicities(terms), _predicted_multiplicities(w, 3, cx)
+        euler = {gamma: sum((-1) ** i * x for i, x in enumerate(ms)) for gamma, ms in m.items()}
+        assert euler == {gamma: sum((-1) ** i * x for i, x in enumerate(ms))
+                         for gamma, ms in _term_multiplicities(cx.terms).items()}, (w, mode)
+        caught[mode] += not _rank_feasible(m, h, len(terms))
+    assert {mode: sum(m == mode for _w, m, _cx in _collapsed(3)) for mode in MODES} == \
+        {"paper": 365, "conservative": 225}
+    assert caught == {"paper": 125, "conservative": 125}
+
+
+def _h_type_sums(terms, types=stabilizer_types) -> dict:
+    """tau -> the sum over the terms i of (-1)^i times the number of labels of
+    term i holding the stabilizer type tau, zeros dropped; a signed dict."""
+    sums: dict = {}
+    for i, term in enumerate(terms):
+        for lab in term:
+            for tau in types(lab):
+                sums[tau] = sums.get(tau, 0) + (-1) ** i
+    return {tau: s for tau, s in sums.items() if s}
+
+
+def _opposite_charge(lab: BundleLabel) -> frozenset:
+    """The types with the sign of the charge flipped: (a - |mu| + |nu|; nu)."""
+    return frozenset((2 * lab.weight[0] - t, nu) for t, nu in stabilizer_types(lab))
+
+
+def test_stabilizer_types_split_each_label_by_rank():
+    # (a||mu) restricted to U(1) x U(n-1) is the sum of its types, so the
+    # ranks of their nu add up to the rank of mu, and each type's charge
+    # carries the entry sum
+    for n in (2, 3):
+        for w in product(range(-2, 3), repeat=n + 1):
+            if w[1:] == tuple(sorted(w[1:])):
+                types = stabilizer_types(m_label(w))
+                assert sum(count_rank(nu) for _t, nu in types) == count_rank(w[1:]), w
+                assert all(t + sum(nu) == sum(w) for t, nu in types), w
+    assert stabilizer_types(m_label((1, -1, 0, 2))) == {(3, (-1, 0)), (2, (-1, 1)), (1, (-1, 2)),
+                                                       (2, (0, 0)), (1, (0, 1)), (0, (0, 2))}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_stabilizer_type_of_a_collapsed_complex_sums_to_zero(n):
+    # the symbol sequence of an elliptic complex is exact at the covector
+    # (1||-1,0,...,0) and commutes with its stabilizer H, so each H-type's
+    # alternating count vanishes; with the charge's sign flipped none balance
+    opposite = 0
+    for w, mode, cx in _collapsed(n):
+        assert _h_type_sums(cx.terms) == {}, (w, mode)
+        opposite += _h_type_sums(cx.terms, _opposite_charge) == {}
+    assert opposite == 0
+
+
+def test_the_corpus_complexes_balance_every_stabilizer_type():
+    # the corpus's check, form_complex and adjoint complexes, built as the
+    # corpus runner builds them
+    cases = [case for path in sorted((SRC / "flagcalc" / "fixtures").glob("*.json"))
+             for case in json.loads(path.read_text(encoding="utf-8"))["cases"]
+             if case["op"] in ("check", "form_complex", "adjoint")]
+    for case in cases:
+        if case["op"] == "form_complex":
+            types = [tuple(FormType(*ft) for ft in term) for term in case["types"]]
+            cx = complex_from_form_types(types, case["n"])
+        else:
+            twist = label_from_string(case["twist"], "Z") if "twist" in case else None
+            cx = assemble_transform(twist, case["n"], case["mode"]).complex_
+            cx = formal_adjoint(cx) if case["op"] == "adjoint" else cx
+        assert _h_type_sums(cx.terms) == {}, case
+    assert sorted(Counter(case["op"] for case in cases).items()) == \
+        [("adjoint", 1), ("check", 3), ("form_complex", 1)]
+
+
+# (kind, mode) -> (mutants made, mutants check_ellipticity passes) on each box;
+# at n = 2 both modes collapse to the same complexes
+MUTANTS = {
+    2: {("conjugate", "paper"): (3934, 2044), ("a+2", "paper"): (4270, 2212),
+        ("conjugate", "conservative"): (3934, 2044), ("a+2", "conservative"): (4270, 2212)},
+    3: {("conjugate", "paper"): (3824, 3128), ("a+2", "paper"): (4020, 3286),
+        ("conjugate", "conservative"): (3096, 2700), ("a+2", "conservative"): (3252, 2834)},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_stabilizer_types_catch_every_rank_preserving_mutant(n):
+    # each label of each collapsed complex in turn, swapped for its conjugate
+    # (a||-mu reversed) or for (a+2||mu): the ranks stay, the per-type sums
+    # catch every mutant, and check_ellipticity passes about half of them
+    kinds = {"conjugate": lambda w: (w[0], *(-x for x in reversed(w[1:]))),
+             "a+2": lambda w: (w[0] + 2, *w[1:])}
+    types = cache(stabilizer_types)
+    tally: dict[tuple[str, str], tuple[int, int]] = {}
+    for w, mode, cx in _collapsed(n):
+        for i, term in enumerate(cx.terms):
+            for j, lab in enumerate(term):
+                for kind, swap in kinds.items():
+                    if (new := m_label(swap(lab.weight))) == lab:
+                        continue
+                    mutant = ComplexOnM((*cx.terms[:i], (*term[:j], new, *term[j + 1:]),
+                                         *cx.terms[i + 1:]))
+                    assert mutant.ranks() == cx.ranks(), (w, mode, new)
+                    assert _h_type_sums(mutant.terms, types) != {}, (w, mode, new)
+                    made, passed = tally.get((kind, mode), (0, 0))
+                    tally[kind, mode] = made + 1, passed + check_ellipticity(mutant).passed
+    assert tally == MUTANTS[n]
 
 
 @pytest.mark.parametrize("n", [2, 3])
