@@ -191,19 +191,6 @@ def label_from_string(text: str, space: str, parsed: ParsedLabel | None = None) 
 
 # ---------------------------------------------------------------- rank
 
-def _weyl_rank(mu: tuple[int, ...]) -> int:
-    """Dimension of the GL(m) irreducible with nondecreasing weight mu.
-
-    Weyl dimension formula over the positive roots of GL(m), exact in
-    integers: the product of the shifted root pairings over the product
-    of the plain ones, divided once at the end.  The quotient is an
-    integer at every integral weight and the denominator is positive, so
-    a weight with no irreducible shows as a non-positive quotient.  A
-    weight of more than MAX_N + 1 entries is refused (``ArgumentError``).
-    """
-    return _rank_kernel((len(mu),))(mu)
-
-
 def _label_rank(b: BundleLabel) -> int:
     """Rank of a label: the product of the Weyl ranks of its blocks (1 for a one-entry
     block).  Untraced, so a memo's miss path (``geometry._assemble_filtered``) may check ranks."""
@@ -315,7 +302,7 @@ def branch_to_torus(mu: tuple[int, ...]) -> Counter:
     mu = tuple(mu)
     if not is_dominant(mu):
         raise ValueError(f"weight must be dominant (nondecreasing): {mu}")
-    if (r := _weyl_rank(mu)) > MAX_BRANCH_RANK:
+    if (r := _rank_kernel((len(mu),))(mu)) > MAX_BRANCH_RANK:
         raise ValueError(
             f"{mu} has rank {r}, over the {MAX_BRANCH_RANK} torus weights "
             "branch_to_torus enumerates"

@@ -14,7 +14,7 @@ exception: 2 for an ``ArgumentError``, 1 for any other ``ValueError``, 0
 when nothing was raised; every nonzero exit writes an ``error:`` line.  The engine raises
 ``ArgumentError`` for what it cannot take as given: a label that does not
 parse, a wedge column out of range, a twist not on Z or X or for another
-n, ``--conormal`` on a Z-leg, an involutive twist not on Z, a global
+n, ``--conormal`` on a Z-leg, an involutive twist with no Z frame, a global
 cohomology label not on Z or X, a ``--line`` for another n.  This module
 raises it for its own input checks: bad flags or config values, labels
 that do not fit their space, of more than MAX_N + 1 entries or with an
@@ -47,7 +47,6 @@ from .bundles import (
     pieri_tensor,
     rank,
     tensor_line,
-    trivial_label,
 )
 from .geometry import (
     canonical_line,
@@ -157,14 +156,10 @@ def _label(text: str, space: str | None = None) -> BundleLabel:
         raise ArgumentError(f"cannot read {_quoted(text)} as a bundle on {space}: {exc}")
 
 
-def _twist_label(cfg: RunConfig) -> BundleLabel:
-    """The run's twist, the trivial Z-line by default; ``twist_frames``
-    refuses one that is not on Z or X or is for another n."""
-    if cfg.twist is None or cfg.twist == "trivial":
-        return trivial_label("Z", cfg.n)
-    label = _label(cfg.twist)
-    twist_frames(label, cfg.n)
-    return label
+def _twist(cfg: RunConfig) -> BundleLabel | None:
+    """The run's twist as parsed, None for the trivial one; the command's one
+    ``twist_frames`` call refuses one that is not on Z or X or is for another n."""
+    return None if cfg.twist is None or cfg.twist == "trivial" else _label(cfg.twist)
 
 
 # -------------------------------------------------------- serialization
@@ -318,11 +313,10 @@ def _forms(cfg: RunConfig, p: int, conormal_part: bool) -> FilteredBundle:
     part of the relative cotangent bundle, tensored with the twist.  With no
     leg given, the conormal part splits along the M-leg nu, the forms along mu."""
     fib = registry(cfg.n)[cfg.fibration or ("nu" if conormal_part else "mu")]
-    twist_x = twist_frames(_twist_label(cfg), cfg.n)[1]
+    twist_x = twist_frames(_twist(cfg), cfg.n)[1]
     if conormal_part:
         return conormal(fib).twist_by(twist_x)
-    [(_p, bundle)] = twisted_forms(fib, twist_x, p)
-    return bundle
+    return twisted_forms(fib, twist_x, p)
 
 
 def cmd_relative_forms(cfg: RunConfig, args) -> None:
@@ -336,7 +330,7 @@ def cmd_relative_forms(cfg: RunConfig, args) -> None:
 
 def _e1(cfg: RunConfig, p: int | None) -> DirectImageTable:
     """Column p of the first page (every column when p is None)."""
-    return e1_page(twist_frames(_twist_label(cfg), cfg.n)[1], cfg.mode, p)
+    return e1_page(twist_frames(_twist(cfg), cfg.n)[1], cfg.mode, p)
 
 
 def cmd_direct_images(cfg: RunConfig, args) -> None:
@@ -349,7 +343,7 @@ def _transform(cfg: RunConfig, refusal: str = "",
     """The assembled transform behind transform, adjoint and check, of the
     run's twist unless another is given; with a refusal, a page that did not
     collapse is an error."""
-    res = assemble_transform(_twist_label(cfg) if twist is None else twist, cfg.n, cfg.mode)
+    res = assemble_transform(_twist(cfg) if twist is None else twist, cfg.n, cfg.mode)
     if refusal and res.complex_ is None:
         raise ValueError(f"{refusal}: {res.reason}")
     return res
@@ -365,8 +359,10 @@ def cmd_transform(cfg: RunConfig, args) -> None:
 
 
 def _involutive(cfg: RunConfig) -> dict[int, int]:
-    """Involutive cohomology of the run's twist, the trivial one by default."""
-    return involutive_cohomology(_twist_label(cfg))
+    """Involutive cohomology of the run's twist, the trivial one by default, in
+    its Z frame; a twist with no Z frame goes in as given, and is refused."""
+    twist_z, twist_x = twist_frames(_twist(cfg), cfg.n)
+    return involutive_cohomology(twist_x if twist_z is None else twist_z)
 
 
 def cmd_involutive(cfg: RunConfig, args) -> None:
@@ -440,8 +436,10 @@ def _run_case(case: dict) -> dict:
             "ranks": list(report.ranks),
             "alternating_sum": report.alternating_sum,
             "passed": report.passed,
-            "unreachable": [{"arrow": a.index, "targets": sorted(str(t) for t in missing)}
-                            for a in report.arrows if (missing := a.unreachable)],
+            "unreachable": [  # the targets no admissible pair reaches
+                {"arrow": a.index, "targets": sorted(str(t) for t in missing)}
+                for a in report.arrows
+                if (missing := {t for _s, t in a.inadmissible} - {t for _s, t in a.admissible})],
         }
     if op == "pullback_factors":
         return filtered_to_json(pullback_factors(_label(case["label"], "M")))

@@ -54,7 +54,6 @@ __all__ = [
     "ArrowCheck",
     "EllipticityReport",
     "RealizationReport",
-    "UnsupportedTwistError",
     "twisted_forms",
     "e1_page",
     "assemble_transform",
@@ -67,10 +66,6 @@ __all__ = [
     "annotate_form_types",
     "emit_realization",
 ]
-
-
-class UnsupportedTwistError(ValueError):
-    """Raised when no pinned rule covers the requested twist."""
 
 
 # ----------------------------------------------------------- complexes
@@ -136,18 +131,16 @@ def _columns(lam: FilteredBundle, p: int | None) -> range | tuple[int]:
     raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
 
 
-def twisted_forms(
-    fib: Fibration, twist_x: BundleLabel, p: int | None = None
-) -> list[tuple[int, FilteredBundle]]:
-    """(p, Lambda^p of the relative forms of fib, tensored with twist_x) for
-    column p, or for every column 0..rank when p is None; a column outside
-    0..rank is an ArgumentError."""
+def twisted_forms(fib: Fibration, twist_x: BundleLabel, p: int) -> FilteredBundle:
+    """Lambda^p of the relative forms of fib, tensored with twist_x; a column
+    outside 0..rank is an ArgumentError."""
     lam = relative_cotangent(fib)
-    return [(k, exterior_power(lam, k).twist_by(twist_x)) for k in _columns(lam, p)]
+    [k] = _columns(lam, p)
+    return exterior_power(lam, k).twist_by(twist_x)
 
 
 def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
-    """The first page over twist_x's n: twisted_forms of the Z-leg pushed
+    """The first page over twist_x's n: the Z-leg's twisted wedges pushed
     down the M-leg; twist_x is the twist in the X frame (twist_frames).
 
     One pass over the memoised untwisted wedges: twist_x is checked once,
@@ -229,7 +222,7 @@ def involutive_cohomology(twist: BundleLabel) -> FrozenDict:
     if twist.space != "Z":
         raise ArgumentError(f"involutive cohomology needs a twist on Z, got {twist!r}")
     if not _has_involutive_rule(twist):
-        raise UnsupportedTwistError(
+        raise ValueError(
             f"no pinned row-cohomology rule for twist {twist}; "
             "only the trivial and hyperplane twists are known to collapse"
         )
@@ -351,7 +344,7 @@ def annotate_form_types(
     return chains[0] if len(chains) == 1 else None
 
 
-def complex_from_form_types(types, n: int = 3) -> ComplexOnM:
+def complex_from_form_types(types, n: int) -> ComplexOnM:
     """Build a comparison complex directly from named form bundles."""
     fts = tuple(tuple(sorted(t)) for t in types)
     terms = tuple(
@@ -370,13 +363,6 @@ class ArrowCheck(Value):
     @property
     def ok(self) -> bool:
         return bool(self.admissible)
-
-    @property
-    def unreachable(self) -> tuple[BundleLabel, ...]:
-        """The targets no admissible pair reaches, in label order; every
-        target is in some pair, since every source meets every target."""
-        hit = {t for _s, t in self.admissible}
-        return tuple(sorted({t for _s, t in self.inadmissible} - hit))
 
 
 class EllipticityReport(Value):

@@ -28,7 +28,7 @@ from flagcalc.bundles import (
     x_label,
     z_label,
 )
-from flagcalc.bundles import _label_rank, _weyl_rank
+from flagcalc.bundles import _label_rank, _rank_kernel
 from flagcalc.geometry import MAX_N
 from flagcalc.notation import ArgumentError
 
@@ -251,10 +251,10 @@ def test_integer_weyl_rank_matches_the_rational_product():
         for mu in product(range(-2, 3), repeat=m):
             dim = _fraction_weyl(mu)
             if dim > 0 and dim.denominator == 1:
-                assert _weyl_rank(mu) == dim, mu
+                assert _rank_kernel((m,))(mu) == dim, mu
             else:
                 with pytest.raises(ValueError, match=f"no GL\\({m}\\) irreducible"):
-                    _weyl_rank(mu)
+                    _rank_kernel((m,))(mu)
 
 
 @pytest.mark.parametrize("m", range(MAX_N + 2))
@@ -270,11 +270,11 @@ def test_each_length_weyl_kernel_matches_the_loop(m):
             want = loop_weyl_rank(mu)
         except ValueError as refusal:
             with pytest.raises(ValueError) as got:
-                _weyl_rank(mu)
+                _rank_kernel((m,))(mu)
             assert type(got.value) is ValueError and str(got.value) == str(refusal)
             outcomes.add("refused")
         else:
-            got = _weyl_rank(mu)
+            got = _rank_kernel((m,))(mu)
             assert type(got) is int and got == want, mu
             outcomes.add("rank")
     assert outcomes == ({"rank", "refused"} if m >= 2 else {"rank"})
@@ -298,10 +298,10 @@ def test_a_label_rank_is_the_product_of_the_loop_over_its_blocks(n):
 
 
 def test_a_weyl_rank_over_the_bound_is_refused():
-    assert _weyl_rank((0,) * (MAX_N + 1)) == 1
+    assert _rank_kernel((MAX_N + 1,))((0,) * (MAX_N + 1)) == 1
     for m in (MAX_N + 2, MAX_N + 3):
         with pytest.raises(ArgumentError, match=f"{TOO_LONG}{m}$"):
-            _weyl_rank((0,) * m)
+            _rank_kernel((m,))((0,) * m)
 
 
 def test_filtered_bundle_edges_and_display():

@@ -10,18 +10,19 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flagcalc import bundles, cli
+from flagcalc import bbw, bundles, cli, geometry, transform
 from flagcalc.bbw import MODES
-from flagcalc.bundles import label_from_string, pieri_tensor
+from flagcalc.bundles import label_from_string, pieri_tensor, x_label, z_label
 from flagcalc.cli import FIBRATIONS, FORMATS, MAX_ENTRY, main
-from flagcalc.geometry import MAX_N
+from flagcalc.geometry import MAX_N, pullback_line
 from flagcalc.notation import ArgumentError, ParseError, format_entries
-from flagcalc.transform import UnsupportedTwistError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -102,6 +103,42 @@ def test_involutive_trivial_twist(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"by_degree": {"0": 1, "2": 1}}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_involutive_reads_an_x_pullback_in_its_z_frame(capsys, n):
+    # every X-line with entries in [-2, 2]: the pullback of a Z-line answers
+    # or refuses exactly as that Z-line does, and one with no Z frame is a
+    # usage error that names it
+    entries = range(-2, 3)
+    pulled = {pullback_line(z): z for z in (z_label((a, *(b,) * (n - 1), c))
+                                            for a in entries for b in entries for c in entries)}
+    codes: Counter = Counter()
+    for w in product(entries, repeat=n + 1):
+        x = x_label(w)
+        got = run(capsys, "involutive", "-n", str(n), "--twist", str(x))
+        if x in pulled:
+            assert got == run(capsys, "involutive", "-n", str(n), "--twist", str(pulled[x])), x
+        else:
+            assert got == (2, "", f"error: involutive cohomology needs a twist on Z, got {x!r}\n")
+        codes[x in pulled, got[0]] += 1
+    assert codes == {(True, 0): 2, (True, 1): 123, **({(False, 2): 500} if n == 3 else {})}
+
+
+@pytest.mark.parametrize("twist", [None, "(0|0,0|0)", "(0||0|0|0)"])
+@pytest.mark.parametrize(
+    "command", ["transform", "check", "adjoint", "direct-images", "relative-forms", "involutive"])
+def test_each_command_reads_its_twist_once(capsys, monkeypatch, command, twist):
+    # the default, a Z-line and its X pullback: one twist_frames call per command
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return geometry.twist_frames(*args)
+    for module in (cli, transform, bbw):
+        monkeypatch.setattr(module, "twist_frames", counted)
+    assert run(capsys, command, *([] if twist is None else ["--twist", twist]))[0] == 0
+    assert len(calls) == 1
 
 
 def test_check_command_passes_on_the_untwisted_complex(capsys):
@@ -797,10 +834,10 @@ USAGE_RULES = {
          "fixture": {"op": "conormal", "fibration": "mu"}},
         "conormal splitting is defined along the M-leg, not mu"),
     "involutive twist not on Z": (
-        {"flag": ["involutive", "--twist", "(0||1|0|0)"],
-         "config": (["involutive"], {"twist": "(0||1|0|0)"}),
-         "fixture": {"op": "involutive", "twist": "(0||1|0|0)"}},
-        "involutive cohomology needs a twist on Z, got <X (0||1|0|0)>"),
+        {"flag": ["involutive", "--twist", "(1||0|0|0)"],
+         "config": (["involutive"], {"twist": "(1||0|0|0)"}),
+         "fixture": {"op": "involutive", "twist": "(1||0|0|0)"}},
+        "involutive cohomology needs a twist on Z, got <X (1||0|0|0)>"),
     "global cohomology off Z and X": (
         {"fixture": {"op": "global_cohomology", "label": "(0||0,0,0)", "space": "M"}},
         "global cohomology computed on Z or X labels, got <M (0||0,0,0)>"),
@@ -839,7 +876,7 @@ def test_each_usage_rule_exits_two_with_its_error_line(capsys, tmp_path, rule, s
 
 @pytest.mark.parametrize("exc, code", [
     (ArgumentError("refused"), 2), (ParseError("(", 0, "refused"), 2),
-    (ValueError("refused"), 1), (UnsupportedTwistError("refused"), 1)])
+    (ValueError("refused"), 1)])
 def test_the_exit_code_is_read_off_the_exception_type(capsys, monkeypatch, exc, code):
     def refuse(cfg, args):
         raise exc

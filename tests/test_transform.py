@@ -24,7 +24,7 @@ from flagcalc.bundles import (
     x_label,
     z_label,
 )
-from flagcalc.cli import main
+from flagcalc.cli import _run_case, main
 from flagcalc.geometry import (
     MAX_N,
     canonical_line,
@@ -37,7 +37,6 @@ from flagcalc.notation import ArgumentError
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
-    UnsupportedTwistError,
     _owner,
     alternating_sum,
     annotate_form_types,
@@ -387,19 +386,20 @@ def test_column_euler_characteristic_matches_the_weyl_oracle(n):
     # each X-factor contributes W(its fiber weight) to its column, singular
     # or not and cancelled or not, with no reduction and no sorting
     reg = registry(n)
-    columns = nonzero = 0
+    columns = range(len(relative_cotangent(reg["mu"])) + 1)
+    counted = nonzero = 0
     for w in TWIST_BOXES[n]:
         twist_x = pullback_line(z_label(w))
-        forms = twisted_forms(reg["mu"], twist_x)
+        forms = [twisted_forms(reg["mu"], twist_x, p) for p in columns]
         for mode in MODES:
             table = e1_page(twist_x, mode)
-            for p, bundle in forms:
+            for p, bundle in enumerate(forms):
                 euler = sum(weyl_euler(f.weight[1:]) for f in bundle.factors)
                 assert euler_rank(table, p) == euler, (w, mode, p)
-                columns += 1
+                counted += 1
                 nonzero += euler != 0
-    assert columns == {2: 7098, 3: 4050}[n]
-    assert nonzero > columns // 2
+    assert counted == {2: 7098, 3: 4050}[n]
+    assert nonzero > counted // 2
 
 
 # every U(n+1) type gamma with entries in [-9, 9]: the page's identity per type
@@ -502,20 +502,24 @@ def _predicted_multiplicities(w, n: int, cx: ComplexOnM) -> dict:
     return {dom: [betti[d] if 0 <= d < len(betti) else 0 for d in degrees]}
 
 
+def _map_ranks(ms: list, hs: list) -> list:
+    """The ranks r_i = m_i - h_i - r_(i-1) that the maps out of positions
+    0, 1, ... must have, given m_i copies of a type at position i and h_i in
+    the cohomology there."""
+    ranks, r = [], 0
+    for m_i, h_i in zip(ms, hs):
+        r = m_i - h_i - r
+        ranks.append(r)
+    return ranks
+
+
 def _rank_feasible(m: dict, h: dict, length: int) -> bool:
     """Whether, for every gamma, the ranks r_i = m_i - h_i - r_(i-1) that the
     maps of a complex of this length restricted to V_gamma must have are >= 0
     and the last one is 0."""
     zeros = [0] * length
-    for gamma in m.keys() | h.keys():
-        r = 0
-        for m_i, h_i in zip(m.get(gamma, zeros), h.get(gamma, zeros)):
-            r = m_i - h_i - r
-            if r < 0:
-                return False
-        if r:
-            return False
-    return True
+    return all(min(ranks := _map_ranks(m.get(gamma, zeros), h.get(gamma, zeros))) >= 0
+               and not ranks[-1] for gamma in m.keys() | h.keys())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -551,6 +555,64 @@ def test_rank_feasibility_catches_a_label_moved_two_terms_down():
     assert {mode: sum(m == mode for _w, m, _cx in _collapsed(3)) for mode in MODES} == \
         {"paper": 365, "conservative": 225}
     assert caught == {"paper": 125, "conservative": 125}
+
+
+# per n and mode: (pages that do not collapse, types with a nonzero k_r, the
+# types forced uniquely split by the page r' = p' - p of each nonzero k_r)
+FORCED = {
+    2: {"paper": (77, 532, {(2,): 532}), "conservative": (77, 532, {(2,): 532})},
+    3: {"paper": (40, 628, {(2,): 324}),
+        "conservative": (180, 6716, {(1,): 1484, (1, 1): 1492, (2,): 236, (0, 2): 44,
+                                     (2, 0): 44})},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_u_type_of_a_page_that_does_not_collapse_forces_its_differentials(n):
+    # per U(n+1)-type gamma, the cells of total degree r = p + q hold V_gamma
+    # m_r times and the abutment h_r = b_(r - q_Z) [gamma = dom] times, so the
+    # differentials out of degree r have rank k_r = m_r - h_r - k_(r-1): each
+    # >= 0 and the last 0, with some k_r > 0 on every page.  A type is forced
+    # uniquely when each nonzero k_r has one source and one target cell, and
+    # then (p, q) -> (p', q') is a d_(p' - p).  The abutment reads
+    # brute_reduce and flag_betti only.
+    betti = flag_betti((1, n - 2))
+    found: dict = {}
+    for w in TWIST_BOXES[n]:
+        reduced = brute_reduce(w)
+        for mode in MODES:
+            if (res := assemble_transform(z_label(w), n, mode)).complex_ is not None:
+                continue
+            cells = res.table.cells
+            length = 1 + max(max(p + q for p, q in cells),
+                             reduced[0] + len(betti) - 1 if reduced else 0)
+            m: dict = {}
+            where: dict = {}  # gamma -> the columns p of the cells of each degree holding it
+            for (p, q), labels in cells.items():
+                for lab in labels:
+                    for gamma in _u_types(lab):
+                        m.setdefault(gamma, [0] * length)[p + q] += 1
+                        where.setdefault(gamma, [set() for _ in range(length)])[p + q].add(p)
+            h = {}
+            if reduced:
+                q_z, dom = reduced
+                h[dom] = [betti[r - q_z] if 0 <= r - q_z < len(betti) else 0
+                          for r in range(length)]
+            assert _rank_feasible(m, h, length), (w, mode)
+            pages, types, unique = found.get(mode, (0, 0, Counter()))
+            forcing = 0
+            for gamma, ms in m.items():
+                ks = _map_ranks(ms, h.get(gamma, [0] * length))
+                if not any(ks):
+                    continue
+                forcing += 1
+                cols = where[gamma]
+                steps = [(cols[r], cols[r + 1]) for r, k in enumerate(ks) if k]
+                if all(len(src) == len(tgt) == 1 for src, tgt in steps):
+                    unique[tuple(min(tgt) - min(src) for src, tgt in steps)] += 1
+            assert forcing, (w, mode)
+            found[mode] = pages + 1, types + forcing, unique
+    assert found == FORCED[n]
 
 
 def _h_type_sums(terms, types=stabilizer_types) -> dict:
@@ -653,10 +715,11 @@ def test_labels_built_unchecked_pass_full_validation(n):
     # a twisted bundle builds each factor from its shift when read, through
     # the public constructor; on the twist boxes that must equal tensor_line,
     # factor by factor
-    untwisted = twisted_forms(registry(n)["mu"], trivial_label("X", n))
+    mu, trivial = registry(n)["mu"], trivial_label("X", n)
+    untwisted = [twisted_forms(mu, trivial, p) for p in range(len(relative_cotangent(mu)) + 1)]
     for w in TWIST_BOXES[n]:
         twist_x = pullback_line(z_label(w))
-        for p, bundle in untwisted:
+        for p, bundle in enumerate(untwisted):
             expected = tuple(tensor_line(f, twist_x) for f in bundle.factors)
             assert bundle.twist_by(twist_x).factors == expected, (w, p)
 
@@ -805,11 +868,13 @@ def test_involutive_cohomology_whitelist(twist, n, expected):
 
 
 def test_involutive_cohomology_refuses_other_twists():
-    assert issubclass(UnsupportedTwistError, ValueError)
-    with pytest.raises(UnsupportedTwistError):
-        involutive_cohomology(z_label((3, 0, 0, -3)))
-    with pytest.raises(UnsupportedTwistError):
-        involutive_cohomology(z_label((0, 0, 0, 2)))
+    for twist in ((3, 0, 0, -3), (0, 0, 0, 2)):
+        with pytest.raises(ValueError) as err:
+            involutive_cohomology(z_label(twist))
+        assert type(err.value) is ValueError
+        assert str(err.value) == (
+            f"no pinned row-cohomology rule for twist {z_label(twist)}; "
+            "only the trivial and hyperplane twists are known to collapse")
 
 
 def test_formal_adjoint_reverses_and_reflects():
@@ -856,15 +921,20 @@ def test_symbol_check_flags_the_unreachable_target():
     pairs = [(str(a), str(b)) for arrow in rep.arrows for a, b in arrow.inadmissible]
     assert ("(-2||1,1,1)", "(1||0,0,0)") in pairs
     assert all(arrow.ok for arrow in rep.arrows)
-    assert [[str(t) for t in arrow.unreachable] for arrow in rep.arrows] == [["(1||0,0,0)"], []]
+    check = _run_case({"op": "check", "n": 3, "twist": "(1|0,0|0)"})
+    assert check["unreachable"] == [{"arrow": 0, "targets": ["(1||0,0,0)"]}]
 
 
 def test_the_unreachable_targets_are_the_next_term_less_the_admissible_ones():
-    for twist in ((0, 0, 0, 0), (1, 0, 0, 0), (3, 0, 0, -3), (-1, 1, 1, 2)):
-        cx = assemble_transform(z_label(twist), 3, "paper").complex_
+    # the corpus check op's projection, on every collapsed complex of the box
+    for w, mode, cx in _collapsed(3):
+        want = []
         for arrow in check_ellipticity(cx).arrows:
             hit = {t for _s, t in arrow.admissible}
-            assert arrow.unreachable == tuple(sorted(set(cx.terms[arrow.index + 1]) - hit))
+            if missing := set(cx.terms[arrow.index + 1]) - hit:
+                want.append({"arrow": arrow.index, "targets": sorted(map(str, missing))})
+        check = _run_case({"op": "check", "n": 3, "twist": str(z_label(w)), "mode": mode})
+        assert check["unreachable"] == want, (w, mode)
 
 
 def test_symbol_check_failure_modes():
