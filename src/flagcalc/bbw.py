@@ -96,66 +96,77 @@ def direct_images(
         raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
     cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
     log: list[CancellationRecord] = []
-    _reduce_column(f, f.line, mode, p, cells, log)
+    _reduce_columns(((p, f),), f.line, mode, cells, log)
     return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
-def _reduce_column(f: FilteredBundle, line: BundleLabel | None, mode: str, p: int,
-                   cells: dict, log: list) -> None:
-    """Column p, f's untwisted factors tensored with line (checked, or None;
-    f's own line is not read), pushed down the M-leg into cells and log.  Each
-    image is an M-label over f.n, named and ordered by its weight alone, so
-    each surviving label is built once, in cell order.  The callers check the
-    mode, the space and the leg."""
-    untwisted = f.untwisted
-    if _shape(f.space, f.n).links:  # read once per column: no links, no line test
-        for factor in untwisted:
-            if not is_line(factor):  # tensoring with a line keeps the answer
-                name = factor if line is None else tensor_line(factor, line)
-                raise ValueError(f"not a line bundle along the fibers: {name}")
+def _reduce_columns(columns, line: BundleLabel | None, mode: str, cells: dict,
+                    log: list) -> None:
+    """The columns, one or more (p, f) pairs of filtered bundles on one space
+    and n, each f's untwisted factors tensored with line (checked, or None;
+    f's own line is not read), pushed down the M-leg into cells and log,
+    column by column.  Each image is an M-label over f.n, named and ordered by
+    its weight alone, so each surviving label is built once, in cell order.
+    The callers check the mode, the space and the leg."""
+    _p, first = columns[0]
+    links = _shape(first.space, first.n).links  # read once per call: no links, no line test
     # the fiber coordinates are every entry past the spectator; the line adds
     # its weight to every factor: to the spectator here, and to the fiber
     # entries inside bbw_reduce; a twisted label is built only for a
     # cancellation record, or to name a refused factor
     a, d = (line.weight[0], line.weight[1:]) if line is not None else (0, ())
-    images: dict[int, tuple[int, tuple[int, ...]]] = {}  # factor index -> (q, M-weight)
-    for i, factor in enumerate(untwisted):
-        w = factor.weight
-        reduced = bbw_reduce(w[1:], d)
-        if reduced is not None:
-            q, dom = reduced
-            images[i] = q, (w[0] + a, *dom)
+    for p, f in columns:
+        untwisted = f.untwisted
+        if links:
+            for factor in untwisted:
+                if not is_line(factor):  # tensoring with a line keeps the answer
+                    name = factor if line is None else tensor_line(factor, line)
+                    raise ValueError(f"not a line bundle along the fibers: {name}")
+        if len(untwisted) == 1:  # one factor: no candidate, nothing to sort
+            w = untwisted[0].weight
+            if (reduced := bbw_reduce(w[1:], d)) is not None:
+                q, dom = reduced
+                cells[p, q] = cells.get((p, q), ()) + (BundleLabel("M", (w[0] + a, *dom)),)
+            continue
+        images: dict[int, tuple[int, tuple[int, ...]]] = {}  # factor index -> (q, M-weight)
+        for i, factor in enumerate(untwisted):
+            w = factor.weight
+            reduced = bbw_reduce(w[1:], d)
+            if reduced is not None:
+                q, dom = reduced
+                images[i] = q, (w[0] + a, *dom)
 
-    # connecting-homomorphism candidates: quotient directly above sub in
-    # one composition series, images in degrees q and q+1, same label; a
-    # candidate needs two images
-    candidates = []
-    if len(images) > 1:
-        for i, j in _adjacent_pairs(f.components, f.levels):
-            if i in images and j in images:
-                (qi, wi), (qj, wj) = images[i], images[j]
-                if qj == qi + 1 and wj == wi:
-                    candidates.append((i, j))
+        # connecting-homomorphism candidates: quotient directly above sub in
+        # one composition series, images in degrees q and q+1, same label; a
+        # candidate needs two images
+        candidates = []
+        if len(images) > 1:
+            for i, j in _adjacent_pairs(f.components, f.levels):
+                if i in images and j in images:
+                    (qi, wi), (qj, wj) = images[i], images[j]
+                    if qj == qi + 1 and wj == wi:
+                        candidates.append((i, j))
 
-    if candidates:
-        removed: set[int] = set()
-        # one line on every factor keeps the order of their untwisted weights
-        candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]], images[ij[0]][0],
-                                        untwisted[ij[0]].weight, untwisted[ij[1]].weight))
-        for i, j in candidates:
-            apply = mode == "paper" and i not in removed and j not in removed
-            if apply:
-                removed.update((i, j))
-            quotient, sub = untwisted[i], untwisted[j]
-            if line is not None:
-                quotient, sub = tensor_line(quotient, line), tensor_line(sub, line)
-            log.append(CancellationRecord(p, quotient, sub, images[i][0],
-                                          BundleLabel("M", images[i][1]), apply))
-        for i in removed:
-            del images[i]
+        if candidates:
+            removed: set[int] = set()
+            # one line on every factor keeps the order of their untwisted weights
+            candidates.sort(key=lambda ij: (f.components[ij[0]], f.levels[ij[0]],
+                                            images[ij[0]][0], untwisted[ij[0]].weight,
+                                            untwisted[ij[1]].weight))
+            for i, j in candidates:
+                apply = mode == "paper" and i not in removed and j not in removed
+                if apply:
+                    removed.update((i, j))
+                quotient, sub = untwisted[i], untwisted[j]
+                if line is not None:
+                    quotient, sub = tensor_line(quotient, line), tensor_line(sub, line)
+                log.append(CancellationRecord(p, quotient, sub, images[i][0],
+                                              BundleLabel("M", images[i][1]), apply))
+            for i in removed:
+                del images[i]
 
-    for q, weight in sorted(images.values()):  # cell order: by q, then by weight
-        cells[p, q] = cells.get((p, q), ()) + (BundleLabel("M", weight),)
+        for q, weight in sorted(images.values()):  # cell order: by q, then by weight
+            cells[p, q] = cells.get((p, q), ()) + (BundleLabel("M", weight),)
 
 
 @lru_cache

@@ -31,11 +31,12 @@ from __future__ import annotations
 from functools import cache
 from operator import ne
 
-from .bbw import MODES, DirectImageTable, _mode_refused, _reduce_column, global_cohomology
+from .bbw import MODES, DirectImageTable, _mode_refused, _reduce_columns, global_cohomology
 from .bundles import (
     BundleLabel,
     FilteredBundle,
     _check_twist,
+    _rank_kernel,
     block_shape,
     exterior_power,
     m_label,
@@ -45,7 +46,7 @@ from .bundles import (
 )
 from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
-from .weights import MAX_N
+from .weights import MAX_N, _one_place
 
 __all__ = [
     "FormType",
@@ -111,7 +112,18 @@ class ComplexOnM(Value):
     claim_tags: dict[int, str] | None = None
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(sum(rank(b) for b in term) for term in self.terms)
+        """Each term's rank: the rank kernel of a block shape is looked up once
+        per run of labels with that very blocks tuple, then called per label."""
+        out, blocks, kernel = [], None, None
+        for term in self.terms:
+            total = 0
+            for b in term:
+                if b.blocks is not blocks:
+                    blocks = b.blocks
+                    kernel = _rank_kernel(blocks)
+                total += kernel(b.weight)
+            out.append(total)
+        return tuple(out)
 
 
 class TransformResult(Value):
@@ -144,8 +156,9 @@ def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> 
     down the M-leg; twist_x is the twist in the X frame (twist_frames).
 
     One pass over the memoised untwisted wedges: twist_x is checked once,
-    after the first wedge, where twist_by checks it, then the mode; each
-    column is reduced with twist_x as its line into one table."""
+    after the first wedge, where twist_by checks it, then the mode; the
+    columns are reduced in one pass, with twist_x as their line, into one
+    table."""
     lam = relative_cotangent(registry(twist_x.n)["mu"])
     first, *rest = _columns(lam, p)
     wedges = [(first, exterior_power(lam, first))]
@@ -154,8 +167,7 @@ def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> 
     if mode not in MODES:
         raise _mode_refused(mode)
     cells, log = {}, []
-    for k, wedge in wedges:
-        _reduce_column(wedge, twist_x, mode, k, cells, log)
+    _reduce_columns(wedges, twist_x, mode, cells, log)
     return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
@@ -313,7 +325,7 @@ def _naming(labels: tuple[BundleLabel, ...], d: int, full, perp) -> tuple[FormTy
 
 def _labels_n(terms) -> int:
     """The n that every label of a complex lives over."""
-    ns = {b.n for term in terms for b in term}
+    ns = {len(b.weight) - 1 for term in terms for b in term}
     if len(ns) != 1:
         raise ValueError("form names need labels over one n, got "
                          + (f"labels over n in {sorted(ns)}" if ns else "no label"))
@@ -387,19 +399,25 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
     """
     if not c.terms or any(not t for t in c.terms):
         raise ValueError("malformed complex: empty terms")
-    # each label's space, n, first entry, GL(n) part and entry sum, read once
-    # per complex, as a source of one arrow and a target of the one before
-    read = [[(t, t.space == "M", t.n, t.weight[0], t.weight[1:], sum(t.weight)) for t in term]
-            for term in c.terms]
+    # each label's space, blocks, first entry, GL(n) part and entry sum, read
+    # once per complex, as a source of one arrow and a target of the one
+    # before; on M, equal blocks mean equal n
+    read = [[(t, t.space == "M", t.blocks, t.weight[0], t.weight[1:], sum(t.weight))
+             for t in term] for term in c.terms]
     arrows = []
     for i, (sources, targets) in enumerate(zip(read, read[1:])):
         adm, bad = [], []
-        for s, s_on_m, n, a, mu, total in sources:
+        for s, s_on_m, blocks, a, mu, total in sources:
             if not s_on_m:
                 raise ValueError(f"the symbol check expects base-space labels, got {s!r}")
-            for t, on_m, tn, ta, tmu, t_total in targets:
-                ok = (on_m and tn == n and ta - a in (1, -1) and t_total == total
-                      and sum(map(ne, mu, tmu)) == 1)
+            up, down = a + 1, a - 1
+            # a GL(n) part past the kernels' bound is that of a label which ranks()
+            # refuses below, after every arrow: its pairs' verdicts are never read
+            one_place = _one_place(len(mu)) if len(mu) <= MAX_N + 1 else ne
+            for t, on_m, t_blocks, ta, tmu, t_total in targets:
+                # cheapest first; the one-place test reads two GL(n) parts of one length
+                ok = ((ta == up or ta == down) and t_total == total and on_m
+                      and t_blocks == blocks and one_place(mu, tmu))
                 (adm if ok else bad).append((s, t))
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
     ranks = c.ranks()

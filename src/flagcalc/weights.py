@@ -113,3 +113,15 @@ def _reducer(k: int) -> list[str]:
         *([f"if {repeat}:", "    return None"] if repeat else []),
         f"return q, ({_listed(f's{i}' + (f' - {i}' if i else '') for i in range(k))})",
     ]
+
+
+@_kernel_per_length
+def _one_place(k: int) -> list[str]:
+    """Whether two weights ``u`` and ``v`` of k entries each, unpacked into
+    ``u{i}`` and ``v{i}``, differ in exactly one place: at the first entry
+    that differs, every later entry must agree; no entry differs, no place."""
+    unpack = [f"({_listed(f'{x}{i}' for i in range(k))}) = {x}" for x in "uv"]
+    first = [line for i in range(k - 1) for line in (
+        f"if u{i} != v{i}:",
+        f"    return {' and '.join(f'u{j} == v{j}' for j in range(i + 1, k))}")]
+    return ["u, v", *unpack, *first, f"return u{k - 1} != v{k - 1}" if k else "return False"]

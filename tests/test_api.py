@@ -112,7 +112,7 @@ UNREAD_MEMBERS: dict[str, str] = {}
 # properties named like a field of some value class: a read of the name may
 # be a read of the field, so each is listed here with a reader
 SHARED_NAME_PROPERTIES = {
-    "BundleLabel.n": "transform._labels_n and geometry.twist_frames read the n of a label",
+    "BundleLabel.n": "geometry.twist_frames and transform.e1_page read the n of a label",
 }
 
 

@@ -4,8 +4,8 @@ The engine memoizes its twist-independent layers (registry, relative
 forms, exterior powers, form dictionary) and, below them, untraced
 records: the shape of each label (``bundles._shape``), the adjacent
 pairs of each filtration (``bbw._adjacent_pairs``) and the compiled
-kernels of each weight length (``weights._reducer``) and of each block
-shape (``bundles._rank_kernel``).  A memo's miss path
+kernels of each weight length (``weights._reducer`` and
+``weights._one_place``) and of each block shape (``bundles._rank_kernel``).  A memo's miss path
 must call no other traced function, or the first traced run would count
 differently from a warm one.  Each memo is checked here in process, by
 one cold call under an enabled tracer; and since earlier tests in the
@@ -59,6 +59,7 @@ MEMOS = [
     ("bundles._shape", bundles, "_shape", lambda: ("X", 3)),
     ("bbw._adjacent_pairs", bbw, "_adjacent_pairs", lambda: _filtration(3, 2)),
     ("weights._reducer", weights, "_reducer", lambda: (3,)),
+    ("weights._one_place", weights, "_one_place", lambda: (3,)),
     ("bundles._rank_kernel", bundles, "_rank_kernel", lambda: ((1, 3),)),
 ]
 
@@ -102,10 +103,12 @@ def test_tracer_counts_repeat_from_a_cold_process():
 # The transform's page is one pass over the untwisted wedges, so a sweep op
 # calls no twist_by, direct_images or merge; run_e1 calls the public three.
 # (3|0,0|-3) collapses without an involutive rule, so it asks the rule's
-# predicate and never calls involutive_cohomology.
+# predicate and never calls involutive_cohomology.  A complex's ranks call the
+# rank kernels directly, so the one traced rank of a sweep op is the
+# involutive rule's rank of its module.
 PINNED_CALLS = {
     ("run_sweep", 3, (0, 0, 0, 0), ("paper",)): {
-        "weights.bbw_reduce": 17, "bundles.exterior_power": 5, "bundles.rank": 14,
+        "weights.bbw_reduce": 17, "bundles.exterior_power": 5, "bundles.rank": 2,
         "geometry.registry": 2, "geometry.relative_cotangent": 1,
         "transform.assemble_transform": 1, "transform.annotate_form_types": 1,
         "transform.form_dictionary": 1, "transform.check_ellipticity": 1,
@@ -114,8 +117,7 @@ PINNED_CALLS = {
         "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "geometry.registry": 1,
         "geometry.relative_cotangent": 1, "transform.assemble_transform": 1},
     ("run_sweep", 3, (3, 0, 0, -3), ("paper",)): {
-        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "bundles.rank": 12,
-        "geometry.registry": 1, "geometry.relative_cotangent": 1,
+        "weights.bbw_reduce": 16, "bundles.exterior_power": 5, "geometry.registry": 1, "geometry.relative_cotangent": 1,
         "transform.assemble_transform": 1, "transform.annotate_form_types": 1,
         "transform.form_dictionary": 1, "transform.check_ellipticity": 1},
     ("run_e1", 2, (2, -1, -3), ("paper", "conservative")): {

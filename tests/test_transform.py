@@ -6,10 +6,11 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 
-from flagcalc import bundles
+from flagcalc import bundles, transform
 from flagcalc.bbw import MODES, DirectImageTable, global_cohomology
 from flagcalc.bundles import (
     BundleLabel,
@@ -53,10 +54,12 @@ from flagcalc.transform import (
 
 from oracles import (
     FORM_TABLES,
+    block_slices,
     brute_reduce,
     count_rank,
     euler_rank,
     flag_betti,
+    loop_weyl_rank,
     pieri_admissible,
     restricts_to,
     stabilizer_types,
@@ -1050,6 +1053,68 @@ def test_symbol_check_matches_the_pieri_membership_oracle_on_random_pairs(n):
         seen.update(t.space for _s, t in arrow.inadmissible)
         seen["other n"] += sum(t.n != n for t in targets)
     assert min(seen.values()) > 50, seen
+
+
+def _oracle_ranks(terms) -> tuple[int, ...]:
+    """Each term's rank, with no engine kernel: per label, the product of the
+    loop Weyl ranks of its blocks."""
+    return tuple(sum(prod(loop_weyl_rank(part) for part in block_slices(b.space, b.weight))
+                     for b in term) for term in terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_ranks_match_the_loop_weyl_oracle_on_the_boxes(n):
+    # every collapsed complex of the benchmark boxes, in both modes, term by
+    # term; the symbol check reports the same ranks
+    for w, mode, cx in _collapsed(n):
+        want = _oracle_ranks(cx.terms)
+        assert cx.ranks() == want, (w, mode)
+        assert check_ellipticity(cx).ranks == want, (w, mode)
+    assert len(_collapsed(n)) == {2: 2212, 3: 590}[n]
+
+
+def test_complex_ranks_look_up_one_kernel_per_run_of_a_block_shape(monkeypatch):
+    # terms that mix M-labels over n = 2 and n = 3 and an X-label: the kernel
+    # is looked up again exactly where the block shape changes
+    terms = (
+        (m_label((0, 0, 1)), m_label((1, -1, 2)), m_label((1, -1, 0, 0))),
+        (m_label((2, -1, 0, 1)), x_label((0, 1, 2, 3)), x_label((5, 1, 0, 3))),
+        (m_label((0, -2, 1)), m_label((0, 0, 0, 1))),
+    )
+    looked_up = []
+    kernel = transform._rank_kernel
+    monkeypatch.setattr(transform, "_rank_kernel",
+                        lambda blocks: looked_up.append(blocks) or kernel(blocks))
+    cx = ComplexOnM(terms)
+    assert cx.ranks() == _oracle_ranks(terms) == (2 + 4 + 3, 8 + 1 + 1, 4 + 3)
+    assert looked_up == [(1, 2), (1, 3), (1, 1, 1, 1), (1, 2), (1, 3)]
+    assert [rank(b) for b in terms[0]] == [2, 4, 3]  # one label still goes through rank
+
+
+def test_symbol_check_puts_a_target_off_the_common_case_among_the_inadmissible():
+    # targets with the source's first-entry step and entry sum, over another
+    # n or on X, fail the test before the one-place kernel reads their GL(n)
+    # parts, so no part of another length is unpacked
+    s = m_label((0, -1, 0, 1))
+    step = m_label((1, -1, 0, 0))  # the Pieri step mu - e_3
+    off = (m_label((1, -1, 0)), m_label((1, -1, 0, 0, 0)), m_label((-1, 0, 0, 0, 1)),
+           x_label((1, -1, 0, 0)))
+    assert all(t.weight[0] in (-1, 1) and sum(t.weight) == 0 for t in (step, *off))
+    arrow, = check_ellipticity(ComplexOnM(((s,), (off[0], step, *off[1:])), 0, 0)).arrows
+    assert arrow.admissible == ((s, step),)
+    assert arrow.inadmissible == tuple((s, t) for t in off)
+    assert (arrow.admissible, arrow.inadmissible) == _arrow_partition((s,), (off[0], step, *off[1:]))
+
+
+def test_symbol_check_over_the_kernels_bound_refuses_as_the_rank_does():
+    # a GL(n) part too long for a kernel is a label the ranks refuse, after
+    # every arrow: a source off the base in a later term is refused first
+    s, t = m_label((0,) * (MAX_N + 3)), m_label((1, -1) + (0,) * (MAX_N + 1))
+    too_long = rf"a weight has at most {MAX_N + 1} entries \(n <= {MAX_N}\), got {MAX_N + 3}$"
+    with pytest.raises(ArgumentError, match=too_long):
+        check_ellipticity(ComplexOnM(((s,), (t,)), 0, 0))
+    with pytest.raises(ValueError, match="expects base-space labels, got <X"):
+        check_ellipticity(ComplexOnM(((s,), (t, x_label((0,) * 4)), (m_label((0,) * 4),)), 0, 0))
 
 
 def test_symbol_check_refuses_a_source_off_the_base():

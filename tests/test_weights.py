@@ -3,7 +3,7 @@
 import random
 import re
 from math import comb
-from operator import add, sub
+from operator import add, ne, sub
 
 import pytest
 from hypothesis import given
@@ -176,3 +176,26 @@ def test_a_weight_over_the_bound_is_refused_before_any_source_is_written():
     assert kernel(MAX_N + 1)(*range(MAX_N + 1)) == MAX_N + 1 and built == [MAX_N + 1]
     with pytest.raises(ArgumentError, match=f"{TOO_LONG}{MAX_N + 2}$"):
         bbw_reduce((0,) * (MAX_N + 2))
+
+
+@pytest.mark.parametrize("k", range(MAX_N + 2))
+def test_the_one_place_kernel_agrees_with_counting_the_differences(k):
+    # seeded pairs of every length: equal, moved in one place, and moved in
+    # random places, including the first and the last entry
+    rng = random.Random(700 + k)
+    one_place = weights._one_place(k)
+    verdicts = set()
+    for _ in range(300):
+        u = tuple(rng.randint(-2, 2) for _ in range(k))
+        v = list(u)
+        for i in rng.sample(range(k), rng.randint(0, k)):
+            v[i] += rng.choice((-1, 1))
+        for pair in ((u, tuple(v)), (tuple(v), u), (u, u)):
+            verdicts.add(got := one_place(*pair))
+            assert got == (sum(map(ne, *pair)) == 1), pair
+    assert verdicts == ({False} if k == 0 else {False, True})
+
+
+def test_the_one_place_kernel_refuses_a_length_over_the_bound():
+    with pytest.raises(ArgumentError, match=f"{TOO_LONG}{MAX_N + 2}$"):
+        weights._one_place(MAX_N + 2)
