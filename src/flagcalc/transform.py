@@ -29,7 +29,6 @@ term splits by owner and each part is a*full + b*perp in at most one way.
 from __future__ import annotations
 
 from functools import cache
-from operator import ne
 
 from .bbw import MODES, DirectImageTable, _mode_refused, _reduce_columns, global_cohomology
 from .bundles import (
@@ -37,7 +36,6 @@ from .bundles import (
     FilteredBundle,
     _check_twist,
     _rank_kernel,
-    block_shape,
     exterior_power,
     m_label,
     pieri_tensor,
@@ -46,7 +44,7 @@ from .bundles import (
 )
 from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
-from .weights import MAX_N, _one_place
+from .weights import MAX_N, _pair_scan
 
 __all__ = [
     "FormType",
@@ -135,9 +133,12 @@ class TransformResult(Value):
 
 def _columns(lam: FilteredBundle, p: int | None) -> range | tuple[int]:
     """The columns of a first page of lam's wedges: every p in 0..len(lam) when
-    p is None, else p alone, which must lie in 0..rank(lam) (ArgumentError)."""
+    p is None, else p alone, which must be an int (True is not a column) in
+    0..rank(lam) (ArgumentError)."""
     if p is None:
         return range(len(lam) + 1)  # every factor is a line, or the wedge refuses
+    if type(p) is not int:
+        raise ArgumentError(f"column p must be an int, got {p!r}")
     if 0 <= p <= rank(lam):
         return (p,)
     raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
@@ -162,7 +163,7 @@ def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> 
     lam = relative_cotangent(registry(twist_x.n)["mu"])
     first, *rest = _columns(lam, p)
     wedges = [(first, exterior_power(lam, first))]
-    _check_twist(lam.space, lam.n, block_shape(lam.space, lam.n), twist_x)
+    _check_twist(lam.space, lam.n, lam.untwisted[0].blocks, twist_x)
     wedges += [(k, exterior_power(lam, k)) for k in rest]
     if mode not in MODES:
         raise _mode_refused(mode)
@@ -190,7 +191,8 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
         return TransformResult(table, None, reason, mode)
 
     q0 = qs[0]
-    terms = tuple(table.cells.get((p, q0), ()) for p in range(ps[0], ps[-1] + 1))
+    cells = table.cells
+    terms = tuple([cells[p, q0] for p in ps])  # ps is contiguous, each cell in row q0
     claims = claim_tags = None
     if twist_z is not None and _has_involutive_rule(twist_z):
         inv = involutive_cohomology(twist_z)
@@ -217,8 +219,9 @@ def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> Transform
 def _has_involutive_rule(twist: BundleLabel) -> bool:
     """The twists whose row cohomology has a pinned rule: the trivial and
     the hyperplane twist (1|0,...,0) on Z."""
-    n = twist.n
-    return twist.space == "Z" and twist.weight in ((0,) * (n + 1), (1,) + (0,) * n)
+    w = twist.weight
+    # first entry 0 or 1 and every other entry 0: the zeros then number len(w) - w[0]
+    return twist.space == "Z" and (w[0] == 0 or w[0] == 1) and w.count(0) == len(w) - w[0]
 
 
 def involutive_cohomology(twist: BundleLabel) -> FrozenDict:
@@ -286,18 +289,37 @@ def _labels_for(ft: FormType, n: int) -> tuple[BundleLabel, ...]:
     return labs
 
 
-def _owner(lab: BundleLabel, d: int) -> tuple[int, int] | None:
-    """The L(p,q) of degree d = p+q that holds the label, or None.  Read the
-    Pieri rule backwards: (p-q || -1^i, 0^(n-i-l), 1^l) lies in L(i+k, l+k)
-    for k = 0..n-i-l, so d fixes k; a label not of that shape has no owner."""
+def _pieri_place(lab: BundleLabel) -> tuple[int, int] | None:
+    """(i, l) when the label is (i-l || -1^i, 0^(n-i-l), 1^l) on M, else None:
+    the Pieri rule read backwards puts such a label in L(i+k, l+k) for each
+    k = 0..n-i-l, and a label not of that shape in no L(p,q)."""
     if lab.space != "M":
         return None
     a, mu = lab.weight[0], lab.weight[1:]
     i, l = mu.count(-1), mu.count(1)
+    if a != i - l or i + l + mu.count(0) != len(mu):
+        return None
+    return i, l
+
+
+def _owner(lab: BundleLabel, d: int) -> tuple[int, int] | None:
+    """The L(p,q) of degree d = p+q that holds the label, or None: d fixes
+    the k of _pieri_place."""
+    if (place := _pieri_place(lab)) is None:
+        return None
+    i, l = place
     k, odd = divmod(d - i - l, 2)
-    if odd or a != i - l or not 0 <= k <= len(mu) - i - l or i + l + mu.count(0) != len(mu):
+    if odd or not 0 <= k <= len(lab.weight) - 1 - i - l:
         return None
     return i + k, l + k
+
+
+def _degrees(lab: BundleLabel) -> range:
+    """The degrees d at which the label has an owner: i+l, i+l+2, .., 2n-i-l."""
+    if (place := _pieri_place(lab)) is None:
+        return range(0)
+    low = sum(place)
+    return range(low, 2 * (len(lab.weight) - 1) - low + 1, 2)
 
 
 def _naming(labels: tuple[BundleLabel, ...], d: int, full, perp) -> tuple[FormType, ...] | None:
@@ -305,19 +327,22 @@ def _naming(labels: tuple[BundleLabel, ...], d: int, full, perp) -> tuple[FormTy
     the L(p,q) of degree d that own its labels, or None at the first label
     with no owner.  A label lies in at most one L(p,q) of a degree, and the
     constituents of one L(p,q) are distinct, so a and b are read off each
-    group's label counts: the naming is the only one."""
-    groups: dict[tuple[int, int], dict[BundleLabel, int]] = {}
+    group's label counts: the naming is the only one.  An owned label is an
+    M-label over the dictionary's n, so its weight names it and is what is
+    counted."""
+    groups: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
     for lab in labels:
         if (pq := _owner(lab, d)) is None:
             return None
         got = groups.setdefault(pq, {})
-        got[lab] = got.get(lab, 0) + 1
+        w = lab.weight
+        got[w] = got.get(w, 0) + 1
     out: list[FormType] = []
     for (p, q), got in groups.items():
         labs, prim = full[p, q], perp.get((p, q), ())
-        a = min(got.get(lab, 0) for lab in labs if lab not in prim)
-        b = got.get(prim[0], 0) - a if prim else 0
-        if b < 0 or got != {lab: c for lab in labs if (c := a + b * (lab in prim))}:
+        a = min(got.get(lab.weight, 0) for lab in labs if lab not in prim)
+        b = got.get(prim[0].weight, 0) - a if prim else 0
+        if b < 0 or got != {lab.weight: c for lab in labs if (c := a + b * (lab in prim))}:
             return None
         out += [FormType(p, q, "full")] * a + [FormType(p, q, "perp")] * b
     return tuple(sorted(out))
@@ -339,13 +364,18 @@ def annotate_form_types(
 
     Terms must carry consecutive total degrees (the arrows are first
     order): exactly one start degree d0 may name every term i at degree
-    d0 + i.  Each term has at most one naming per degree (_naming).  n is
-    read from the labels; terms with no label, or over several n, are refused.
+    d0 + i.  Each term has at most one naming per degree (_naming).  The
+    first label, of term j, has an owner only at its _degrees, so the only
+    start degrees tried are those less j; an empty term names as () at every
+    degree.  n is read from the labels; terms with no label, or over several
+    n, are refused.
     """
     n = _labels_n(terms)
     full, perp = form_dictionary(n)
+    j, first = next((j, term[0]) for j, term in enumerate(terms) if term)
+    starts = range(2 * n + 2 - len(terms))
     chains = []
-    for d0 in range(2 * n + 2 - len(terms)):
+    for d0 in [d - j for d in _degrees(first) if d - j in starts]:
         chain = []
         for i, term in enumerate(terms):
             if (named := _naming(term, d0 + i, full, perp)) is None:
@@ -397,33 +427,33 @@ def check_ellipticity(c: ComplexOnM) -> EllipticityReport:
     already) is admissible when t - s = (+-1, -+e_i) for exactly one i: when the first
     entries differ by one, the entry sums agree and the GL(n) parts differ in one place.
     """
-    if not c.terms or any(not t for t in c.terms):
+    if not c.terms or not all(c.terms):
         raise ValueError("malformed complex: empty terms")
-    # each label's space, blocks, first entry, GL(n) part and entry sum, read
-    # once per complex, as a source of one arrow and a target of the one
-    # before; on M, equal blocks mean equal n
-    read = [[(t, t.space == "M", t.blocks, t.weight[0], t.weight[1:], sum(t.weight))
-             for t in term] for term in c.terms]
-    arrows = []
+    # each label's blocks (None off M), first entry, GL(n) part and entry sum,
+    # read once per complex, as a source of one arrow and a target of the one
+    # before; on M, equal blocks mean equal n, and no target off M has equal blocks
+    read = []
+    for term in c.terms:
+        row = []
+        for t in term:
+            w = t.weight
+            row.append((t, t.blocks if t.space == "M" else None, w[0], w[1:], sum(w)))
+        read.append(row)
+    arrows, every = [], True
     for i, (sources, targets) in enumerate(zip(read, read[1:])):
         adm, bad = [], []
-        for s, s_on_m, blocks, a, mu, total in sources:
-            if not s_on_m:
+        for s, blocks, a, mu, total in sources:
+            if blocks is None:
                 raise ValueError(f"the symbol check expects base-space labels, got {s!r}")
-            up, down = a + 1, a - 1
-            # a GL(n) part past the kernels' bound is that of a label which ranks()
-            # refuses below, after every arrow: its pairs' verdicts are never read
-            one_place = _one_place(len(mu)) if len(mu) <= MAX_N + 1 else ne
-            for t, on_m, t_blocks, ta, tmu, t_total in targets:
-                # cheapest first; the one-place test reads two GL(n) parts of one length
-                ok = ((ta == up or ta == down) and t_total == total and on_m
-                      and t_blocks == blocks and one_place(mu, tmu))
-                (adm if ok else bad).append((s, t))
+            if len(mu) <= MAX_N + 1:
+                _pair_scan(len(mu))(s, blocks, a, mu, total, targets, adm, bad)
+            else:  # a label that ranks() refuses below, after every arrow: no verdict is read
+                bad += [(s, t[0]) for t in targets]
+        every = every and bool(adm)
         arrows.append(ArrowCheck(i, tuple(adm), tuple(bad)))
     ranks = c.ranks()
     total = alternating_sum(ranks)
-    passed = total == 0 and all(a.ok for a in arrows)
-    return EllipticityReport(ranks, total, tuple(arrows), passed)
+    return EllipticityReport(ranks, total, tuple(arrows), total == 0 and every)
 
 
 # ------------------------------------------------------- formal adjoint

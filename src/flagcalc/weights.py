@@ -55,11 +55,12 @@ def bbw_reduce(w: Weight, shift: Weight = ()) -> tuple[int, Weight] | None:
     if not type(w) is tuple is type(shift):  # the kernel would unpack any sequence
         name, value = ("weight", w) if type(w) is not tuple else ("shift", shift)
         raise TypeError(f"bbw_reduce's {name} is a tuple of ints, got {value!r}")
+    k = len(w)
     if not shift:
-        return _reducer(len(w))(w)
-    if len(shift) != len(w):
-        raise ArgumentError(f"the shift added to {w} has {len(w)} entries, got {shift}")
-    return _reducer(len(w))(w, shift)
+        return _reducer(k)(w)
+    if len(shift) != k:
+        raise ArgumentError(f"the shift added to {w} has {k} entries, got {shift}")
+    return _reducer(k)(w, shift)
 
 
 def _listed(items) -> str:
@@ -116,12 +117,30 @@ def _reducer(k: int) -> list[str]:
 
 
 @_kernel_per_length
-def _one_place(k: int) -> list[str]:
-    """Whether two weights ``u`` and ``v`` of k entries each, unpacked into
+def _pair_scan(k: int) -> list[str]:
+    """The symbol check's pairs of one source: the source ``s`` with its
+    ``blocks``, first entry ``a``, GL(n) part ``mu`` of k entries and entry
+    sum ``total`` against each target ``(t, blocks, first entry, GL(n) part,
+    entry sum)`` of ``targets``, the pair ``(s, t)`` appended to ``adm`` when
+    t - s = (+-1, -+e_i), else to ``bad``.  The tests run cheapest first: the
+    first-entry step, the entry sum, the blocks (so a target's GL(n) part is
+    unpacked only at length k), then whether the parts, unpacked into
     ``u{i}`` and ``v{i}``, differ in exactly one place: at the first entry
     that differs, every later entry must agree; no entry differs, no place."""
-    unpack = [f"({_listed(f'{x}{i}' for i in range(k))}) = {x}" for x in "uv"]
-    first = [line for i in range(k - 1) for line in (
-        f"if u{i} != v{i}:",
-        f"    return {' and '.join(f'u{j} == v{j}' for j in range(i + 1, k))}")]
-    return ["u, v", *unpack, *first, f"return u{k - 1} != v{k - 1}" if k else "return False"]
+    one_place = [line for i in range(k - 1) for line in (
+        f"{'if' if i == 0 else 'elif'} u{i} != v{i}:",
+        f"    ok = {' and '.join(f'u{j} == v{j}' for j in range(i + 1, k))}")]
+    last = f"ok = u{k - 1} != v{k - 1}" if k else "ok = False"
+    one_place += ["else:", f"    {last}"] if k > 1 else [last]
+    return [
+        "s, blocks, a, mu, total, targets, adm, bad",
+        f"({_listed(f'u{i}' for i in range(k))}) = mu",
+        "up, down = a + 1, a - 1",
+        "for t, t_blocks, ta, tmu, t_total in targets:",
+        "    if (ta == up or ta == down) and t_total == total and t_blocks == blocks:",
+        f"        ({_listed(f'v{i}' for i in range(k))}) = tmu",
+        *(f"        {line}" for line in one_place),
+        "    else:",
+        "        ok = False",
+        "    (adm if ok else bad).append((s, t))",
+    ]

@@ -851,6 +851,9 @@ USAGE_RULES = {
         {"flag": ["relative-forms", "-p", "5"],
          "fixture": {"op": "exterior_power", "p": 5}},
         "column p=5 is outside 0..4"),
+    "column not an int": (
+        {"fixture": {"op": "direct_images", "n": 3, "p": True}},
+        "column p must be an int, got True"),
     "line for another n": (
         {"flag": ["tensor", "(0||0,0,0)", "--line", "(1||0,0,0,0)"]},
         "cannot tensor labels on different spaces or over different n: "

@@ -5,7 +5,7 @@ forms, exterior powers, form dictionary) and, below them, untraced
 records: the shape of each label (``bundles._shape``), the adjacent
 pairs of each filtration (``bbw._adjacent_pairs``) and the compiled
 kernels of each weight length (``weights._reducer`` and
-``weights._one_place``) and of each block shape (``bundles._rank_kernel``).  A memo's miss path
+``weights._pair_scan``) and of each block shape (``bundles._rank_kernel``).  A memo's miss path
 must call no other traced function, or the first traced run would count
 differently from a warm one.  Each memo is checked here in process, by
 one cold call under an enabled tracer; and since earlier tests in the
@@ -59,7 +59,7 @@ MEMOS = [
     ("bundles._shape", bundles, "_shape", lambda: ("X", 3)),
     ("bbw._adjacent_pairs", bbw, "_adjacent_pairs", lambda: _filtration(3, 2)),
     ("weights._reducer", weights, "_reducer", lambda: (3,)),
-    ("weights._one_place", weights, "_one_place", lambda: (3,)),
+    ("weights._pair_scan", weights, "_pair_scan", lambda: (3,)),
     ("bundles._rank_kernel", bundles, "_rank_kernel", lambda: ((1, 3),)),
 ]
 

@@ -38,6 +38,7 @@ from flagcalc.notation import ArgumentError
 from flagcalc.transform import (
     ComplexOnM,
     FormType,
+    _degrees,
     _owner,
     alternating_sum,
     annotate_form_types,
@@ -148,6 +149,64 @@ def test_the_derived_owner_refuses_labels_off_the_dictionary():
     for other in refused:
         assert [_owner(other, d) for d in range(7)] == [None] * 7, other
     assert all(_owner(lab, d) is None for d in (1, 3, 5))  # degree of the wrong parity
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_start_degrees_of_a_label_are_those_with_an_owner(n):
+    # every M-label with entries in [-2, 2]: the degrees read off its Pieri
+    # place are exactly those at which it has an owner; off M there are none
+    owned = 0
+    for a in range(-2, 3):
+        for mu in combinations_with_replacement(range(-2, 3), n):
+            lab = m_label((a, *mu))
+            assert list(_degrees(lab)) == [d for d in range(2 * n + 1) if _owner(lab, d)], lab
+            owned += bool(_degrees(lab))
+            for other in (x_label, z_label):
+                assert not _degrees(other((a, *mu))), (other, mu)
+    # one label (i - l || -1^i, 0^(n-i-l), 1^l) per i + l <= n, with a = i - l in the window
+    assert owned == sum(abs(i - l) <= 2 for i in range(n + 1) for l in range(n + 1 - i))
+
+
+def _named(chain):
+    """A chain's form names as strings, or None."""
+    names = annotate_form_types(chain)
+    return names and [[str(ft) for ft in term] for term in names]
+
+
+def test_annotation_tries_only_the_start_degrees_of_its_first_label():
+    # the start degrees come from the first label of the first nonempty term;
+    # an empty term names as () at every degree, and refusals keep their order
+    one_zero, two_zero = m_label((1, -1, 0, 0)), m_label((2, -1, -1, 0))
+    assert _named(((), (one_zero,), (two_zero,))) == [[], ["L(1,0)"], ["L(2,0)"]]
+    # degree 1 would start at -1, outside the range, where it would make a second chain
+    assert _named(((), (), (one_zero,))) == [[], [], ["L(3,2)"]]
+    assert _named(((), (one_zero,), ())) is None
+    assert _named(((x_label((0, 0, 0, 0)), one_zero), (two_zero,))) is None
+    assert _named(((m_label((0, 0, 0, 0)), x_label((0, 0, 0, 0))),)) is None
+    for chain in (((), (one_zero,), (two_zero,)), ((), (), (one_zero,)),
+                  ((x_label((0, 0, 0, 0)), one_zero), (two_zero,))):
+        assert annotate_form_types(chain) == cover_search_annotation(chain, 3), chain
+    for n in (1, MAX_N + 1):
+        with pytest.raises(ValueError, match=f"need 2 <= n <= {MAX_N}, got {n}$"):
+            annotate_form_types(((), (m_label((0,) * (n + 1)),)))
+    with pytest.raises(ValueError, match=r"labels over n in \[1, 3\]$"):
+        annotate_form_types(((m_label((0, 0)),), (), (one_zero,)))
+    with pytest.raises(ValueError, match="got no label$"):
+        annotate_form_types(((), ()))
+
+
+def test_annotation_names_the_two_sweep_complexes_as_the_cover_search_does():
+    # of the n = 3 box's collapsed complexes in paper mode, the trivial and the
+    # canonical twist are the two that have a naming
+    named = {}
+    for w in TWIST_BOXES[3]:
+        cx = assemble_transform(z_label(w), 3, "paper").complex_
+        if cx is not None and cx.form_types is not None:
+            named[w] = cx.form_types
+    assert sorted(named) == [(0, 0, 0, 0), (3, 0, 0, -3)]
+    for w, names in named.items():
+        terms = assemble_transform(z_label(w), 3, "paper").complex_.terms
+        assert names == annotate_form_types(terms) == cover_search_annotation(terms, 3), w
 
 
 def test_form_naming_and_adjoint_work_at_n4():
@@ -289,6 +348,18 @@ def test_twist_may_be_given_in_either_frame():
     on_x = assemble_transform(x_label((0, 1, 0, 0)), 3, "paper")
     assert on_z == on_x  # the claims too: the X twist has the Z form (1|0,0|0)
     assert str(twist_frames(x_label((0, 1, 0, 0)), 3)[0]) == "(1|0,0|0)"
+
+
+def test_a_column_that_is_not_an_int_is_refused_by_name():
+    # True compares as 1 and a float as its value: neither is a column
+    twist_x, fib = x_label((0, 1, 0, 0)), registry(3)["mu"]
+    for p in (True, False, 1.0, "1"):
+        for make in (lambda: e1_page(twist_x, "paper", p), lambda: twisted_forms(fib, twist_x, p)):
+            with pytest.raises(ArgumentError) as err:
+                make()
+            assert str(err.value) == f"column p must be an int, got {p!r}"
+    assert e1_page(twist_x, "paper", 1).cells == {
+        pq: labs for pq, labs in e1_page(twist_x, "paper").cells.items() if pq[0] == 1}
 
 
 def test_e1_page_columns_and_their_range():
@@ -1093,7 +1164,7 @@ def test_complex_ranks_look_up_one_kernel_per_run_of_a_block_shape(monkeypatch):
 
 def test_symbol_check_puts_a_target_off_the_common_case_among_the_inadmissible():
     # targets with the source's first-entry step and entry sum, over another
-    # n or on X, fail the test before the one-place kernel reads their GL(n)
+    # n or on X, fail the test before the pair scan reads their GL(n)
     # parts, so no part of another length is unpacked
     s = m_label((0, -1, 0, 1))
     step = m_label((1, -1, 0, 0))  # the Pieri step mu - e_3
@@ -1104,6 +1175,21 @@ def test_symbol_check_puts_a_target_off_the_common_case_among_the_inadmissible()
     assert arrow.admissible == ((s, step),)
     assert arrow.inadmissible == tuple((s, t) for t in off)
     assert (arrow.admissible, arrow.inadmissible) == _arrow_partition((s,), (off[0], step, *off[1:]))
+
+
+def test_symbol_check_scans_sources_of_mixed_n_at_their_own_length():
+    # sources over n = 2 and n = 3 alternate inside a term and across terms:
+    # each is scanned at its own GL(n) length, and each pair lands on the side
+    # the Pieri membership oracle puts it, in order
+    terms = (
+        (m_label((0, 0, 0)), m_label((0, 0, 0, 0)), m_label((1, -1, 0))),
+        (m_label((1, -1, 0)), m_label((-1, 0, 0, 1)), m_label((-1, 0, 1)), m_label((0, -1, 1))),
+        (m_label((0, 0, 0)), m_label((0, -1, 0, 1)), m_label((2, -2, 0))),
+    )
+    rep = check_ellipticity(ComplexOnM(terms))
+    for i, arrow in enumerate(rep.arrows):
+        assert (arrow.admissible, arrow.inadmissible) == _arrow_partition(terms[i], terms[i + 1])
+    assert [len(a.admissible) for a in rep.arrows] == [4, 4]
 
 
 def test_symbol_check_over_the_kernels_bound_refuses_as_the_rank_does():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from math import comb
 from operator import add, ne, sub
 
@@ -10,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagcalc import weights
+from flagcalc.bundles import m_label, x_label
 from flagcalc.notation import ArgumentError
 from flagcalc.weights import MAX_N, bbw_reduce, is_dominant
 
-from oracles import brute_reduce, loop_reduce
+from oracles import brute_reduce, loop_reduce, pieri_admissible
 
 # the refusal of a weight of too many entries, up to the count it was given
 TOO_LONG = rf"a weight has at most {MAX_N + 1} entries \(n <= {MAX_N}\), got "
@@ -178,24 +180,80 @@ def test_a_weight_over_the_bound_is_refused_before_any_source_is_written():
         bbw_reduce((0,) * (MAX_N + 2))
 
 
+def _read(t):
+    """A label as the symbol check reads it: the label, its blocks on M (None
+    off M), its first entry, its GL(n) part and its entry sum."""
+    w = t.weight
+    return t, t.blocks if t.space == "M" else None, w[0], w[1:], sum(w)
+
+
+def _scan_targets(rng: random.Random, s) -> list:
+    """Labels near s that the symbol check would test as targets: its Pieri
+    steps, steps moved in a second place, nearby weights, the source itself,
+    labels over another n with the same first-entry step and entry sum, and
+    the steps on X."""
+    a, mu = s.weight[0], s.weight[1:]
+    k = len(mu)
+    steps = [(a + da, *(x - da * (j == i) for j, x in enumerate(mu)))
+             for i in range(k) for da in (1, -1)]
+    weights = [*steps, s.weight]
+    for w in rng.sample(steps, min(4, len(steps))):  # a second place moved, the sum kept
+        v = list(w)
+        i, j = rng.sample(range(1, k + 1), 2) if k >= 2 else (1, 1)
+        v[i] += 1
+        v[j] -= 1
+        weights.append(tuple(v))
+    weights += [tuple(x + rng.choice((-1, 0, 0, 1)) for x in s.weight) for _ in range(4)]
+    out = []
+    for w in weights:
+        for make in (m_label, x_label):
+            try:
+                out.append(make(w))
+            except ValueError:  # not dominant on that space
+                pass
+    for other in {k - 1, k + 1} - {0}:  # one step, sum kept, over another n
+        rest = sorted((*mu, 0)[:other])
+        rest[-1 if sum(mu) - 1 >= sum(rest) else 0] += sum(mu) - 1 - sum(rest)  # stays dominant
+        out.append(m_label((a + 1, *rest)))
+    rng.shuffle(out)
+    return out
+
+
 @pytest.mark.parametrize("k", range(MAX_N + 2))
 def test_the_one_place_kernel_agrees_with_counting_the_differences(k):
-    # seeded pairs of every length: equal, moved in one place, and moved in
-    # random places, including the first and the last entry
+    # the pair scan of GL(n) parts of k entries, whose last test is that the
+    # parts differ in exactly one place: seeded source and target terms put
+    # each pair on the side the Pieri membership oracle puts it, in order,
+    # and on the side that counting the differences puts it
     rng = random.Random(700 + k)
-    one_place = weights._one_place(k)
-    verdicts = set()
-    for _ in range(300):
-        u = tuple(rng.randint(-2, 2) for _ in range(k))
-        v = list(u)
-        for i in rng.sample(range(k), rng.randint(0, k)):
-            v[i] += rng.choice((-1, 1))
-        for pair in ((u, tuple(v)), (tuple(v), u), (u, u)):
-            verdicts.add(got := one_place(*pair))
-            assert got == (sum(map(ne, *pair)) == 1), pair
-    assert verdicts == ({False} if k == 0 else {False, True})
+    scan = weights._pair_scan(k)
+    sides = Counter()
+    for _ in range(25 if k else 1):
+        if not k:  # no label has an empty GL(n) part: the scan reads tuples alone
+            sources = [("s", (1, 0), a, (), a) for a in (-1, 0, 1)]
+            targets = [(f"t{a}", (1, 0), a, (), a) for a in (-1, 0, 1)]
+        else:
+            sources = [_read(m_label((rng.randint(-3, 3), *sorted(rng.randint(-2, 2)
+                                                                  for _ in range(k)))))
+                       for _ in range(rng.randint(1, 3))]
+            targets = [_read(t) for s in sources for t in _scan_targets(rng, s[0])]
+        adm, bad, want = [], [], ([], [])
+        for source in sources:
+            scan(*source, targets, adm, bad)
+            s, blocks, a, mu, total = source
+            for t, t_blocks, ta, tmu, t_total in targets:
+                counted = (abs(ta - a) == 1 and t_total == total and t_blocks == blocks
+                           and sum(map(ne, mu, tmu)) == 1)
+                assert not k or counted == pieri_admissible(s, t), (s, t)
+                want[not counted].append((s, t))
+                sides[counted, t_blocks == blocks] += 1
+        assert (adm, bad) == want
+    if k:  # both verdicts, and targets off M or over another n, were met
+        assert sides.keys() == {(True, True), (False, True), (False, False)}, sides
+    else:
+        assert sides == {(False, True): 9}
 
 
 def test_the_one_place_kernel_refuses_a_length_over_the_bound():
     with pytest.raises(ArgumentError, match=f"{TOO_LONG}{MAX_N + 2}$"):
-        weights._one_place(MAX_N + 2)
+        weights._pair_scan(MAX_N + 2)
