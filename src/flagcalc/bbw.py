@@ -7,6 +7,12 @@ inside the fiber coordinates, with the first entry a spectator.  The
 q-th direct image is then the irreducible bundle on the base whose
 block-2 weight is the resulting dominant weight.
 
+The first page of the transform is built here, whole: e1_page takes
+each wedge power of the relative cotangent bundle of the Z-leg,
+untwisted and memoised, with the twist as its line, checks its one
+column rule (_column) and pushes every column down the M-leg in one
+reduction (_page), which direct_images shares for a single column.
+
 Filtered bundles produce one candidate per factor.  Two reporting
 modes:
 
@@ -23,8 +29,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bundles import BundleLabel, FilteredBundle, _shape, fiber_label, is_line, tensor_line
-from .geometry import Fibration, twist_frames
+from .bundles import (BundleLabel, FilteredBundle, _check_twist, _shape, exterior_power,
+                      fiber_label, is_line, rank, tensor_line)
+from .geometry import Fibration, registry, relative_cotangent, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
 from .weights import bbw_reduce
 
@@ -32,7 +39,9 @@ __all__ = [
     "CancellationRecord",
     "DirectImageTable",
     "direct_images",
+    "e1_page",
     "global_cohomology",
+    "twisted_forms",
     "MODES",
 ]
 
@@ -94,20 +103,55 @@ def direct_images(
         raise ValueError(f"direct images are computed along the M-leg, not {fib.name}")
     if fib.total.n != f.n:
         raise ArgumentError(f"the leg {fib.name} is over n={fib.total.n}, the bundle over n={f.n}")
-    cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
-    log: list[CancellationRecord] = []
-    _reduce_columns(((p, f),), f.line, mode, cells, log)
-    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
+    return _page(((p, f),), f.line, mode)
 
 
-def _reduce_columns(columns, line: BundleLabel | None, mode: str, cells: dict,
-                    log: list) -> None:
-    """The columns, one or more (p, f) pairs of filtered bundles on one space
-    and n, each f's untwisted factors tensored with line (checked, or None;
-    f's own line is not read), pushed down the M-leg into cells and log,
+def _column(lam: FilteredBundle, p) -> int:
+    """One column of a first page of lam's wedges: p, which must be an int
+    (True is not a column) in 0..rank(lam) (ArgumentError)."""
+    if type(p) is not int:
+        raise ArgumentError(f"column p must be an int, got {p!r}")
+    if 0 <= p <= rank(lam):
+        return p
+    raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
+
+
+def twisted_forms(fib: Fibration, twist_x: BundleLabel, p: int) -> FilteredBundle:
+    """Lambda^p of the relative forms of fib, tensored with twist_x; a p that
+    _column refuses is an ArgumentError."""
+    lam = relative_cotangent(fib)
+    return exterior_power(lam, _column(lam, p)).twist_by(twist_x)
+
+
+def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
+    """The first page over twist_x's n, or its column p: the Z-leg's twisted
+    wedges pushed down the M-leg; twist_x is the twist in the X frame
+    (twist_frames).
+
+    One pass over the memoised untwisted wedges: twist_x is checked once,
+    after the first wedge, where twist_by checks it, then the mode; the
+    columns are reduced in one pass, with twist_x as their line, into one
+    table."""
+    lam = relative_cotangent(registry(twist_x.n)["mu"])
+    # len(lam) is its rank: every factor is a line, or the wedge refuses
+    first, *rest = range(len(lam) + 1) if p is None else (_column(lam, p),)
+    wedges = [(first, exterior_power(lam, first))]
+    _check_twist(lam.space, lam.n, lam.untwisted[0].blocks, twist_x)
+    wedges += [(k, exterior_power(lam, k)) for k in rest]
+    if mode not in MODES:
+        raise _mode_refused(mode)
+    return _page(wedges, twist_x, mode)
+
+
+def _page(columns, line: BundleLabel | None, mode: str) -> DirectImageTable:
+    """The table of the columns, one or more (p, f) pairs of filtered bundles
+    on one space and n, each f's untwisted factors tensored with line
+    (checked, or None; f's own line is not read), pushed down the M-leg
     column by column.  Each image is an M-label over f.n, named and ordered by
     its weight alone, so each surviving label is built once, in cell order.
     The callers check the mode, the space and the leg."""
+    cells: dict[tuple[int, int], tuple[BundleLabel, ...]] = {}
+    log: list[CancellationRecord] = []
     _p, first = columns[0]
     links = _shape(first.space, first.n).links  # read once per call: no links, no line test
     # the fiber coordinates are every entry past the spectator; the line adds
@@ -167,6 +211,7 @@ def _reduce_columns(columns, line: BundleLabel | None, mode: str, cells: dict,
 
         for q, weight in sorted(images.values()):  # cell order: by q, then by weight
             cells[p, q] = cells.get((p, q), ()) + (BundleLabel("M", weight),)
+    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
 @lru_cache

@@ -38,7 +38,7 @@ import json
 import sys
 from collections.abc import Callable
 
-from .bbw import MODES, DirectImageTable, global_cohomology
+from .bbw import MODES, DirectImageTable, e1_page, global_cohomology, twisted_forms
 from .bundles import (
     BundleLabel,
     FilteredBundle,
@@ -66,11 +66,9 @@ from .transform import (
     assemble_transform,
     check_ellipticity,
     complex_from_form_types,
-    e1_page,
     emit_realization,
     formal_adjoint,
     involutive_cohomology,
-    twisted_forms,
 )
 from .weights import MAX_N, bbw_reduce
 

@@ -3,11 +3,8 @@
 Feeding a line-bundle twist through the machinery means:
 
 1. pull the twist back from the twistor space (twist_frames),
-2. take each wedge power of the relative cotangent bundle of the Z-leg,
-   untwisted and memoised, with the twist as its line,
-3. push every column down the M-leg, reducing each untwisted factor
-   shifted by that line (e1_page), and
-4. when the resulting first-page table is concentrated in a single
+2. read its first page, built whole by bbw.e1_page, and
+3. when that first-page table is concentrated in a single
    fiber degree q with contiguous nonempty columns, read off the
    complex of irreducible bundles on the base (assemble_transform).
 
@@ -30,19 +27,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .bbw import MODES, DirectImageTable, _mode_refused, _reduce_columns, global_cohomology
-from .bundles import (
-    BundleLabel,
-    FilteredBundle,
-    _check_twist,
-    _rank_kernel,
-    exterior_power,
-    m_label,
-    pieri_tensor,
-    rank,
-    trivial_label,
-)
-from .geometry import Fibration, fiber_betti, registry, relative_cotangent, twist_frames
+from .bbw import DirectImageTable, e1_page, global_cohomology
+from .bundles import BundleLabel, _rank_kernel, m_label, pieri_tensor, rank, trivial_label
+from .geometry import fiber_betti, registry, twist_frames
 from .notation import ArgumentError, FrozenDict, Value
 from .weights import MAX_N, _pair_scan
 
@@ -53,8 +40,6 @@ __all__ = [
     "ArrowCheck",
     "EllipticityReport",
     "RealizationReport",
-    "twisted_forms",
-    "e1_page",
     "assemble_transform",
     "involutive_cohomology",
     "check_ellipticity",
@@ -81,6 +66,10 @@ class FormType(Value, order=True):
     role: str
 
     def __post_init__(self):
+        # True compares as 1 and 1.0 as 1, but neither names a form degree
+        if type(self.p) is not int or type(self.q) is not int:
+            name, x = ("p", self.p) if type(self.p) is not int else ("q", self.q)
+            raise ArgumentError(f"form-type {name} must be an int, got {x!r}")
         if self.role not in _ROLE_SUFFIX:
             raise ValueError(f"form-type role must be one of {tuple(_ROLE_SUFFIX)}, "
                              f"got {self.role!r}")
@@ -129,47 +118,6 @@ class TransformResult(Value):
     complex_: ComplexOnM | None
     reason: str            # empty when a complex was emitted
     mode: str
-
-
-def _columns(lam: FilteredBundle, p: int | None) -> range | tuple[int]:
-    """The columns of a first page of lam's wedges: every p in 0..len(lam) when
-    p is None, else p alone, which must be an int (True is not a column) in
-    0..rank(lam) (ArgumentError)."""
-    if p is None:
-        return range(len(lam) + 1)  # every factor is a line, or the wedge refuses
-    if type(p) is not int:
-        raise ArgumentError(f"column p must be an int, got {p!r}")
-    if 0 <= p <= rank(lam):
-        return (p,)
-    raise ArgumentError(f"column p={p} is outside 0..{rank(lam)}")
-
-
-def twisted_forms(fib: Fibration, twist_x: BundleLabel, p: int) -> FilteredBundle:
-    """Lambda^p of the relative forms of fib, tensored with twist_x; a column
-    outside 0..rank is an ArgumentError."""
-    lam = relative_cotangent(fib)
-    [k] = _columns(lam, p)
-    return exterior_power(lam, k).twist_by(twist_x)
-
-
-def e1_page(twist_x: BundleLabel, mode: str = "paper", p: int | None = None) -> DirectImageTable:
-    """The first page over twist_x's n: the Z-leg's twisted wedges pushed
-    down the M-leg; twist_x is the twist in the X frame (twist_frames).
-
-    One pass over the memoised untwisted wedges: twist_x is checked once,
-    after the first wedge, where twist_by checks it, then the mode; the
-    columns are reduced in one pass, with twist_x as their line, into one
-    table."""
-    lam = relative_cotangent(registry(twist_x.n)["mu"])
-    first, *rest = _columns(lam, p)
-    wedges = [(first, exterior_power(lam, first))]
-    _check_twist(lam.space, lam.n, lam.untwisted[0].blocks, twist_x)
-    wedges += [(k, exterior_power(lam, k)) for k in rest]
-    if mode not in MODES:
-        raise _mode_refused(mode)
-    cells, log = {}, []
-    _reduce_columns(wedges, twist_x, mode, cells, log)
-    return DirectImageTable(FrozenDict(cells), mode, tuple(log))
 
 
 def assemble_transform(twist=None, n: int = 3, mode: str = "paper") -> TransformResult:

@@ -10,7 +10,9 @@ of a flag manifold count its Schubert cells as words by inversions, a
 cancellation's simple-root step is read off the raw weights of its pair, and
 which U(n+1) irreducibles hold an M-label on restriction is the interlacing
 rule of Gelfand and Tsetlin, and which types of a covector's stabilizer
-U(1) x U(n-1) it holds is the same rule one step down.
+U(1) x U(n-1) it holds is the same rule one step down; the rank each such
+type forces on an arrow is bounded by a maximum matching, found by
+augmenting paths, on the arrow's pairs that pass the old symbol-check test.
 The fiber types the legs once stored are kept here as data.  The (p,q)-form
 tables for n = 2, 3 are kept as the hand-written data they once were.
 Nothing here shares code with the package, except that the old naming of
@@ -254,6 +256,54 @@ def pieri_admissible(source: BundleLabel, target: BundleLabel) -> bool:
     """The symbol check's old test of one arrow component: the target is
     one of the labels the source's Pieri tensor lists."""
     return target in set(pieri_tensor(source))
+
+
+def _matching_size(edges: list[list[int]]) -> int:
+    """The size of a maximum matching of a bipartite graph, edges[u] being
+    the right vertices of left vertex u, by Kuhn's augmenting paths."""
+    owner: dict[int, int] = {}  # right vertex -> its left vertex
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in edges[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or augment(owner[v], seen):
+                    owner[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(len(edges)))
+
+
+def symbol_rank_bound(terms, admissible=pieri_admissible,
+                      types_of=stabilizer_types) -> tuple[tuple, ...]:
+    """Where a complex of M-labels cannot be exact at the covector
+    (1||-1,0,...,0): each (tau, i, r_i, nu_i) with r_i outside 0..nu_i, in
+    order of i, then tau; () when there is none.
+
+    An H-type tau (stabilizer_types) is held by d_i labels of term i, each
+    once, and the symbol commutes with H, so exactness on tau forces the
+    ranks r_i = d_i - r_(i-1) of the maps out of each term.  The map out of
+    term i can be nonzero on tau only on pieri_admissible pairs whose two
+    labels both hold tau, so r_i is at most nu_i, the size of a maximum
+    matching on those pairs; no map leaves the last term, whose nu is 0.
+    The pair test and the types are arguments, so a caller may memoise them."""
+    types = [[types_of(lab) for lab in term] for term in terms]
+    arrows = [[[j for j, t in enumerate(target) if admissible(s, t)] for s in source]
+              for source, target in zip(terms, terms[1:])]
+    bad = []
+    for tau in sorted(set().union(*(ts for row in types for ts in row))):
+        holds = [[j for j, ts in enumerate(row) if tau in ts] for row in types]
+        r = 0
+        for i, held in enumerate(holds):
+            r = len(held) - r
+            nu = 0
+            if r > 0 and i < len(arrows):
+                targets = set(holds[i + 1])
+                nu = _matching_size([[j for j in arrows[i][s] if j in targets] for s in held])
+            if not 0 <= r <= nu:
+                bad.append((tau, i, r, nu))
+    return tuple(sorted(bad, key=lambda v: (v[1], v[0])))
 
 
 def torus_character(mu: tuple[int, ...]) -> Counter:

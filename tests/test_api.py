@@ -112,7 +112,7 @@ UNREAD_MEMBERS: dict[str, str] = {}
 # properties named like a field of some value class: a read of the name may
 # be a read of the field, so each is listed here with a reader
 SHARED_NAME_PROPERTIES = {
-    "BundleLabel.n": "geometry.twist_frames and transform.e1_page read the n of a label",
+    "BundleLabel.n": "geometry.twist_frames and bbw.e1_page read the n of a label",
 }
 
 
@@ -153,6 +153,38 @@ def test_every_public_member_of_an_exported_class_has_a_reader():
                     unread.add(f"{cls.__name__}.{member}")
     assert unread == set(UNREAD_MEMBERS)
     assert shared == set(SHARED_NAME_PROPERTIES)
+
+
+# (importer, module, name) -> why one module reads a private name of another.
+# The first page is built whole in bbw, so transform reads nothing private there.
+PRIVATE_IMPORTS = {
+    ("bbw", "bundles", "_check_twist"): "e1_page checks its twist once, where twist_by would",
+    ("bbw", "bundles", "_shape"): "the page's reduction reads the line-test links once per call",
+    ("bundles", "weights", "_kernel_per_length"): "the rank kernels are compiled as the "
+                                                  "reducers are, once per shape",
+    ("bundles", "weights", "_listed"): "the rank kernels' source unpacks a weight the same way",
+    ("cli", "notation", "_quoted"): "a label the command line cannot read is quoted as the "
+                                    "parser quotes it",
+    ("geometry", "bundles", "_label_rank"): "a memo's miss path checks each Levi constituent's "
+                                            "rank without the traced rank",
+    ("transform", "bundles", "_rank_kernel"): "ComplexOnM.ranks() looks a kernel up once per "
+                                              "block shape",
+    ("transform", "weights", "_pair_scan"): "the symbol check scans each source in one "
+                                            "compiled call",
+}
+
+
+def test_each_private_name_read_across_modules_is_listed_with_a_reason():
+    # a module that reads another's private name shares a decision with it;
+    # each such import is listed above, so a new one has to say why
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found |= {(path.stem, node.module, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names if alias.name.startswith("_")}
+    assert found == set(PRIVATE_IMPORTS)
+    assert not any(importer == "transform" and module == "bbw" for importer, module, _ in found)
 
 
 def test_no_assert_statement_in_the_engine():

@@ -854,6 +854,12 @@ USAGE_RULES = {
     "column not an int": (
         {"fixture": {"op": "direct_images", "n": 3, "p": True}},
         "column p must be an int, got True"),
+    "column is None": (
+        {"fixture": {"op": "exterior_power", "n": 3, "p": None}},
+        "column p must be an int, got None"),
+    "form type not an int": (
+        {"fixture": {"op": "form_complex", "n": 3, "types": [[[True, 0, "full"]]]}},
+        "form-type p must be an int, got True"),
     "line for another n": (
         {"flag": ["tensor", "(0||0,0,0)", "--line", "(1||0,0,0,0)"]},
         "cannot tensor labels on different spaces or over different n: "

@@ -11,7 +11,7 @@ from math import prod
 import pytest
 
 from flagcalc import bundles, transform
-from flagcalc.bbw import MODES, DirectImageTable, global_cohomology
+from flagcalc.bbw import MODES, DirectImageTable, e1_page, global_cohomology, twisted_forms
 from flagcalc.bundles import (
     BundleLabel,
     dual,
@@ -45,12 +45,10 @@ from flagcalc.transform import (
     assemble_transform,
     check_ellipticity,
     complex_from_form_types,
-    e1_page,
     emit_realization,
     form_dictionary,
     formal_adjoint,
     involutive_cohomology,
-    twisted_forms,
 )
 
 from oracles import (
@@ -64,6 +62,7 @@ from oracles import (
     pieri_admissible,
     restricts_to,
     stabilizer_types,
+    symbol_rank_bound,
     torus_character,
     wedge_pair_character,
     weyl_euler,
@@ -80,6 +79,15 @@ def test_form_type_naming_and_degree():
     assert plain.p + plain.q == 3  # its degree
     assert str(FormType(1, 1, "perp")) == "L(1,1)_perp"
     assert str(FormType(2, 2, "kappa")) == "L(2,2)_kappa"
+
+
+@pytest.mark.parametrize("field", ["p", "q"])
+@pytest.mark.parametrize("bad", [True, False, 1.0, "0"])
+def test_a_form_degree_that_is_not_an_int_is_refused_by_name(field, bad):
+    # True would print as L(True,0) and 1.0 would name L(2,2.0) as an adjoint
+    with pytest.raises(ArgumentError) as err:
+        FormType(**{"p": 1, "q": 1, "role": "perp", field: bad})
+    assert str(err.value) == f"form-type {field} must be an int, got {bad!r}"
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -353,13 +361,17 @@ def test_twist_may_be_given_in_either_frame():
 def test_a_column_that_is_not_an_int_is_refused_by_name():
     # True compares as 1 and a float as its value: neither is a column
     twist_x, fib = x_label((0, 1, 0, 0)), registry(3)["mu"]
-    for p in (True, False, 1.0, "1"):
-        for make in (lambda: e1_page(twist_x, "paper", p), lambda: twisted_forms(fib, twist_x, p)):
+    for p in (True, False, 1.0, "1", None):
+        # None asks e1_page for every column, and twisted_forms for no column
+        makes = [lambda: e1_page(twist_x, "paper", p)] if p is not None else []
+        makes.append(lambda: twisted_forms(fib, twist_x, p))
+        for make in makes:
             with pytest.raises(ArgumentError) as err:
                 make()
             assert str(err.value) == f"column p must be an int, got {p!r}"
     assert e1_page(twist_x, "paper", 1).cells == {
         pq: labs for pq, labs in e1_page(twist_x, "paper").cells.items() if pq[0] == 1}
+    assert e1_page(twist_x, "paper", None) == e1_page(twist_x, "paper")
 
 
 def test_e1_page_columns_and_their_range():
@@ -731,12 +743,15 @@ def test_every_stabilizer_type_of_a_collapsed_complex_sums_to_zero(n):
     assert opposite == 0
 
 
-def test_the_corpus_complexes_balance_every_stabilizer_type():
-    # the corpus's check, form_complex and adjoint complexes, built as the
-    # corpus runner builds them
+def _corpus_complexes() -> list:
+    """(case, complex) for the corpus's check, form_complex and adjoint
+    cases, each complex built as the corpus runner builds it."""
     cases = [case for path in sorted((SRC / "flagcalc" / "fixtures").glob("*.json"))
              for case in json.loads(path.read_text(encoding="utf-8"))["cases"]
              if case["op"] in ("check", "form_complex", "adjoint")]
+    assert sorted(Counter(case["op"] for case in cases).items()) == \
+        [("adjoint", 1), ("check", 3), ("form_complex", 1)]
+    out = []
     for case in cases:
         if case["op"] == "form_complex":
             types = [tuple(FormType(*ft) for ft in term) for term in case["types"]]
@@ -745,9 +760,13 @@ def test_the_corpus_complexes_balance_every_stabilizer_type():
             twist = label_from_string(case["twist"], "Z") if "twist" in case else None
             cx = assemble_transform(twist, case["n"], case["mode"]).complex_
             cx = formal_adjoint(cx) if case["op"] == "adjoint" else cx
+        out.append((case, cx))
+    return out
+
+
+def test_the_corpus_complexes_balance_every_stabilizer_type():
+    for case, cx in _corpus_complexes():
         assert _h_type_sums(cx.terms) == {}, case
-    assert sorted(Counter(case["op"] for case in cases).items()) == \
-        [("adjoint", 1), ("check", 3), ("form_complex", 1)]
 
 
 # (kind, mode) -> (mutants made, mutants check_ellipticity passes) on each box;
@@ -782,6 +801,65 @@ def test_the_stabilizer_types_catch_every_rank_preserving_mutant(n):
                     made, passed = tally.get((kind, mode), (0, 0))
                     tally[kind, mode] = made + 1, passed + check_ellipticity(mutant).passed
     assert tally == MUTANTS[n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_collapsed_complex_meets_the_symbol_rank_bound(n):
+    # per stabilizer type, the ranks that exactness at the covector forces
+    # fit in the Pieri-admissible pairs of each arrow
+    types, admissible = cache(stabilizer_types), cache(pieri_admissible)
+    for w, mode, cx in _collapsed(n):
+        assert symbol_rank_bound(cx.terms, admissible, types) == (), (w, mode)
+    assert len(_collapsed(n)) == {2: 2212, 3: 590}[n]
+
+
+def test_the_corpus_complexes_meet_the_symbol_rank_bound():
+    for case, cx in _corpus_complexes():
+        assert symbol_rank_bound(cx.terms) == (), case
+
+
+# (kind, mode) -> (mutants made, caught by per-type rank feasibility, caught
+# by the symbol rank bound, passed by check_ellipticity) on each box.  A pair
+# mutant adds a copy of term i's first label to terms i and i+1, an L -> L
+# arrow; a two-down mutant moves one label of term i to term i+2.  At n = 2
+# both modes collapse to the same complexes.
+RANK_MUTANTS = {
+    2: {("pair", "paper"): (2058, 0, 1421, 2058), ("two-down", "paper"): (952, 0, 0, 0),
+        ("pair", "conservative"): (2058, 0, 1421, 2058),
+        ("two-down", "conservative"): (952, 0, 0, 0)},
+    3: {("pair", "paper"): (1252, 0, 762, 1252), ("two-down", "paper"): (2505, 94, 94, 2160),
+        ("pair", "conservative"): (868, 0, 458, 868),
+        ("two-down", "conservative"): (2157, 46, 46, 1952)},
+}
+
+
+def _rank_mutants(terms):
+    """(kind, mutant terms) for each pair and each two-down mutant."""
+    for i in range(len(terms) - 1):
+        lab = terms[i][0]
+        yield "pair", (*terms[:i], (*terms[i], lab), (*terms[i + 1], lab), *terms[i + 2:])
+    for i in range(len(terms) - 2):
+        for j, lab in enumerate(terms[i]):
+            yield "two-down", (*terms[:i], (*terms[i][:j], *terms[i][j + 1:]), terms[i + 1],
+                               (*terms[i + 2], lab), *terms[i + 3:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_symbol_rank_bound_catches_mutants_the_euler_sums_miss(n):
+    # neither kind moves a per-type Euler number; rank feasibility is a
+    # violation with r_i < 0 or in the last term, where no map leaves
+    types, admissible = cache(stabilizer_types), cache(pieri_admissible)
+    tally: dict[tuple[str, str], tuple[int, int, int, int]] = {}
+    for w, mode, cx in _collapsed(n):
+        for kind, terms in _rank_mutants(cx.terms):
+            assert _h_type_sums(terms, types) == {}, (w, mode, kind)
+            bad = symbol_rank_bound(terms, admissible, types)
+            feasible = all(r >= 0 and i < len(terms) - 1 for _tau, i, r, _nu in bad)
+            passed = all(terms) and check_ellipticity(ComplexOnM(terms)).passed
+            made, infeasible, caught, passes = tally.get((kind, mode), (0, 0, 0, 0))
+            tally[kind, mode] = (made + 1, infeasible + (not feasible), caught + bool(bad),
+                                 passes + passed)
+    assert tally == RANK_MUTANTS[n]
 
 
 @pytest.mark.parametrize("n", [2, 3])
